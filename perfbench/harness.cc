@@ -61,26 +61,6 @@ void Ledger::Print(std::FILE* out) const {
   }
 }
 
-AnswerDigest Digest(const sqopt::ResultSet& rows) {
-  std::vector<uint64_t> hashes;
-  hashes.reserve(rows.rows.size());
-  for (const std::vector<sqopt::Value>& row : rows.rows) {
-    uint64_t h = 0x9E3779B97F4A7C15ULL;
-    for (const sqopt::Value& v : row) {
-      h ^= static_cast<uint64_t>(v.Hash()) + 0x9E3779B97F4A7C15ULL +
-           (h << 6) + (h >> 2);
-      h *= 0xBF58476D1CE4E5B9ULL;
-    }
-    hashes.push_back(h ^ (h >> 31));
-  }
-  std::sort(hashes.begin(), hashes.end());
-  hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-  AnswerDigest d;
-  d.distinct_rows = hashes.size();
-  for (uint64_t h : hashes) d.hash = (d.hash ^ h) * 0x94D049BB133111EBULL;
-  return d;
-}
-
 Summary Summarize(const std::vector<Round>& rounds, bool equal_work) {
   std::vector<std::pair<double, size_t>> ranked;
   for (size_t r = 0; r < rounds.size(); ++r) {
@@ -106,10 +86,8 @@ Summary Summarize(const std::vector<Round>& rounds, bool equal_work) {
 
 std::string DescribeMismatch(const sqopt::ResultSet& got,
                              const sqopt::ResultSet& oracle) {
-  std::string s = "mismatch distinct_rows=" +
-                  std::to_string(Digest(got).distinct_rows) +
-                  " oracle_distinct_rows=" +
-                  std::to_string(Digest(oracle).distinct_rows);
+  std::string s = "mismatch rows=" + std::to_string(got.rows.size()) +
+                  " oracle_rows=" + std::to_string(oracle.rows.size());
   if (!got.rows.empty()) {
     s += " first_row=";
     for (size_t i = 0; i < got.rows[0].size(); ++i) {

@@ -89,23 +89,12 @@ class Ledger {
 
 // The oracle contract: the optimized answer must hold the same distinct
 // rows as ExecuteUnoptimized on the same snapshot, each row's columns in
-// projection order (set semantics; see DESIGN.md).
+// projection order (set semantics; see DESIGN.md). An answer equal row
+// for row is accepted without building the distinct-row sets.
 inline bool SameAnswer(const sqopt::ResultSet& got,
                        const sqopt::ResultSet& oracle) {
-  return got.SameDistinctRows(oracle);
+  return got.rows == oracle.rows || got.SameDistinctRows(oracle);
 }
-
-// Order-insensitive fingerprint of an answer's distinct rows (columns in
-// projection order): lets a workload compute the oracle before a round
-// and check each answer right after its call with a cheap hash, instead
-// of running the oracle between timed calls. A digest mismatch is
-// settled by the full SameAnswer comparison.
-struct AnswerDigest {
-  uint64_t hash = 0;
-  size_t distinct_rows = 0;
-  bool operator==(const AnswerDigest&) const = default;
-};
-AnswerDigest Digest(const sqopt::ResultSet& rows);
 
 // Short description of a mismatch for the failure listing.
 std::string DescribeMismatch(const sqopt::ResultSet& got,
@@ -194,7 +183,8 @@ struct Round {
 // time and comes in episodes, so the quietest rounds repeat from run to
 // run where a whole-run figure does not (see NOTES.md). A stream whose
 // work grows round by round (churn's store grows) keeps every round,
-// since ranking would only pick its earliest.
+// since ranking would only pick its earliest; churn samples a longer
+// window by running replicas of its sequence instead.
 struct Summary {
   double p50 = 0;
   double per_s = 0;

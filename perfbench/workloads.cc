@@ -39,6 +39,8 @@ constexpr int kRounds = 40;                // rounds per measured stream
 constexpr int kChurnGroup = 4;             // batches per ApplyGroup
 constexpr int kChurnQueriesPerGroup = 4;   // pool queries after each group
 constexpr int kChurnCheckpointEvery = 64;  // groups between checkpoints
+constexpr int kChurnReplicas = 3;          // untraced runs of the sequence
+constexpr int kChurnSetups = 5;            // fresh set-ups per replica
 constexpr int kServeClients = 3;
 constexpr int kServeWorkers = 2;
 constexpr size_t kServeProbeOps = 1000;  // probed requests per client
@@ -55,7 +57,8 @@ size_t PerRound(const RunConfig& cfg, size_t at_ten, size_t floor) {
 // seconds, and Summarize keeps the quietest rounds. Only adhoc is
 // paced: after an idle gap, scan's morsel workers and serve's server
 // workers would have to wake up, and a round would measure that rather
-// than steady state; churn's rounds are not ranked.
+// than steady state; churn's rounds are not ranked, and its replicas
+// already sample a longer window.
 void Pace(const RunConfig& cfg) {
   std::this_thread::sleep_for(std::chrono::milliseconds(
       1500 * cfg.seconds / kRounds));
@@ -67,7 +70,13 @@ struct Pass {
 
   Clock::time_point epoch;  // shared by every tracer of the run
 
-  // Set-up, one sample per fresh set-up.
+  // Set-up, one sample per fresh set-up. A run's set-ups are spread
+  // over the run: scan sets up fresh stores for each phase of its
+  // rounds, churn for each replica, adhoc and serve make a spare set-up
+  // between rounds. setup_s is their lower quartile (the median of the
+  // quietest half): like the query rounds, a set-up only gets slower
+  // under contention from other tenants, and a median of set-ups made
+  // back to back moved with the episode they landed in.
   Dist setup_s, open_ms, load_ms, save_ms, start_ms;
   // Queries (Execute, or Client::Query on serve), and the workload's
   // primary operation: the same rounds, except on churn, where it is
@@ -117,30 +126,22 @@ Engine OpenAndLoad(const EngineOptions& options, const DbSpec& spec,
 
 // The oracle's answer to one text on the current snapshot.
 struct Oracle {
-  AnswerDigest digest;
+  ResultSet rows;
   double cost = 0;  // unoptimized meter, cost units
 };
 
 Oracle RunOracle(const Engine& engine, const std::string& text) {
   QueryOutcome o =
       Must(engine.ExecuteUnoptimized(text), "ExecuteUnoptimized " + text);
-  return {Digest(o.rows), o.meter.CostUnits()};
+  return {std::move(o.rows), o.meter.CostUnits()};
 }
 
-// Checks one answer against its oracle digest; a digest mismatch is
-// settled by recomputing the oracle (same snapshot) and comparing rows.
-void Verify(const Engine& engine, const std::string& text, int64_t op,
-            const ResultSet& got, const Oracle& want, Ledger* ledger) {
-  if (Digest(got) == want.digest) {
-    ledger->Ok();
-    return;
-  }
-  QueryOutcome o =
-      Must(engine.ExecuteUnoptimized(text), "ExecuteUnoptimized " + text);
-  if (SameAnswer(got, o.rows)) {
+void Verify(const std::string& text, int64_t op, const ResultSet& got,
+            const Oracle& want, Ledger* ledger) {
+  if (SameAnswer(got, want.rows)) {
     ledger->Ok();
   } else {
-    ledger->Fail(text, op, DescribeMismatch(got, o.rows));
+    ledger->Fail(text, op, DescribeMismatch(got, want.rows));
   }
 }
 
@@ -177,13 +178,12 @@ std::pair<sqopt::Result<QueryOutcome>, double> TimedQuery(
 
 // Checks a timed query against `want` and, in a traced pass, takes the
 // same text apart layer by layer on the probe engine.
-void Settle(const Engine& engine, const Engine* probe,
-            const std::string& text, int64_t op,
+void Settle(const Engine* probe, const std::string& text, int64_t op,
             const std::pair<sqopt::Result<QueryOutcome>, double>& timed,
             const Oracle& want, Pass* pass) {
   const auto& [result, us] = timed;
   if (!result.ok()) return;
-  Verify(engine, text, op, result->rows, want, &pass->ledger);
+  Verify(text, op, result->rows, want, &pass->ledger);
   if (probe != nullptr) {
     pass->queries.Add(ProbeQuery(*probe, text, &pass->tracer, op),
                       result->plan_cache_hit, us, want.cost);
@@ -208,7 +208,9 @@ std::vector<size_t> ZipfStream(size_t pool_size, uint64_t seed, size_t n) {
 struct QueryWorkload {
   DbSpec db;
   EngineOptions options;
-  int setups = 1;
+  int setups = 1;  // fresh set-ups per phase
+  int phases = 1;  // each on a fresh store, serving kRounds / phases rounds
+  bool spare_setups = false;  // one more set-up before each later round
   bool adhoc = false;  // generated texts; else Zipf over the pool
   bool paced = false;  // idle before each round (see Pace)
   size_t per_round = 0;
@@ -216,13 +218,16 @@ struct QueryWorkload {
 
 void RunQueryPass(const QueryWorkload& w, const RunConfig& cfg, bool traced,
                   Pass* pass) {
-  std::optional<Engine> engine;
-  for (int k = 0; k < w.setups; ++k) {
-    engine.reset();
+  // One fresh set-up into `e`. Every store holds the same data (same
+  // spec, same seed); the last of a phase's set-ups serves its rounds.
+  auto set_up = [&](std::optional<Engine>* e) {
+    e->reset();
     const Clock::time_point t0 = Clock::now();
-    engine.emplace(OpenAndLoad(w.options, w.db, cfg.seed, pass));
+    e->emplace(OpenAndLoad(w.options, w.db, cfg.seed, pass));
     pass->setup_s.Add(Micros(t0, Clock::now()) / 1e6);
-  }
+  };
+  std::optional<Engine> engine;
+  for (int k = 0; k < w.setups; ++k) set_up(&engine);
   std::optional<Engine> probe;
   if (traced) {
     probe.emplace(OpenAndLoad(ProbeOptions(w.options), w.db, cfg.seed,
@@ -248,44 +253,69 @@ void RunQueryPass(const QueryWorkload& w, const RunConfig& cfg, bool traced,
 
   // The store never changes, so each oracle answer holds for the whole
   // run. The pool workload computes its six once and warms the plan
-  // cache before measuring; adhoc computes each round's before the round.
+  // cache before measuring, then checks each answer after its call.
+  // adhoc times a whole round of calls back to back and runs the oracle
+  // on each text after the round: oracle runs between calls left the
+  // calls after them on cold caches (p50 up by a fifth with a check
+  // every 25 calls). A round's answers (about 35 MB) count in
+  // peak_rss_mb.
+  const size_t chunk = w.adhoc ? w.per_round : 1;
   std::unordered_map<std::string, Oracle> oracles;
   if (!w.adhoc) {
     for (const std::string& text : pool) {
       oracles[text] = RunOracle(*engine, text);
-      Must(engine->Execute(text), "Execute " + text);
     }
   }
-  const sqopt::PlanCacheStats before = engine->plan_cache_stats();
+  uint64_t evictions = 0, invalidations = 0;
   pass->query_rounds.resize(kRounds);
-  for (int r = 0; r < kRounds; ++r) {
-    if (w.paced && !cfg.trace) Pace(cfg);
-    const size_t begin = r * w.per_round, end = begin + w.per_round;
-    if (w.adhoc) {
-      oracles.clear();
-      for (size_t i = begin; i < end; ++i) {
-        if (!oracles.count(texts[i])) {
-          oracles[texts[i]] = RunOracle(*engine, texts[i]);
+  for (int phase = 0; phase < w.phases; ++phase) {
+    for (int k = 0; phase > 0 && k < w.setups; ++k) set_up(&engine);
+    if (!w.adhoc) {
+      for (const std::string& text : pool) {
+        Must(engine->Execute(text), "Execute " + text);
+      }
+    }
+    const sqopt::PlanCacheStats before = engine->plan_cache_stats();
+    for (int r = phase * kRounds / w.phases;
+         r < (phase + 1) * kRounds / w.phases; ++r) {
+      if (w.paced && !cfg.trace) Pace(cfg);
+      if (w.spare_setups && r > 0) {
+        std::optional<Engine> spare;
+        set_up(&spare);
+      }
+      const size_t round_end = (r + 1) * w.per_round;
+      for (size_t begin = r * w.per_round; begin < round_end; begin += chunk) {
+        const size_t end = std::min(begin + chunk, round_end);
+        std::vector<std::pair<sqopt::Result<QueryOutcome>, double>> answers;
+        for (size_t i = begin; i < end; ++i) {
+          answers.push_back(TimedQuery(*engine, texts[i],
+                                       static_cast<int64_t>(i), traced, pass,
+                                       &pass->query_rounds[r]));
+        }
+        for (size_t i = begin; i < end; ++i) {
+          const int64_t op = static_cast<int64_t>(i);
+          const Engine* p = traced ? &*probe : nullptr;
+          if (w.adhoc) {
+            Settle(p, texts[i], op, answers[i - begin],
+                   RunOracle(*engine, texts[i]), pass);
+          } else {
+            Settle(p, texts[i], op, answers[i - begin], oracles.at(texts[i]),
+                   pass);
+          }
         }
       }
     }
-    for (size_t i = begin; i < end; ++i) {
-      const int64_t op = static_cast<int64_t>(i);
-      const auto timed = TimedQuery(*engine, texts[i], op, traced, pass,
-                                    &pass->query_rounds[r]);
-      Settle(*engine, traced ? &*probe : nullptr, texts[i], op, timed,
-             oracles.at(texts[i]), pass);
-    }
+    const sqopt::PlanCacheStats after = engine->plan_cache_stats();
+    evictions += after.evictions - before.evictions;
+    invalidations += after.invalidations - before.invalidations;
   }
-  const sqopt::PlanCacheStats after = engine->plan_cache_stats();
-  pass->queries.SetCacheDelta(after.evictions - before.evictions,
-                              after.invalidations - before.invalidations);
+  pass->queries.SetCacheDelta(evictions, invalidations);
   pass->op_rounds = pass->query_rounds;
   Note("queries=" + std::to_string(ops) +
        " hits=" + std::to_string(pass->query_hit_us.size()) +
        " misses=" + std::to_string(pass->query_miss_us.size()) +
-       " cache_evictions=" +
-       std::to_string(after.evictions - before.evictions));
+       " cache_evictions=" + std::to_string(evictions) +
+       " phases=" + std::to_string(w.phases));
 }
 
 // ---------------------------------------------------------------------
@@ -302,18 +332,21 @@ int64_t LiveObjects(const Engine& engine) {
   return n;
 }
 
-void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
+// One replica of churn's sequence on a fresh store; its rounds go to
+// pass rounds [replica * kRounds, (replica + 1) * kRounds).
+void RunChurnReplica(const RunConfig& cfg, bool traced, int replica,
+                     Pass* pass) {
   const DbSpec db{"churn", 2000, 3000};
-  const int setups = 7;
   const size_t per_round = PerRound(cfg, 25, 25);
   const EngineOptions options;  // WAL fsync on (DurabilityOptions default)
 
   std::optional<Engine> engine;
   std::string dir;
-  for (int k = 0; k < setups; ++k) {
+  for (int k = 0; k < kChurnSetups; ++k) {
     engine.reset();
     if (!dir.empty()) fs::remove_all(dir);
-    dir = cfg.work_dir + "/churn-" + std::to_string(k);
+    dir = cfg.work_dir + "/churn-" + std::to_string(replica) + "-" +
+          std::to_string(k);
     fs::remove_all(dir);
     const Clock::time_point t0 = Clock::now();
     engine.emplace(OpenAndLoad(options, db, cfg.seed, pass));
@@ -339,15 +372,14 @@ void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
       ZipfStream(pool.size(), cfg.seed, groups * kChurnQueriesPerGroup);
   const int64_t live_start = LiveObjects(*engine);
 
-  Dist clone_us, wal_write_us, fsync_us, other_us, checkpoint_ms;
+  Dist commit_us, clone_us, wal_write_us, fsync_us, other_us, checkpoint_ms;
   double checks = 0, drift = 0, wal_bytes = 0, batches = 0;
   const sqopt::PlanCacheStats cache_before = engine->plan_cache_stats();
-  pass->query_rounds.resize(kRounds);
-  pass->op_rounds.resize(kRounds);
   for (size_t g = 0; g < groups; ++g) {
     const int64_t op = static_cast<int64_t>(g);
-    Round& commits = pass->op_rounds[g / per_round];
-    Round& queries = pass->query_rounds[g / per_round];
+    const size_t round = replica * kRounds + g / per_round;
+    Round& commits = pass->op_rounds[round];
+    Round& queries = pass->query_rounds[round];
     std::vector<sqopt::MutationBatch> group;
     for (int b = 0; b < kChurnGroup; ++b) {
       group.push_back(Must(script.Next(), "MutationScript::Next"));
@@ -385,6 +417,7 @@ void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
       pass->ledger.Ok();
     }
     commits.us.Add(us);
+    commit_us.Add(us);
     commits.units += static_cast<double>(results.size());
     commits.busy_s += us / 1e6;
     if (traced) {
@@ -426,7 +459,7 @@ void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
     for (int q = 0; q < kChurnQueriesPerGroup; ++q) {
       const int64_t qop = op * kChurnQueriesPerGroup + q;
       const std::string& text = pool[stream[qop]];
-      Settle(*engine, traced ? &*probe : nullptr, text, qop, answers[q],
+      Settle(traced ? &*probe : nullptr, text, qop, answers[q],
              RunOracle(*engine, text), pass);
     }
   }
@@ -458,12 +491,14 @@ void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
     }
   }
   if (!durable) pass->correct = false;
-  Note("churn groups=" + std::to_string(groups) +
+  Note("churn replica=" + std::to_string(replica) +
+       " groups=" + std::to_string(groups) +
        " store_live_objects_start=" + std::to_string(live_start) +
        " store_live_objects_end=" + std::to_string(live_end) +
        " version=" + std::to_string(version) +
        " recovered_version=" + std::to_string(reopened.data_version()) +
-       " durable=" + (durable ? "1" : "0"));
+       " durable=" + (durable ? "1" : "0") +
+       " commit_p50_us=" + std::to_string(commit_us.Median()));
 
   if (traced) {
     LayerValues& v = pass->layers;
@@ -482,6 +517,20 @@ void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
                                 fsync_us.Median() + other_us.Median());
   }
   fs::remove_all(dir);
+}
+
+void RunChurnPass(const RunConfig& cfg, bool traced, Pass* pass) {
+  // The untraced pass runs kChurnReplicas replicas of the same sequence,
+  // each on a fresh store, and reports over all of their rounds: churn's
+  // rounds cannot be ranked (see Summarize), so a longer window is what
+  // steadies its figures. The traced pass, which only reports layer
+  // medians, runs one.
+  const int replicas = traced ? 1 : kChurnReplicas;
+  pass->query_rounds.resize(replicas * kRounds);
+  pass->op_rounds.resize(replicas * kRounds);
+  for (int k = 0; k < replicas; ++k) {
+    RunChurnReplica(cfg, traced, k, pass);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -504,13 +553,63 @@ struct ClientLog {
 
 struct ServeShared {
   int port = 0;
-  const Engine* engine = nullptr;  // the oracle, on a digest mismatch
   const std::vector<std::string>* pool = nullptr;
-  // Per pool text: the oracle digest and the verified optimized rows.
-  std::vector<Oracle> oracles;
-  std::vector<ResultSet> references;
-  std::vector<bool> reference_ok;
+  std::vector<Oracle> oracles;  // per pool text
 };
+
+// One response of a round, kept until the round has ended.
+struct Answer {
+  size_t index = 0;   // pool text
+  int64_t op = 0;
+  int32_t call = -1;  // client.query span (traced pass)
+  double us = 0;
+  sqopt::server::Response response;
+};
+
+// Checks a round's responses against the oracle, and in a traced pass
+// records their layers and times the wire on the first kServeProbeOps
+// of them. Runs after the round-end barrier, outside the measured wall
+// time, so that only Client::Query calls fall inside it.
+void SettleRound(const ServeShared& shared, bool traced, uint32_t protocol,
+                 std::vector<Answer>* answers, ClientLog* log) {
+  namespace srv = sqopt::server;
+  for (Answer& a : *answers) {
+    const std::string& text = (*shared.pool)[a.index];
+    ResultSet got;
+    got.rows = std::move(a.response.rows);
+    Verify(text, a.op, got, shared.oracles[a.index], &log->ledger);
+    a.response.rows = std::move(got.rows);
+    if (a.response.plan_cache_hit) ++log->hits;
+    if (!traced) continue;
+    const double exec = static_cast<double>(a.response.exec_micros);
+    log->tracer.Reported("server.exec", a.op, a.call, exec);
+    log->overhead_us.Add(a.us - exec);
+    log->server_exec_us.Add(exec);
+    log->requests.emplace_back(a.index, exec, a.response.plan_cache_hit);
+    if (log->requests.size() > kServeProbeOps) continue;
+    // Wire cost of this request's own frames, timed on the client.
+    const int32_t probe = log->tracer.Begin("probe.wire", a.op, -1);
+    srv::Request request;
+    request.type = srv::RequestType::kQuery;
+    request.query_text = text;
+    ScopedSpan enc(&log->tracer, "wire.encode", a.op, probe);
+    const std::string req_frame = srv::EncodeRequest(request, protocol);
+    const std::string resp_frame = srv::EncodeResponse(a.response);
+    log->encode_us.Add(enc.Stop());
+    ScopedSpan dec(&log->tracer, "wire.decode", a.op, probe);
+    srv::FrameReader reader;
+    reader.Append(resp_frame.data(), resp_frame.size());
+    std::string payload;
+    if (reader.Next(&payload) != srv::FrameReader::Outcome::kFrame) {
+      Die("FrameReader rejected an encoded response");
+    }
+    Must(srv::DecodeResponse(payload), "DecodeResponse");
+    log->decode_us.Add(dec.Stop());
+    log->tracer.End(probe);
+    if (req_frame.empty()) Die("EncodeRequest produced no bytes");
+  }
+  answers->clear();
+}
 
 void RunClient(const ServeShared& shared, const std::vector<size_t>& stream,
                int client_id, bool traced, std::barrier<>* rounds,
@@ -519,6 +618,8 @@ void RunClient(const ServeShared& shared, const std::vector<size_t>& stream,
   srv::Client client =
       Must(srv::Client::Connect("127.0.0.1", shared.port), "Client::Connect");
   const size_t per_round = stream.size() / kRounds;
+  std::vector<Answer> answers;
+  answers.reserve(per_round);
   for (int r = 0; r < kRounds; ++r) {
     rounds->arrive_and_wait();  // round start
     for (size_t i = r * per_round; i < (r + 1) * per_round; ++i) {
@@ -551,86 +652,46 @@ void RunClient(const ServeShared& shared, const std::vector<size_t>& stream,
       }
       const double us = Micros(t0, t1);
       log->rtt_us[r].Add(us);
-      // Equal to the verified in-process answer, or else to the oracle.
-      if (shared.reference_ok[index] &&
-          resp->rows == shared.references[index].rows) {
-        log->ledger.Ok();
-      } else {
-        ResultSet got;
-        got.rows = resp->rows;
-        Verify(*shared.engine, text, op, got, shared.oracles[index],
-               &log->ledger);
-      }
-      if (resp->plan_cache_hit) ++log->hits;
-      if (!traced) continue;
-      const double exec = static_cast<double>(resp->exec_micros);
-      log->tracer.Reported("server.exec", op, call, exec);
-      log->overhead_us.Add(us - exec);
-      log->server_exec_us.Add(exec);
-      log->requests.emplace_back(index, exec, resp->plan_cache_hit);
-      if (log->requests.size() > kServeProbeOps) continue;
-      // Wire cost of this request's own frames, timed on the client.
-      const int32_t probe = log->tracer.Begin("probe.wire", op, -1);
-      srv::Request request;
-      request.type = srv::RequestType::kQuery;
-      request.query_text = text;
-      ScopedSpan enc(&log->tracer, "wire.encode", op, probe);
-      const std::string req_frame =
-          srv::EncodeRequest(request, client.protocol());
-      const std::string resp_frame = srv::EncodeResponse(*resp);
-      log->encode_us.Add(enc.Stop());
-      ScopedSpan dec(&log->tracer, "wire.decode", op, probe);
-      srv::FrameReader reader;
-      reader.Append(resp_frame.data(), resp_frame.size());
-      std::string payload;
-      if (reader.Next(&payload) != srv::FrameReader::Outcome::kFrame) {
-        Die("FrameReader rejected an encoded response");
-      }
-      Must(srv::DecodeResponse(payload), "DecodeResponse");
-      log->decode_us.Add(dec.Stop());
-      log->tracer.End(probe);
-      if (req_frame.empty()) Die("EncodeRequest produced no bytes");
+      answers.push_back({index, op, call, us, std::move(resp).value()});
     }
     rounds->arrive_and_wait();  // round end
+    SettleRound(shared, traced, client.protocol(), &answers, log);
+    rounds->arrive_and_wait();  // round settled
   }
 }
 
 void RunServePass(const RunConfig& cfg, bool traced, Pass* pass) {
   namespace srv = sqopt::server;
   const DbSpec db{"db4", 208, 616};
-  const int setups = 15;
   const size_t per_round = PerRound(cfg, 1250, 100);  // per client
   const EngineOptions options;
   srv::ServerOptions server_options;
   server_options.threads = kServeWorkers;
 
-  std::unique_ptr<srv::Server> server;
-  std::optional<Engine> engine;
-  for (int k = 0; k < setups; ++k) {
-    server.reset();
-    engine.reset();
+  // One fresh set-up: Open + Load + Server::Start.
+  auto set_up = [&](std::optional<Engine>* engine,
+                    std::unique_ptr<srv::Server>* server) {
     const Clock::time_point t0 = Clock::now();
-    engine.emplace(OpenAndLoad(options, db, cfg.seed, pass));
+    engine->emplace(OpenAndLoad(options, db, cfg.seed, pass));
     const Clock::time_point t1 = Clock::now();
-    server = Must(srv::Server::Start(&*engine, server_options),
-                  "Server::Start");
+    *server = Must(srv::Server::Start(&**engine, server_options),
+                   "Server::Start");
     const Clock::time_point t2 = Clock::now();
     pass->start_ms.Add(Micros(t1, t2) / 1e3);
     pass->setup_s.Add(Micros(t0, t2) / 1e6);
-  }
+  };
+  std::optional<Engine> engine;
+  std::unique_ptr<srv::Server> server;
+  set_up(&engine, &server);
 
   const std::vector<std::string> pool = sqopt::ExperimentQueryPool();
   ServeShared shared;
   shared.port = server->port();
-  shared.engine = &*engine;
   shared.pool = &pool;
   for (const std::string& text : pool) {
-    // Also warms the plan cache the server's workers share.
-    const Oracle oracle = RunOracle(*engine, text);
-    ResultSet reference = Must(engine->Execute(text), "Execute " + text).rows;
-    shared.reference_ok.push_back(Digest(reference) == oracle.digest);
-    shared.oracles.push_back(oracle);
-    shared.references.push_back(std::move(reference));
+    shared.oracles.push_back(RunOracle(*engine, text));
+    // Warms the plan cache the server's workers share.
+    Must(engine->Execute(text), "Execute " + text);
   }
   std::vector<std::vector<size_t>> streams;
   for (int c = 0; c < kServeClients; ++c) {
@@ -654,6 +715,14 @@ void RunServePass(const RunConfig& cfg, bool traced, Pass* pass) {
     const Clock::time_point t0 = Clock::now();
     rounds.arrive_and_wait();
     pass->query_rounds[r].busy_s = Micros(t0, Clock::now()) / 1e6;
+    rounds.arrive_and_wait();
+    // While the clients wait for the next round, a spare set-up, torn
+    // down at once.
+    if (r + 1 < kRounds) {
+      std::optional<Engine> spare_engine;
+      std::unique_ptr<srv::Server> spare_server;
+      set_up(&spare_engine, &spare_server);
+    }
   }
   for (std::thread& t : threads) t.join();
   const srv::ServerStats stats = server->stats();
@@ -716,7 +785,7 @@ void RunPass(const RunConfig& cfg, bool traced, Pass* pass) {
   if (cfg.workload == "adhoc") {
     QueryWorkload w;
     w.db = DbSpec{"db4", 208, 616};  // the paper's DB4
-    w.setups = 15;
+    w.spare_setups = true;
     w.adhoc = true;
     w.paced = true;
     w.per_round = PerRound(cfg, 500, 50);
@@ -726,7 +795,8 @@ void RunPass(const RunConfig& cfg, bool traced, Pass* pass) {
     w.db = DbSpec{"scan", 40000, 60000};
     w.options.serve.threads = 4;
     w.options.serve.parallelism = 4;
-    w.setups = 5;
+    w.setups = 2;
+    w.phases = 10;
     w.per_round = PerRound(cfg, 100, 50);
     RunQueryPass(w, cfg, traced, pass);
   } else if (cfg.workload == "churn") {
@@ -757,14 +827,14 @@ RunResult RunWorkload(const RunConfig& cfg) {
        " op_p50=" + std::to_string(ops.samples) +
        " setups=" + std::to_string(untraced.setup_s.size()) + " (" +
        (equal_work ? "quietest tenth of " : "all of ") +
-       std::to_string(kRounds) + " rounds)");
+       std::to_string(untraced.query_rounds.size()) + " rounds)");
   if (!cfg.trace) {
     out.Add("query_p50_us", queries.p50, "us");
     out.Add("queries_per_s", queries.per_s, "1/s");
     out.Add("op_p50_us", ops.p50, "us");
     out.Add("ops_per_s", ops.per_s, "1/s");
     out.Add("ok_ratio", untraced.ledger.ok_ratio(), "ratio");
-    out.Add("setup_s", untraced.setup_s.Median(), "s");
+    out.Add("setup_s", untraced.setup_s.Quantile(0.25), "s");
     out.Add("peak_rss_mb", PeakRssMb(), "MB");
     return out;
   }
