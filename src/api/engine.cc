@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -743,19 +744,13 @@ void Engine::CommitGroupLocked(
     return;
   }
 
-  // Per-request write sets, computed up front so the copy-on-write
-  // clone copies exactly what the ops below will mutate (this loop is
-  // also the single class/relationship id validation site — ApplyOp
-  // relies on it). A delete touches every relationship of its class
-  // (cascading unlink). `index_classes` is the subset whose INDEX trees
-  // the request can change: inserts/deletes always, updates only when
-  // the attribute is indexed — untouched index trees stay shared with
-  // the base snapshot (they have no segment-level CoW of their own).
+  // Per-request id validation (the single class/relationship id
+  // validation site — ApplyOp relies on it) and the drift inputs: ops
+  // per touched class and relationship. A delete touches every
+  // relationship of its class (cascading unlink), so those enter
+  // `rel_ops` too, with no ops of their own.
   struct PendingCommit {
     detail::CommitRequest* req = nullptr;
-    std::set<ClassId> classes;
-    std::set<RelId> rels;
-    std::set<ClassId> index_classes;
     std::unordered_map<ClassId, int64_t> class_ops;
     std::unordered_map<RelId, int64_t> rel_ops;
     // A request leaves the group (excluded) the moment its result is
@@ -794,22 +789,11 @@ void Engine::CommitGroupLocked(
             pc.excluded = true;
             break;
           }
-          pc.classes.insert(op.class_id);
           ++pc.class_ops[op.class_id];
           if (op.kind == Mutation::Kind::kDelete) {
             for (RelId rel : state.schema.RelationshipsOf(op.class_id)) {
-              pc.rels.insert(rel);
+              pc.rel_ops.try_emplace(rel, 0);
             }
-          }
-          if (op.kind == Mutation::Kind::kUpdate) {
-            // SlotOf confirms the attr id resolves on the class before
-            // schema.attribute() (unchecked) may be consulted.
-            if (base->store->extent(op.class_id).SlotOf(op.attr_id) >= 0 &&
-                state.schema.attribute({op.class_id, op.attr_id}).indexed) {
-              pc.index_classes.insert(op.class_id);
-            }
-          } else {
-            pc.index_classes.insert(op.class_id);
           }
           break;
         case Mutation::Kind::kLink:
@@ -822,7 +806,6 @@ void Engine::CommitGroupLocked(
             pc.excluded = true;
             break;
           }
-          pc.rels.insert(op.rel_id);
           ++pc.rel_ops[op.rel_id];
           break;
       }
@@ -836,26 +819,30 @@ void Engine::CommitGroupLocked(
   // deterministic and an excluded batch came after them), so the final
   // state is exactly the sequential-Apply state in which the failed
   // batch left the store untouched. The loop terminates: every restart
-  // excludes at least one request.
-  const auto clone_start = std::chrono::steady_clock::now();
+  // excludes at least one request. The clone shares everything with
+  // the base snapshot; the ops copy only the segments, relationship
+  // chunks and index paths they write.
+  using Clock = std::chrono::steady_clock;
+  auto micros = [](Clock::time_point from, Clock::time_point to) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(to - from)
+            .count());
+  };
+  uint64_t clone_micros = 0;
+  uint64_t apply_micros = 0;
   std::unique_ptr<ObjectStore> next;
   std::vector<PendingCommit*> survivors;
   for (;;) {
-    std::set<ClassId> classes;
-    std::set<RelId> rels;
-    std::set<ClassId> index_classes;
     survivors.clear();
     for (PendingCommit& pc : pending) {
-      if (pc.excluded) continue;
-      survivors.push_back(&pc);
-      classes.insert(pc.classes.begin(), pc.classes.end());
-      rels.insert(pc.rels.begin(), pc.rels.end());
-      index_classes.insert(pc.index_classes.begin(),
-                           pc.index_classes.end());
+      if (!pc.excluded) survivors.push_back(&pc);
     }
     if (survivors.empty()) return;  // every batch decided without commit
 
-    next = base->store->CloneForWrite(classes, rels, index_classes);
+    const auto clone_start = Clock::now();
+    next = base->store->CloneForWrite();
+    const auto apply_start = Clock::now();
+    clone_micros += micros(clone_start, apply_start);
     bool restart = false;
     for (PendingCommit* pc : survivors) {
       pc->out = ApplyOutcome();
@@ -893,12 +880,9 @@ void Engine::CommitGroupLocked(
         break;
       }
     }
+    apply_micros += micros(apply_start, Clock::now());
     if (!restart) break;
   }
-  const uint64_t clone_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - clone_start)
-          .count());
 
   // Write-ahead: the surviving batches reach the log as ONE group
   // record (and, per DurabilityOptions, the disk — one fsync) BEFORE
@@ -913,15 +897,12 @@ void Engine::CommitGroupLocked(
     std::vector<MutationBatch> logged;
     logged.reserve(survivors.size());
     for (PendingCommit* pc : survivors) logged.push_back(*pc->req->batch);
-    const auto wal_start = std::chrono::steady_clock::now();
+    const auto wal_start = Clock::now();
     Status appended =
         state.wal->Append(base->version + 1, logged,
                           state.options.serve.durability.fsync,
                           &fsync_micros);
-    wal_micros = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wal_start)
-            .count());
+    wal_micros = micros(wal_start, Clock::now());
     if (!appended.ok()) {
       for (PendingCommit* pc : survivors) pc->req->result = appended;
       return;
@@ -939,16 +920,14 @@ void Engine::CommitGroupLocked(
   // shrinkage on removals are left stale by design: they feed cost
   // estimates, not answers, and the threshold-crossing full recollect
   // below resyncs them whenever the data drifts enough to matter.
+  const auto stats_start = Clock::now();
   auto data = std::make_shared<detail::LoadedData>();
   data->db_stats = base->db_stats;
 
-  std::set<ClassId> touched_classes;
-  std::set<RelId> touched_rels;
-  std::unordered_map<ClassId, int64_t> class_ops;
-  std::unordered_map<RelId, int64_t> rel_ops;
+  // Touched classes and relationships, with the group's ops on each.
+  std::map<ClassId, int64_t> class_ops;
+  std::map<RelId, int64_t> rel_ops;
   for (PendingCommit* pc : survivors) {
-    touched_classes.insert(pc->classes.begin(), pc->classes.end());
-    touched_rels.insert(pc->rels.begin(), pc->rels.end());
     for (const auto& [cid, n] : pc->class_ops) class_ops[cid] += n;
     for (const auto& [rid, n] : pc->rel_ops) rel_ops[rid] += n;
   }
@@ -961,15 +940,14 @@ void Engine::CommitGroupLocked(
     return static_cast<double>(changed) /
            static_cast<double>(std::max<int64_t>(1, before));
   };
-  for (ClassId cid : touched_classes) {
+  for (const auto& [cid, ops] : class_ops) {
     stats_drift = std::max(
-        stats_drift,
-        drift(class_ops[cid], base->store->NumLiveObjects(cid)));
+        stats_drift, drift(ops, base->store->NumLiveObjects(cid)));
   }
-  for (RelId rid : touched_rels) {
+  for (const auto& [rid, ops] : rel_ops) {
     int64_t before = base->store->NumPairs(rid);
     int64_t delta = next->NumPairs(rid) - before;
-    int64_t changed = std::max(rel_ops[rid], delta < 0 ? -delta : delta);
+    int64_t changed = std::max(ops, delta < 0 ? -delta : delta);
     stats_drift = std::max(stats_drift, drift(changed, before));
   }
 
@@ -978,11 +956,11 @@ void Engine::CommitGroupLocked(
     // The same commits that will drop the plan cache also earn a full
     // recollection: cheap commits keep the incremental path, drifting
     // ones pay to resync the approximations above.
-    for (ClassId cid : touched_classes) {
+    for (const auto& [cid, ops] : class_ops) {
       CollectClassStats(*next, cid, &data->db_stats);
     }
   } else {
-    for (ClassId cid : touched_classes) {
+    for (const auto& [cid, ops] : class_ops) {
       data->db_stats.SetClassCardinality(cid, next->NumLiveObjects(cid));
     }
     std::set<AttrRef> dirty;
@@ -1017,7 +995,7 @@ void Engine::CommitGroupLocked(
       CollectAttrStats(*next, ref, &data->db_stats);
     }
   }
-  for (RelId rid : touched_rels) {
+  for (const auto& [rid, ops] : rel_ops) {
     CollectRelationshipStats(*next, rid, &data->db_stats);
   }
 
@@ -1042,6 +1020,7 @@ void Engine::CommitGroupLocked(
     pc->out.plan_cache_invalidated = invalidated;
     pc->out.group_size = survivors.size();
     pc->out.clone_micros = clone_micros;
+    pc->out.apply_micros = apply_micros;
     pc->out.wal_micros = wal_micros;
     pc->out.fsync_micros = fsync_micros;
     group_ops += pc->req->batch->size();
@@ -1060,6 +1039,12 @@ void Engine::CommitGroupLocked(
                                            std::memory_order_relaxed);
   state.mutation_ops_applied.fetch_add(group_ops,
                                        std::memory_order_relaxed);
+  // Drop the replaced snapshot. Unless a reader still pins it, this
+  // frees the segments, chunks and index nodes the group replaced.
+  const uint64_t base_version = base->version;
+  base.reset();
+  const uint64_t stats_micros = micros(stats_start, Clock::now());
+  for (PendingCommit* pc : survivors) pc->out.stats_micros = stats_micros;
 
   // Replication tap: the published group, in commit order, gap-free
   // (we still hold commit_mutex). Independent of WAL attachment so
@@ -1068,7 +1053,7 @@ void Engine::CommitGroupLocked(
     std::vector<MutationBatch> committed;
     committed.reserve(survivors.size());
     for (PendingCommit* pc : survivors) committed.push_back(*pc->req->batch);
-    state.commit_listener(base->version + 1, committed);
+    state.commit_listener(base_version + 1, committed);
   }
 
   for (PendingCommit* pc : survivors) {

@@ -47,7 +47,8 @@ namespace sqopt::detail {
 // never swaps the store, the statistics, or the cost model out from
 // under a running query. Apply() builds its snapshot as a copy-on-write
 // sibling of the previous one (ObjectStore::CloneForWrite), so
-// consecutive versions share the extents no commit touched.
+// consecutive versions share every segment, adjacency chunk and index
+// node no commit touched.
 struct LoadedData {
   std::shared_ptr<const ObjectStore> store;
   DatabaseStats db_stats;

@@ -108,12 +108,22 @@ struct ApplyOutcome {
   size_t group_size = 1;
 
   // Wall-clock microseconds of the group's commit phases, shared by
-  // every member of the group: the copy-on-write clone, the WAL append
-  // (fsync included), and the fsync alone (0 with durability.fsync
-  // off, or when no WAL is attached). Bench-attribution hooks.
+  // every member of the group (bench-attribution hooks):
+  // - clone: the copy-on-write clone of the base snapshot;
+  // - apply: applying and validating the group's ops on the clone;
+  // - wal: the WAL append, fsync included;
+  // - fsync: the fsync alone (0 with durability.fsync off, or when no
+  //   WAL is attached);
+  // - stats: statistics, cost model, publishing the new snapshot and
+  //   releasing the replaced one.
+  // Clone and apply are summed over the restarts a rejected batch
+  // causes. clone + apply + wal + stats is at most the group's wall
+  // time; the rest is queueing and id validation.
   uint64_t clone_micros = 0;
+  uint64_t apply_micros = 0;
   uint64_t wal_micros = 0;
   uint64_t fsync_micros = 0;
+  uint64_t stats_micros = 0;
 };
 
 }  // namespace sqopt

@@ -99,7 +99,7 @@ Status ValidateMutations(const ObjectStore& store,
       // Only pairs that SURVIVED the batch constrain the final state: a
       // later Unlink (or a delete's cascade) may have removed this link
       // again, and then it must not reject the batch.
-      const std::vector<int64_t>& partners =
+      std::span<const int64_t> partners =
           store.Partners(link.rel, rel.a, link.row_a);
       if (std::find(partners.begin(), partners.end(), link.row_b) ==
           partners.end()) {

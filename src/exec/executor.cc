@@ -157,7 +157,7 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
   // Membership filter for a cycle-closing relationship.
   auto linked = [&](RelId rel_id, const Binding& binding) {
     const Relationship& rel = schema.relationship(rel_id);
-    const std::vector<int64_t>& partners =
+    std::span<const int64_t> partners =
         store.Partners(rel_id, rel.a, binding[rel.a]);
     ++meter->pointer_traversals;
     return std::find(partners.begin(), partners.end(), binding[rel.b]) !=
@@ -211,7 +211,7 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
       for (RelId rel_id : sched.rels_at[0]) {
         if (!keep) break;
         const Relationship& rel = schema.relationship(rel_id);
-        const std::vector<int64_t>& partners =
+        std::span<const int64_t> partners =
             store.Partners(rel_id, rel.a, row);
         ++meter->pointer_traversals;
         if (std::find(partners.begin(), partners.end(), row) ==
@@ -265,7 +265,7 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
     std::vector<Binding> next;
     for (const Binding& binding : bindings) {
       int64_t from_row = binding[step.from_class];
-      const std::vector<int64_t>& partners =
+      std::span<const int64_t> partners =
           store.Partners(step.via_rel, step.from_class, from_row);
       ++meter->pointer_traversals;
       meter->instances_scanned += partners.size();

@@ -8,7 +8,7 @@ namespace {
 
 bool Linked(const ObjectStore& store, const Relationship& rel,
             int64_t row_a, int64_t row_b) {
-  const std::vector<int64_t>& partners =
+  std::span<const int64_t> partners =
       store.Partners(rel.id, rel.a, row_a);
   return std::find(partners.begin(), partners.end(), row_b) !=
          partners.end();

@@ -1,9 +1,14 @@
 // In-memory B+-tree keyed by Value: the index structure behind
-// AttributeIndex. Leaf-linked for range scans, fixed fanout, duplicate
-// keys allowed (one entry per (key, row) pair). This replaces the
-// std::multimap stand-in with the structure an actual database kernel
-// would use, and exposes node/height statistics so benches and the cost
+// AttributeIndex. Fixed fanout, duplicate keys allowed (one entry per
+// (key, row) pair), and node/height statistics so benches and the cost
 // model can reason about probe depth.
+//
+// Nodes are shared between versions (Rodeh, "B-trees, Shadowing, and
+// Clones", ACM TOS 2008): Clone() is O(1), and Insert/Remove copy only
+// the root-to-leaf path they write, under the ownership rule of
+// storage/cow.h. A leaf chain cannot survive sharing (a copied leaf
+// would have to relink its shared left neighbour), so range and
+// equality scans walk a root-to-leaf cursor instead.
 #ifndef SQOPT_STORAGE_BTREE_H_
 #define SQOPT_STORAGE_BTREE_H_
 
@@ -11,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "storage/cow.h"
 #include "types/value.h"
 
 namespace sqopt {
@@ -23,15 +29,14 @@ class BTree {
   explicit BTree(int order = 64);
   ~BTree();
 
-  BTree(const BTree&) = delete;
-  BTree& operator=(const BTree&) = delete;
   BTree(BTree&&) noexcept;             // defined in .cc (Node incomplete)
   BTree& operator=(BTree&&) noexcept;  // defined in .cc
 
-  // Structural deep copy: identical node layout and leaf chain, no
-  // shared storage with the source. O(entries); the copy-on-write
-  // commit path clones an index once per touched class and then
-  // maintains it incrementally instead of rebuilding from the extent.
+  // A version sharing every node with this one: O(1). The clone and
+  // this tree both get fresh ownership stamps, so either may be written
+  // afterwards and copies each shared node on its first write. Not safe
+  // concurrently with another Clone of, or a write to, this tree;
+  // concurrent reads are fine.
   BTree Clone() const;
 
   // Persistence hook: builds a tree from entries already in key order
@@ -46,16 +51,17 @@ class BTree {
   void Insert(const Value& key, int64_t row);
 
   // Removes one (key, row) entry. Returns false if no such entry
-  // exists. Deletion is lazy: leaves may become underfull or empty (the
-  // tree never rebalances downward), which preserves all lookup
-  // invariants and suits the store's update-in-place workload where
-  // deletes are immediately followed by a reinsertion.
+  // exists (and then copies nothing). Deletion is lazy: leaves may
+  // become underfull or empty (the tree never rebalances downward),
+  // which preserves all lookup invariants and suits the store's
+  // update-in-place workload where deletes are immediately followed by
+  // a reinsertion.
   bool Remove(const Value& key, int64_t row);
 
   // All rows whose key compares equal to `key`.
   std::vector<int64_t> Equal(const Value& key) const;
 
-  // All rows with key < / <= / > / >= bound, via leaf-chain scans.
+  // All rows with key < / <= / > / >= bound.
   std::vector<int64_t> LessThan(const Value& bound, bool inclusive) const;
   std::vector<int64_t> GreaterThan(const Value& bound,
                                    bool inclusive) const;
@@ -67,25 +73,31 @@ class BTree {
   int height() const;
   size_t num_nodes() const;
 
+  // Test hook for the sharing contract: the identity of every node, in
+  // no particular order. Two versions sharing a node both list it.
+  std::vector<const void*> NodeIdentities() const;
+
   // Validates the B+-tree invariants (ordering, fill, uniform leaf
-  // depth, leaf-chain consistency). Test hook; returns false on any
-  // violation.
+  // depth, entry count, sorted in-order scan). Test hook; returns false
+  // on any violation.
   bool CheckInvariants() const;
 
  private:
   struct Node;
+  class Cursor;
 
-  // Descends to the leaf that should contain `key`.
-  Node* FindLeaf(const Value& key) const;
-  // Recursively copies a subtree, appending each copied leaf to
-  // `leaves` in left-to-right order so Clone can relink the leaf chain.
-  static std::unique_ptr<Node> CloneSubtree(const Node& node,
-                                            std::vector<Node*>* leaves);
-  // Splits `node` (leaf or internal) known to be overfull.
+  BTree(const BTree&) = default;  // shares the root; see Clone()
+
+  // Returns *slot writable by this tree (storage/cow.h).
+  Node& Writable(std::shared_ptr<Node>& slot);
+  // Splits `parent`'s child `index` (leaf or internal), known to be
+  // full. The child becomes writable; the new right sibling is fresh.
   void SplitChild(Node* parent, int index);
 
   int order_;
-  std::unique_ptr<Node> root_;
+  // Re-stamped by Clone(), hence mutable.
+  mutable OwnerStamp owner_ = NewOwnerStamp();
+  std::shared_ptr<Node> root_;
   size_t size_ = 0;
 };
 

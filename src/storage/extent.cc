@@ -16,10 +16,15 @@ Extent::Extent(const Schema* schema, ClassId class_id)
   }
 }
 
+Extent Extent::Clone() const {
+  Extent copy(*this);
+  copy.owner_ = NewOwnerStamp();
+  owner_ = NewOwnerStamp();
+  return copy;
+}
+
 Extent::Segment& Extent::MutableSegment(size_t seg_idx) {
-  std::shared_ptr<Segment>& sp = segments_[seg_idx];
-  if (sp.use_count() > 1) sp = std::make_shared<Segment>(*sp);
-  return *sp;
+  return WritableCopy(segments_[seg_idx], owner_);
 }
 
 void Extent::CheckRow(int64_t row) const {
@@ -42,6 +47,7 @@ Result<int64_t> Extent::Insert(Object obj) {
   if ((size_ & kSegmentMask) == 0) {
     segments_.push_back(std::make_shared<Segment>());
     seg = segments_.back().get();
+    seg->owner = owner_;
     seg->cols.reserve(slot_types_.size());
     for (ValueType type : slot_types_) {
       seg->cols.push_back(ColumnChunk::ForType(type));
@@ -104,6 +110,7 @@ Status Extent::RestoreColumns(std::vector<ColumnData> cols,
     const size_t end =
         std::min(base + static_cast<size_t>(kSegmentRows), rows);
     auto seg = std::make_shared<Segment>();
+    seg->owner = owner_;
     seg->cols.reserve(cols.size());
     for (size_t slot = 0; slot < cols.size(); ++slot) {
       seg->cols.push_back(

@@ -4,13 +4,14 @@
 //
 // Rows live in fixed-size SEGMENTS held by shared_ptr, and each
 // segment stores its rows COLUMN-MAJOR: one ColumnChunk (contiguous
-// value array) per attribute slot, plus the live bitmap. Copying an
-// Extent shares every segment; a mutation clones only the one segment
-// it touches (see MutableSegment). That makes the commit path's
-// copy-on-write clone O(touched segments), not O(class rows), while
-// pinned old snapshots keep seeing their pre-image through the shared
-// segment pointers — and scans read each attribute as a tight
-// contiguous array (SegmentBatch / ColumnView).
+// value array) per attribute slot, plus the live bitmap. Clone()
+// shares every segment; a mutation copies only the one segment it
+// touches, under the ownership rule of storage/cow.h. That makes the
+// commit path's copy-on-write clone O(segments) pointer copies, and a
+// commit's copying O(touched segments), while pinned old snapshots
+// keep seeing their pre-image through the shared segment pointers —
+// and scans read each attribute as a tight contiguous array
+// (SegmentBatch / ColumnView).
 #ifndef SQOPT_STORAGE_EXTENT_H_
 #define SQOPT_STORAGE_EXTENT_H_
 
@@ -22,6 +23,7 @@
 #include "catalog/schema.h"
 #include "common/status.h"
 #include "storage/column.h"
+#include "storage/cow.h"
 #include "storage/object.h"
 
 namespace sqopt {
@@ -34,12 +36,15 @@ class Extent {
 
   Extent(const Schema* schema, ClassId class_id);
 
-  // Extents are cheaply copyable: the copy shares all segments by
-  // pointer. The copy-on-write commit path clones the extents of
-  // mutated classes (sharing their segments) and leaves the rest
-  // shared wholesale; segments split off lazily on first write.
-  Extent(const Extent&) = default;
-  Extent& operator=(const Extent&) = default;
+  // A shell copy sharing every segment: O(segments). The clone and
+  // this extent both get fresh ownership stamps, so either may be
+  // written afterwards and copies each shared segment on its first
+  // write. Not safe concurrently with another Clone of, or a write to,
+  // this extent; concurrent reads are fine.
+  Extent Clone() const;
+
+  Extent(Extent&&) = default;
+  Extent& operator=(Extent&&) = default;
 
   ClassId class_id() const { return class_id_; }
 
@@ -133,16 +138,16 @@ class Extent {
   static_assert((int64_t{1} << kSegmentShift) == kSegmentRows);
 
   struct Segment {
+    OwnerStamp owner = 0;           // see storage/cow.h
     std::vector<ColumnChunk> cols;  // one per slot, layout order
     // Parallel to the columns: 1 = live, 0 = tombstoned.
     std::vector<uint8_t> live;
   };
 
-  // Splits the segment off this extent if any other extent still
-  // shares it; returns it writable either way. Safe without atomics:
-  // mutation only happens on the single private clone the commit path
-  // holds under the commit lock, and every other owner is an immutable
-  // published snapshot.
+  Extent(const Extent&) = default;  // shares segments; see Clone()
+
+  // Returns segment `seg_idx` writable, copying it first unless this
+  // extent owns it (storage/cow.h).
   Segment& MutableSegment(size_t seg_idx);
 
   // Aborts unless 0 <= row < size(): the documented precondition of
@@ -151,6 +156,8 @@ class Extent {
 
   const Schema* schema_;
   ClassId class_id_;
+  // Re-stamped by Clone(), hence mutable.
+  mutable OwnerStamp owner_ = NewOwnerStamp();
   std::vector<std::shared_ptr<Segment>> segments_;
   int64_t size_ = 0;
   int64_t live_count_ = 0;

@@ -1,11 +1,13 @@
 // Ordered attribute index: Value -> row ids, backed by the B+-tree in
 // storage/btree.h. Supports equality probes and one-sided range scans,
-// which is all the access planner needs.
+// which is all the access planner needs. Clone() shares the tree's
+// nodes, so a commit copies only the root-to-leaf paths it writes.
 #ifndef SQOPT_STORAGE_INDEX_H_
 #define SQOPT_STORAGE_INDEX_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "expr/predicate.h"
@@ -18,9 +20,9 @@ class AttributeIndex {
  public:
   AttributeIndex() = default;
 
-  // Deep copy (tree structure and probe counter) for copy-on-write
-  // store commits: the clone diverges under incremental maintenance
-  // while readers keep probing the original.
+  // O(1) copy-on-write version (see BTree::Clone) carrying the probe
+  // counter: the clone diverges under incremental maintenance while
+  // readers keep probing the original.
   std::unique_ptr<AttributeIndex> Clone() const {
     auto copy = std::make_unique<AttributeIndex>();
     copy->tree_ = tree_.Clone();
@@ -47,7 +49,7 @@ class AttributeIndex {
   std::vector<int64_t> Equal(const Value& key) const;
 
   // Rows satisfying `key_attr op value` for op in {<, <=, >, >=, =}.
-  // != falls back to a full leaf-chain walk (callers normally don't use
+  // != falls back to a full in-order walk (callers normally don't use
   // an index for it, but correctness first).
   std::vector<int64_t> Lookup(CompareOp op, const Value& value) const;
 

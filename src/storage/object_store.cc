@@ -5,18 +5,13 @@
 
 namespace sqopt {
 
-const std::vector<int64_t> ObjectStore::kNoPartners = {};
-
 ObjectStore::ObjectStore(const Schema* schema) : schema_(schema) {
   extents_.reserve(schema_->num_classes());
   for (size_t i = 0; i < schema_->num_classes(); ++i) {
     extents_.push_back(
-        std::make_shared<Extent>(schema_, static_cast<ClassId>(i)));
+        std::make_unique<Extent>(schema_, static_cast<ClassId>(i)));
   }
-  rels_.reserve(schema_->num_relationships());
-  for (size_t i = 0; i < schema_->num_relationships(); ++i) {
-    rels_.push_back(std::make_shared<RelData>());
-  }
+  rels_.resize(schema_->num_relationships());
 
   // One index per (class, indexed attribute), including inherited
   // indexed attributes on subclasses.
@@ -24,37 +19,27 @@ ObjectStore::ObjectStore(const Schema* schema) : schema_(schema) {
     for (AttrId attr_id : schema_->LayoutOf(oc.id)) {
       AttrRef ref{oc.id, attr_id};
       if (schema_->attribute(ref).indexed) {
-        indexes_[{oc.id, attr_id}] = std::make_shared<AttributeIndex>();
+        indexes_[{oc.id, attr_id}] = std::make_unique<AttributeIndex>();
       }
     }
   }
 }
 
-std::unique_ptr<ObjectStore> ObjectStore::CloneForWrite(
-    const std::set<ClassId>& classes, const std::set<RelId>& rels) const {
-  return CloneForWrite(classes, rels, classes);
-}
-
-std::unique_ptr<ObjectStore> ObjectStore::CloneForWrite(
-    const std::set<ClassId>& classes, const std::set<RelId>& rels,
-    const std::set<ClassId>& index_classes) const {
-  // Start from a structural twin sharing every substructure, then
-  // replace the to-be-mutated parts with private deep copies.
+std::unique_ptr<ObjectStore> ObjectStore::CloneForWrite() const {
   std::unique_ptr<ObjectStore> clone(new ObjectStore());
   clone->schema_ = schema_;
-  clone->extents_ = extents_;
-  clone->rels_ = rels_;
-  clone->indexes_ = indexes_;
-  for (ClassId cid : classes) {
-    clone->extents_[cid] = std::make_shared<Extent>(*extents_[cid]);
+  clone->extents_.reserve(extents_.size());
+  for (const auto& extent : extents_) {
+    clone->extents_.push_back(std::make_unique<Extent>(extent->Clone()));
   }
-  for (RelId rid : rels) {
-    clone->rels_[rid] = std::make_shared<RelData>(*rels_[rid]);
+  clone->rels_.reserve(rels_.size());
+  for (const RelData& data : rels_) {
+    clone->rels_.push_back(
+        RelData{data.a.Clone(), data.b.Clone(), data.num_pairs,
+                data.next_seq});
   }
-  for (auto& [key, index] : clone->indexes_) {
-    if (index_classes.count(key.first) > 0) {
-      index = std::shared_ptr<AttributeIndex>(index->Clone());
-    }
+  for (const auto& [key, index] : indexes_) {
+    clone->indexes_.emplace(key, index->Clone());
   }
   return clone;
 }
@@ -80,45 +65,38 @@ Status ObjectStore::Link(RelId rel_id, int64_t row_a, int64_t row_b) {
     return Status::FailedPrecondition("relationship '" + rel.name +
                                       "' links a deleted row");
   }
-  RelData& data = *rels_[rel_id];
+  RelData& data = rels_[rel_id];
   // Relationship instances form a SET of pairs: a duplicate link would
   // silently double rows produced by pointer-traversal joins.
-  auto it = data.adj_a.find(row_a);
-  if (it != data.adj_a.end()) {
-    for (int64_t existing : it->second) {
-      if (existing == row_b) {
-        return Status::AlreadyExists("relationship '" + rel.name +
-                                     "' already links this pair");
-      }
-    }
+  std::span<const int64_t> existing = data.a.Partners(row_a);
+  if (std::find(existing.begin(), existing.end(), row_b) != existing.end()) {
+    return Status::AlreadyExists("relationship '" + rel.name +
+                                 "' already links this pair");
   }
-  data.pairs.emplace_back(row_a, row_b);
-  data.adj_a[row_a].push_back(row_b);
-  data.adj_b[row_b].push_back(row_a);
+  data.a.Append(row_a, row_b, data.next_seq++);
+  data.b.Append(row_b, row_a, 0);
+  ++data.num_pairs;
   return Status::OK();
 }
 
 Status ObjectStore::Unlink(RelId rel_id, int64_t row_a, int64_t row_b) {
-  RelData& data = *rels_[rel_id];
-  auto pair_it = std::find(data.pairs.begin(), data.pairs.end(),
-                           std::make_pair(row_a, row_b));
-  if (pair_it == data.pairs.end()) {
+  RelData& data = rels_[rel_id];
+  if (!data.a.Remove(row_a, row_b)) {
     return Status::NotFound("relationship '" +
                             schema_->relationship(rel_id).name +
                             "' has no such pair");
   }
-  data.pairs.erase(pair_it);
-  auto drop = [](std::unordered_map<int64_t, std::vector<int64_t>>& adj,
-                 int64_t key, int64_t partner) {
-    auto it = adj.find(key);
-    if (it == adj.end()) return;
-    auto& list = it->second;
-    list.erase(std::find(list.begin(), list.end(), partner));
-    if (list.empty()) adj.erase(it);
-  };
-  drop(data.adj_a, row_a, row_b);
-  drop(data.adj_b, row_b, row_a);
+  data.b.Remove(row_b, row_a);
+  --data.num_pairs;
   return Status::OK();
+}
+
+void ObjectStore::UnlinkAll(RelData& data, Adjacency& side, Adjacency& other,
+                            int64_t row) {
+  std::span<const int64_t> partners = side.Partners(row);
+  for (int64_t partner : partners) other.Remove(partner, row);
+  data.num_pairs -= static_cast<int64_t>(partners.size());
+  side.Clear(row);
 }
 
 Status ObjectStore::UpdateAttribute(ClassId class_id, int64_t row,
@@ -154,44 +132,48 @@ Status ObjectStore::Delete(ClassId class_id, int64_t row) {
   // Cascade: a dead row must never surface through Partners().
   for (RelId rel_id : schema_->RelationshipsOf(class_id)) {
     const Relationship& rel = schema_->relationship(rel_id);
-    RelData& data = *rels_[rel_id];
-    bool as_a = rel.a == class_id;
-    bool as_b = rel.b == class_id;
-    data.pairs.erase(
-        std::remove_if(data.pairs.begin(), data.pairs.end(),
-                       [&](const std::pair<int64_t, int64_t>& p) {
-                         return (as_a && p.first == row) ||
-                                (as_b && p.second == row);
-                       }),
-        data.pairs.end());
-    auto scrub = [row](
-        std::unordered_map<int64_t, std::vector<int64_t>>& forward,
-        std::unordered_map<int64_t, std::vector<int64_t>>& reverse) {
-      auto it = forward.find(row);
-      if (it == forward.end()) return;
-      for (int64_t partner : it->second) {
-        auto rit = reverse.find(partner);
-        if (rit == reverse.end()) continue;
-        auto& list = rit->second;
-        list.erase(std::remove(list.begin(), list.end(), row), list.end());
-        if (list.empty()) reverse.erase(rit);
-      }
-      forward.erase(it);
-    };
-    if (as_a) scrub(data.adj_a, data.adj_b);
-    if (as_b) scrub(data.adj_b, data.adj_a);
+    RelData& data = rels_[rel_id];
+    if (rel.a == class_id) UnlinkAll(data, data.a, data.b, row);
+    if (rel.b == class_id) UnlinkAll(data, data.b, data.a, row);
   }
   return Status::OK();
 }
 
-const std::vector<int64_t>& ObjectStore::Partners(RelId rel_id,
-                                                  ClassId from_class,
-                                                  int64_t row) const {
+std::span<const int64_t> ObjectStore::Partners(RelId rel_id,
+                                               ClassId from_class,
+                                               int64_t row) const {
   const Relationship& rel = schema_->relationship(rel_id);
-  const RelData& data = *rels_[rel_id];
-  const auto& adjacency = (from_class == rel.a) ? data.adj_a : data.adj_b;
-  auto it = adjacency.find(row);
-  return it == adjacency.end() ? kNoPartners : it->second;
+  const RelData& data = rels_[rel_id];
+  return (from_class == rel.a ? data.a : data.b).Partners(row);
+}
+
+const void* ObjectStore::AdjacencyChunkIdentity(RelId rel_id,
+                                                ClassId from_class,
+                                                int64_t row) const {
+  const Relationship& rel = schema_->relationship(rel_id);
+  const RelData& data = rels_[rel_id];
+  return (from_class == rel.a ? data.a : data.b).ChunkIdentity(row);
+}
+
+std::vector<std::pair<int64_t, int64_t>> ObjectStore::Pairs(
+    RelId rel_id) const {
+  const RelData& data = rels_[rel_id];
+  struct Linked {
+    uint64_t seq;
+    int64_t a;
+    int64_t b;
+  };
+  std::vector<Linked> linked;
+  linked.reserve(static_cast<size_t>(data.num_pairs));
+  data.a.ForEach([&linked](int64_t a, int64_t b, uint64_t seq) {
+    linked.push_back({seq, a, b});
+  });
+  std::sort(linked.begin(), linked.end(),
+            [](const Linked& x, const Linked& y) { return x.seq < y.seq; });
+  std::vector<std::pair<int64_t, int64_t>> pairs;
+  pairs.reserve(linked.size());
+  for (const Linked& l : linked) pairs.emplace_back(l.a, l.b);
+  return pairs;
 }
 
 const AttributeIndex* ObjectStore::GetIndex(const AttrRef& ref) const {
@@ -359,11 +341,11 @@ Status ObjectStore::RestoreRelationshipPairs(
       return Status::Corruption("relationship '" + rel.name +
                                 "' pair references a nonexistent row");
     }
-    data.adj_a[row_a].push_back(row_b);
-    data.adj_b[row_b].push_back(row_a);
+    data.a.Append(row_a, row_b, data.next_seq++);
+    data.b.Append(row_b, row_a, 0);
   }
-  data.pairs = std::move(pairs);
-  *rels_[rel_id] = std::move(data);
+  data.num_pairs = static_cast<int64_t>(pairs.size());
+  rels_[rel_id] = std::move(data);
   return Status::OK();
 }
 
@@ -377,7 +359,7 @@ Status ObjectStore::RestoreIndexEntries(
         std::to_string(class_id) + ", attr " + std::to_string(attr_id) +
         ")");
   }
-  // The serialized form is a leaf-chain scan, so it must be sorted;
+  // The serialized form is an in-order scan, so it must be sorted;
   // bulk-loading an unsorted sequence would silently break every
   // lookup invariant, so reject it as corruption instead.
   for (size_t i = 1; i < entries.size(); ++i) {
@@ -388,7 +370,7 @@ Status ObjectStore::RestoreIndexEntries(
           ")");
     }
   }
-  auto fresh = std::make_shared<AttributeIndex>();
+  auto fresh = std::make_unique<AttributeIndex>();
   fresh->LoadSorted(std::move(entries));
   it->second = std::move(fresh);
   return Status::OK();

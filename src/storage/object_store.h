@@ -4,13 +4,16 @@
 // against (the paper executed against a relational DBMS; see DESIGN.md
 // §2 "Substitutions").
 //
-// Versioned snapshots: every substructure (extent, per-relationship
-// adjacency, attribute index) lives behind a shared_ptr, so
-// CloneForWrite() produces a copy-on-write sibling that deep-copies
-// only the classes/relationships a commit will touch and shares the
-// rest with the original. The write path (Engine::Apply) mutates the
-// clone privately and publishes it as the next immutable snapshot;
-// readers of the original never observe the divergence.
+// Versioned snapshots: extents, both directions of every relationship,
+// and attribute indexes are copy-on-write structures (storage/cow.h).
+// CloneForWrite() copies only their shells — segment, chunk and root
+// pointers — so it costs O(classes + relationships + indexes + segments
+// + chunks) pointer copies whatever a commit will touch, and any of the
+// clone's structures may then be mutated: each write copies just the
+// extent segment, relationship chunk or B-tree root-to-leaf path it
+// touches. The write path (Engine::Apply) mutates the clone privately
+// and publishes it as the next immutable snapshot; readers of the
+// original never observe the divergence.
 //
 // Deletes are tombstones: row ids are positional and stable for the
 // lifetime of a store lineage (adjacency lists and result bindings
@@ -23,12 +26,12 @@
 
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "catalog/schema.h"
 #include "common/status.h"
+#include "storage/adjacency.h"
 #include "storage/extent.h"
 #include "storage/index.h"
 #include "storage/morsel.h"
@@ -41,24 +44,12 @@ class ObjectStore {
 
   const Schema& schema() const { return *schema_; }
 
-  // Copy-on-write clone: deep-copies the extents + indexes of
-  // `classes` and the pair/adjacency structures of `rels`, sharing
-  // everything else with this store. The caller must only mutate the
-  // named classes/relationships on the clone — mutating anything else
-  // would write through shared state visible to this store's readers.
-  // (Extent "deep copies" are themselves segment-sharing shells; only
-  // the segments a commit actually writes split off — see extent.h.)
-  std::unique_ptr<ObjectStore> CloneForWrite(
-      const std::set<ClassId>& classes, const std::set<RelId>& rels) const;
-
-  // As above, but clones indexes only for `index_classes` (a subset of
-  // `classes`). Index trees have no segment-level CoW, so cloning one
-  // is O(entries); the commit path passes only the classes whose
-  // INDEXED attributes a batch actually touches (inserts/deletes, or
-  // an update to an indexed attribute) and shares the rest.
-  std::unique_ptr<ObjectStore> CloneForWrite(
-      const std::set<ClassId>& classes, const std::set<RelId>& rels,
-      const std::set<ClassId>& index_classes) const;
+  // Copy-on-write clone sharing every segment, chunk and index node
+  // with this store (see the file comment). Either store may be
+  // mutated afterwards without the other observing it. Not safe
+  // concurrently with another CloneForWrite of, or a write to, this
+  // store; concurrent reads are fine.
+  std::unique_ptr<ObjectStore> CloneForWrite() const;
 
   // Inserts an object into `class_id`'s extent, maintaining indexes.
   Result<int64_t> Insert(ClassId class_id, Object obj);
@@ -69,8 +60,8 @@ class ObjectStore {
   // kFailedPrecondition.
   Status Link(RelId rel_id, int64_t row_a, int64_t row_b);
 
-  // Removes one relationship instance (both adjacency directions).
-  // kNotFound when the pair does not exist.
+  // Removes one relationship instance (both adjacency directions) in
+  // O(degree). kNotFound when the pair does not exist.
   Status Unlink(RelId rel_id, int64_t row_a, int64_t row_b);
 
   // Overwrites one attribute of an existing live object, keeping any
@@ -80,8 +71,8 @@ class ObjectStore {
                          Value value);
 
   // Tombstones one live row: drops its index entries, unlinks every
-  // relationship instance it participates in, and marks the slot dead.
-  // Row ids of other objects are unaffected.
+  // relationship instance it participates in (O(degree) per partner),
+  // and marks the slot dead. Row ids of other objects are unaffected.
   Status Delete(ClassId class_id, int64_t row);
 
   const Extent& extent(ClassId class_id) const {
@@ -98,9 +89,7 @@ class ObjectStore {
   bool IsLive(ClassId class_id, int64_t row) const {
     return extents_[class_id]->IsLive(row);
   }
-  int64_t NumPairs(RelId rel_id) const {
-    return static_cast<int64_t>(rels_[rel_id]->pairs.size());
-  }
+  int64_t NumPairs(RelId rel_id) const { return rels_[rel_id].num_pairs; }
 
   // Splits `class_id`'s extent into consecutive row-range morsels of at
   // most `morsel_size` rows (the last may be short; non-positive sizes
@@ -112,10 +101,18 @@ class ObjectStore {
     return MakeMorsels(NumObjects(class_id), morsel_size);
   }
 
-  // Partner rows of `row` (a row of `from_class`) across `rel_id`.
-  // `from_class` must be one of the relationship's endpoints.
-  const std::vector<int64_t>& Partners(RelId rel_id, ClassId from_class,
-                                       int64_t row) const;
+  // Partner rows of `row` (a row of `from_class`) across `rel_id`, in
+  // the order the pairs were linked. `from_class` must be one of the
+  // relationship's endpoints. The span is invalidated by the next
+  // write to this store.
+  std::span<const int64_t> Partners(RelId rel_id, ClassId from_class,
+                                    int64_t row) const;
+
+  // Test hook for the sharing contract: the identity of the adjacency
+  // chunk holding `row`'s partners across `rel_id` (see
+  // Adjacency::ChunkIdentity).
+  const void* AdjacencyChunkIdentity(RelId rel_id, ClassId from_class,
+                                     int64_t row) const;
 
   // The index on `ref`, or null if the attribute is not indexed.
   const AttributeIndex* GetIndex(const AttrRef& ref) const;
@@ -131,14 +128,12 @@ class ObjectStore {
   void ResetMeters();
 
   // --- Persistence hooks (src/persist/snapshot.cc). The restore
-  // methods replace whole substructures on a freshly-constructed store;
-  // they must not be called on a store that shares state with readers
-  // (a CloneForWrite sibling). ---
+  // methods replace whole substructures of a freshly constructed
+  // store. ---
 
-  // All instances of `rel_id`, in insertion order.
-  const std::vector<std::pair<int64_t, int64_t>>& Pairs(RelId rel_id) const {
-    return rels_[rel_id]->pairs;
-  }
+  // All instances of `rel_id` as (a row, b row), in the order they
+  // were linked: an O(pairs log pairs) walk and sort by link sequence.
+  std::vector<std::pair<int64_t, int64_t>> Pairs(RelId rel_id) const;
 
   // Replaces `class_id`'s extent with deserialized whole-extent
   // columns (values for every row slot, live and tombstoned alike).
@@ -148,42 +143,48 @@ class ObjectStore {
                              std::vector<uint8_t> live);
 
   // Replaces `rel_id`'s instances and rebuilds both adjacency
-  // directions. Endpoint rows must exist (extents restore first).
+  // directions, keeping `pairs`' order as the link order. Endpoint rows
+  // must exist (extents restore first).
   Status RestoreRelationshipPairs(
       RelId rel_id, std::vector<std::pair<int64_t, int64_t>> pairs);
 
   // Replaces the index on (class_id, attr_id) with a bulk-built tree
   // over the deserialized entries, which must arrive key-ascending (the
-  // serialized form is a leaf-chain scan); unsorted input and
+  // serialized form is an in-order scan); unsorted input and
   // attributes that are not indexed under this schema are rejected as
   // corruption.
   Status RestoreIndexEntries(ClassId class_id, AttrId attr_id,
                              std::vector<std::pair<Value, int64_t>> entries);
 
  private:
-  // Shell constructor for CloneForWrite: members are filled by copying
-  // the source's shared_ptrs, so building fresh substructures (the
-  // public constructor's job) would only allocate garbage.
+  // Shell constructor for CloneForWrite: members are filled by cloning
+  // the source's structures, so building fresh ones (the public
+  // constructor's job) would only allocate garbage.
   ObjectStore() = default;
 
   // Index key: (class, attr id) — inherited attributes are indexed per
   // concrete class.
   using IndexKey = std::pair<ClassId, AttrId>;
 
-  // One relationship's instances: the pair list and both adjacency
-  // directions, cloned as a unit by CloneForWrite.
+  // One relationship's instances. The a side (rows of rel.a) carries
+  // each pair's link sequence number, so Pairs() can restore the order
+  // in which the pairs were linked.
   struct RelData {
-    std::vector<std::pair<int64_t, int64_t>> pairs;
-    std::unordered_map<int64_t, std::vector<int64_t>> adj_a;
-    std::unordered_map<int64_t, std::vector<int64_t>> adj_b;
+    Adjacency a{/*sequenced=*/true};
+    Adjacency b{/*sequenced=*/false};
+    int64_t num_pairs = 0;
+    uint64_t next_seq = 0;
   };
 
-  const Schema* schema_;
-  std::vector<std::shared_ptr<Extent>> extents_;
-  std::vector<std::shared_ptr<RelData>> rels_;
-  std::map<IndexKey, std::shared_ptr<AttributeIndex>> indexes_;
+  // Drops every pair `row` (a row of `side`'s class) takes part in,
+  // removing it from each partner's list on `other`.
+  static void UnlinkAll(RelData& data, Adjacency& side, Adjacency& other,
+                        int64_t row);
 
-  static const std::vector<int64_t> kNoPartners;
+  const Schema* schema_;
+  std::vector<std::unique_ptr<Extent>> extents_;
+  std::vector<RelData> rels_;
+  std::map<IndexKey, std::unique_ptr<AttributeIndex>> indexes_;
 };
 
 }  // namespace sqopt

@@ -186,7 +186,7 @@ TEST(BTreeTest, HeightStaysLogarithmic) {
 }
 
 TEST(BTreeTest, CloneIsStructurallyIdenticalAndIndependent) {
-  BTree tree(4);  // small order: multiple levels + leaf chain
+  BTree tree(4);  // small order: multiple levels
   for (int i = 0; i < 200; ++i) tree.Insert(Value::Int(i % 50), i);
 
   BTree copy = tree.Clone();
@@ -194,7 +194,7 @@ TEST(BTreeTest, CloneIsStructurallyIdenticalAndIndependent) {
   EXPECT_EQ(copy.height(), tree.height());
   EXPECT_EQ(copy.num_nodes(), tree.num_nodes());
   EXPECT_TRUE(copy.CheckInvariants());
-  EXPECT_EQ(copy.Scan(), tree.Scan());  // leaf chain relinked in order
+  EXPECT_EQ(copy.Scan(), tree.Scan());
 
   // Divergence stays private in both directions.
   copy.Insert(Value::Int(999), 999);
@@ -216,6 +216,104 @@ TEST(BTreeTest, MoveSemantics) {
   EXPECT_EQ(b.size(), 32u);
   EXPECT_TRUE(b.CheckInvariants());
   EXPECT_EQ(b.Equal(Value::Int(7)).size(), 1u);
+}
+
+// Nodes of `tree` that `base` does not share.
+int UnsharedNodes(const BTree& base, const BTree& tree) {
+  std::vector<const void*> shared = base.NodeIdentities();
+  std::sort(shared.begin(), shared.end());
+  int count = 0;
+  for (const void* node : tree.NodeIdentities()) {
+    if (!std::binary_search(shared.begin(), shared.end(), node)) ++count;
+  }
+  return count;
+}
+
+TEST(BTreeTest, CloneSharesEveryNodeAndAWriteCopiesOnlyItsPath) {
+  // Both sizes bulk-build to height 3 at order 64; the copied path is
+  // the same length on the tree twice the size.
+  for (int n : {20000, 40000}) {
+    std::vector<std::pair<Value, int64_t>> entries;
+    for (int i = 0; i < n; ++i) entries.emplace_back(Value::Int(i), i);
+    BTree base = BTree::BuildFromSorted(std::move(entries));
+    ASSERT_EQ(base.height(), 3) << n;
+    BTree clone = base.Clone();
+    EXPECT_EQ(UnsharedNodes(base, clone), 0);
+
+    ASSERT_TRUE(clone.Remove(Value::Int(n / 3), n / 3));
+    EXPECT_EQ(UnsharedNodes(base, clone), 3) << n;
+    EXPECT_FALSE(clone.Remove(Value::Int(n / 3), n / 3));  // miss: no copy
+    EXPECT_EQ(UnsharedNodes(base, clone), 3) << n;
+    EXPECT_EQ(base.Equal(Value::Int(n / 3)), std::vector<int64_t>{n / 3});
+    EXPECT_TRUE(clone.Equal(Value::Int(n / 3)).empty());
+
+    // A second write on the same path copies nothing more.
+    ASSERT_TRUE(clone.Remove(Value::Int(n / 3 + 1), n / 3 + 1));
+    EXPECT_EQ(UnsharedNodes(base, clone), 3) << n;
+    EXPECT_EQ(base.size(), static_cast<size_t>(n));
+    EXPECT_TRUE(base.CheckInvariants());
+    EXPECT_TRUE(clone.CheckInvariants());
+  }
+}
+
+// Many live versions of one lineage, each mutated, cloned and dropped
+// at random, against a std::multimap per version. Every version must
+// keep its own contents (duplicates in insertion order) and invariants.
+TEST(BTreeTest, RandomizedMultiVersionDifferential) {
+  struct Version {
+    BTree tree;
+    std::multimap<int64_t, int64_t> model;
+  };
+  Rng rng(20261019);
+  std::vector<Version> versions;
+  versions.push_back({BTree(4), {}});
+  auto check = [](const Version& v) {
+    ASSERT_TRUE(v.tree.CheckInvariants());
+    std::vector<std::pair<Value, int64_t>> expected;
+    for (const auto& [k, r] : v.model) expected.emplace_back(Value::Int(k), r);
+    ASSERT_EQ(v.tree.Scan(), expected);
+  };
+  for (int step = 0; step < 4000; ++step) {
+    Version& v = versions[rng.Index(versions.size())];
+    const int64_t key = rng.UniformInt(0, 60);
+    const uint64_t action = rng.Index(10);
+    if (action < 5) {
+      const int64_t row = step;
+      v.tree.Insert(Value::Int(key), row);
+      v.model.emplace(key, row);
+    } else if (action < 8) {
+      auto [lo, hi] = v.model.equal_range(key);
+      if (lo == hi) {
+        ASSERT_FALSE(v.tree.Remove(Value::Int(key), -1));
+        continue;
+      }
+      auto victim = std::next(
+          lo, static_cast<long>(rng.Index(std::distance(lo, hi))));
+      ASSERT_TRUE(v.tree.Remove(Value::Int(key), victim->second));
+      v.model.erase(victim);
+    } else if (action == 8 && versions.size() < 8) {
+      Version copy{v.tree.Clone(), v.model};
+      versions.push_back(std::move(copy));
+    } else if (versions.size() > 1) {
+      versions.erase(versions.begin() +
+                     static_cast<long>(rng.Index(versions.size())));
+    }
+    if (step % 50 == 0) {
+      for (const Version& live : versions) check(live);
+    }
+    // Point and range probes against the model.
+    const Version& probe = versions[rng.Index(versions.size())];
+    std::vector<int64_t> eq, lt, ge;
+    for (const auto& [k, r] : probe.model) {
+      if (k == key) eq.push_back(r);
+      if (k < key) lt.push_back(r);
+      if (k >= key) ge.push_back(r);
+    }
+    ASSERT_EQ(probe.tree.Equal(Value::Int(key)), eq);
+    ASSERT_EQ(probe.tree.LessThan(Value::Int(key), false), lt);
+    ASSERT_EQ(probe.tree.GreaterThan(Value::Int(key), true), ge);
+  }
+  for (const Version& live : versions) check(live);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -184,6 +185,37 @@ TEST(ApplyGroupTest, GroupSurvivesDurabilityRoundtripAsOneWalRecord) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   rows_after = out->rows.rows.size();
   EXPECT_EQ(rows_before, rows_after);
+  fs::remove_all(dir);
+}
+
+// The phase timers in ApplyOutcome cover disjoint stretches of the
+// commit, so they must fit inside the wall time of the call.
+TEST(ApplyGroupTest, PhaseTimersFitInsideTheGroupWallTime) {
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("sqopt_group_timers_" + std::to_string(::getpid())))
+          .string();
+  fs::remove_all(dir);
+  Engine engine = OpenLoadedEngine();
+  ASSERT_OK(engine.Save(dir));  // attaches the WAL
+  std::vector<MutationBatch> group;
+  for (int i = 0; i < 4; ++i) {
+    group.push_back(ValidRatingUpdate(engine, i, i));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<Result<ApplyOutcome>> results = engine.ApplyGroup(group);
+  const uint64_t wall_micros = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  ASSERT_EQ(results.size(), 4u);
+  for (const auto& r : results) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_LE(r->clone_micros + r->apply_micros + r->stats_micros +
+                  r->wal_micros,
+              wall_micros);
+    EXPECT_LE(r->fsync_micros, r->wal_micros);
+  }
   fs::remove_all(dir);
 }
 

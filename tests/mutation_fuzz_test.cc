@@ -178,14 +178,8 @@ class MutationFuzzerT {
         << " rows, reference " << reference.rows.size() << ")";
 
     if (with_reload_oracle) {
-      std::set<ClassId> all_classes(class_order_.begin(),
-                                    class_order_.end());
-      std::set<RelId> all_rels;
-      for (const Relationship& rel : schema_.relationships()) {
-        all_rels.insert(rel.id);
-      }
       ASSERT_OK(oracle_->Load(DataSource::FromStore(
-          shadow_->CloneForWrite(all_classes, all_rels))));
+          shadow_->CloneForWrite())));
       ASSERT_OK_AND_ASSIGN(QueryOutcome fresh, oracle_->Execute(text));
       ++operations_;
       ASSERT_TRUE(opt.rows.SameDistinctRows(fresh.rows))
@@ -326,7 +320,7 @@ class MutationFuzzerT {
       int64_t a = PickLiveRow(rel.a, seg);
       int64_t b = PickLiveRow(rel.b, seg);
       if (a < 0 || b < 0) return;
-      const std::vector<int64_t>& partners =
+      std::span<const int64_t> partners =
           shadow_->Partners(rel.id, rel.a, a);
       if (std::find(partners.begin(), partners.end(), b) !=
           partners.end()) {
@@ -341,7 +335,7 @@ class MutationFuzzerT {
               rng_.Index(schema_.num_relationships())));
       int64_t a = PickLiveRow(rel.a, -1);
       if (a < 0) return;
-      const std::vector<int64_t>& partners =
+      std::span<const int64_t> partners =
           shadow_->Partners(rel.id, rel.a, a);
       if (partners.empty()) return;
       int64_t b = partners[rng_.Index(partners.size())];

@@ -112,7 +112,7 @@ TEST(ApplyTest, PendingInsertHandlesResolveAcrossOps) {
   EXPECT_EQ(out.links, 1u);
   const int64_t supplier_row = out.inserted_rows[0];
   const int64_t cargo_row = out.inserted_rows[1];
-  const std::vector<int64_t>& partners =
+  std::span<const int64_t> partners =
       engine.store()->Partners(supplies, supplier, supplier_row);
   ASSERT_EQ(partners.size(), 1u);
   EXPECT_EQ(partners[0], cargo_row);
@@ -225,7 +225,7 @@ TEST(ApplyTest, InterClassViolationViaLinkRejected) {
   auto result = engine.Apply(batch);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kConstraintViolation);
-  const std::vector<int64_t>& partners =
+  std::span<const int64_t> partners =
       engine.store()->Partners(collects, schema.FindClass("cargo"), 0);
   EXPECT_EQ(std::count(partners.begin(), partners.end(), 1), 0);
 }
@@ -322,7 +322,7 @@ TEST(ApplyTest, LinkUndoneByLaterUnlinkIsNotValidated) {
   ASSERT_OK_AND_ASSIGN(ApplyOutcome out, engine.Apply(batch));
   EXPECT_EQ(out.links, 1u);
   EXPECT_EQ(out.unlinks, 1u);
-  const std::vector<int64_t>& partners =
+  std::span<const int64_t> partners =
       engine.store()->Partners(collects, schema.FindClass("cargo"), 0);
   EXPECT_EQ(std::count(partners.begin(), partners.end(), 1), 0);
 }

@@ -5,11 +5,13 @@
 // sections rejected with a typed kCorruption status.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -441,6 +443,96 @@ TEST_F(PersistTest, SaveRequiresLoadedData) {
   EXPECT_EQ(opened->Save(dir_).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(opened->Checkpoint().code(),
             StatusCode::kFailedPrecondition);
+}
+
+// Partner lists keep link order through Save (the snapshot's pair list)
+// and through WAL replay, on both sides of a relationship, after links,
+// unlinks and deletes have interleaved on both. Query answers depend on
+// that order row for row.
+TEST_F(PersistTest, PartnerOrderSurvivesSaveCommitAndReopen) {
+  Engine engine = OpenLoaded();
+  const Schema& schema = engine.schema();
+  const RelId supplies = schema.FindRelationship("supplies");
+  const RelId collects = schema.FindRelationship("collects");
+  const ClassId supplier = schema.FindClass("supplier");
+  const ClassId cargo = schema.FindClass("cargo");
+  const int64_t rows = kSpec.class_cardinality;
+
+  auto apply = [&engine](const MutationBatch& batch) {
+    auto out = engine.Apply(batch);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+  };
+  auto linked = [&engine](RelId rel, ClassId from, int64_t a, int64_t b) {
+    std::span<const int64_t> p = engine.store()->Partners(rel, from, a);
+    return std::find(p.begin(), p.end(), b) != p.end();
+  };
+  // Links within a segment keep every constraint true. Rows are walked
+  // high to low and partners out of row order, so link order differs
+  // from row order on both sides.
+  auto link_round = [&](RelId rel, ClassId a_class, int salt) {
+    const Relationship& r = schema.relationship(rel);
+    MutationBatch batch;
+    for (int64_t a = rows - 1 - salt; a >= 0; a -= 3) {
+      const int64_t b = (a * 7 + salt * 4) % rows;
+      if (SegmentOfRow(a) != SegmentOfRow(b)) continue;
+      if (!engine.store()->IsLive(r.a, a) || !engine.store()->IsLive(r.b, b) ||
+          linked(rel, a_class, a, b)) {
+        continue;
+      }
+      batch.Link(rel, a, b);
+    }
+    apply(batch);
+  };
+  // Unlinks the middle partner of every fifth row that has three or more.
+  auto unlink_round = [&](RelId rel, ClassId a_class) {
+    MutationBatch batch;
+    for (int64_t a = 0; a < rows; a += 5) {
+      std::span<const int64_t> p = engine.store()->Partners(rel, a_class, a);
+      if (p.size() >= 3) batch.Unlink(rel, a, p[p.size() / 2]);
+    }
+    apply(batch);
+  };
+  auto delete_row = [&](ClassId cid, int64_t row) {
+    MutationBatch batch;
+    batch.Delete(cid, row);
+    apply(batch);
+  };
+
+  link_round(supplies, supplier, 1);
+  link_round(collects, cargo, 2);
+  unlink_round(supplies, supplier);
+  delete_row(cargo, 6);     // b side of supplies, a side of collects
+  delete_row(supplier, 9);  // a side of supplies
+  link_round(supplies, supplier, 3);
+  ASSERT_OK(engine.Save(dir_));
+  link_round(collects, cargo, 4);
+  unlink_round(collects, cargo);
+  delete_row(cargo, 13);
+  link_round(supplies, supplier, 5);
+
+  ASSERT_OK_AND_ASSIGN(Engine reopened, Engine::Open(dir_));
+  ASSERT_EQ(reopened.data_version(), engine.data_version());
+  EXPECT_GT(reopened.stats().wal_records_replayed, 0u);
+  for (const Relationship& rel : schema.relationships()) {
+    for (ClassId side : {rel.a, rel.b}) {
+      for (int64_t row = 0; row < engine.store()->NumObjects(side); ++row) {
+        std::span<const int64_t> want =
+            engine.store()->Partners(rel.id, side, row);
+        std::span<const int64_t> got =
+            reopened.store()->Partners(rel.id, side, row);
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin(),
+                               got.end()))
+            << rel.name << " from class " << side << " row " << row;
+      }
+    }
+  }
+  for (const std::string& text : MutationScript::QueryPool()) {
+    auto want = engine.Execute(text);
+    auto got = reopened.Execute(text);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(want->rows.rows, got->rows.rows) << text;
+  }
 }
 
 TEST_F(PersistTest, PreparedHandlesObserveReplayedCommits) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <span>
+#include <thread>
+
 #include "tests/test_util.h"
 #include "workload/dbgen.h"
 
@@ -195,8 +200,7 @@ TEST_F(StorageTest, CloneForWriteSplitsOnlyTheDirtySegment) {
                   .status());
   }
   AttrRef weight = schema_.ResolveQualified("cargo.weight").value();
-  std::unique_ptr<ObjectStore> clone =
-      store_->CloneForWrite({cargo_}, {});
+  std::unique_ptr<ObjectStore> clone = store_->CloneForWrite();
   const Extent& base = store_->extent(cargo_);
   const Extent& copy = clone->extent(cargo_);
   // The clone is a shell: all three segments shared with the base.
@@ -297,6 +301,232 @@ TEST(ExtentInheritanceTest, SubclassLayoutIncludesInheritedSlots) {
   // The inherited indexed attribute (employee.name) got a per-class
   // index on driver.
   EXPECT_NE(store.GetIndex(name), nullptr);
+}
+
+// --- Copy-on-write sharing: a clone shares every segment, chunk and
+// index node, and a write copies only what it touches. ---
+
+// Everything a reader sees through Partners() and the indexes, in
+// order.
+struct ReadableState {
+  std::vector<std::vector<int64_t>> partners;
+  std::vector<std::vector<std::pair<Value, int64_t>>> index_entries;
+  bool operator==(const ReadableState&) const = default;
+};
+
+ReadableState Capture(const Schema& schema, const ObjectStore& store) {
+  ReadableState state;
+  for (const Relationship& rel : schema.relationships()) {
+    for (ClassId side : {rel.a, rel.b}) {
+      for (int64_t row = 0; row < store.NumObjects(side); ++row) {
+        std::span<const int64_t> p = store.Partners(rel.id, side, row);
+        state.partners.emplace_back(p.begin(), p.end());
+      }
+    }
+  }
+  for (const ObjectClass& oc : schema.classes()) {
+    for (AttrId attr_id : schema.LayoutOf(oc.id)) {
+      if (const AttributeIndex* index = store.GetIndex({oc.id, attr_id})) {
+        state.index_entries.push_back(index->tree().Scan());
+      }
+    }
+  }
+  return state;
+}
+
+// How many extent segments, adjacency chunks and index nodes `clone`
+// holds that `base` does not share (rows both stores have).
+struct Splits {
+  int segments = 0;
+  int chunks = 0;
+  int nodes = 0;
+  bool operator==(const Splits&) const = default;
+};
+
+Splits CountSplits(const Schema& schema, const ObjectStore& base,
+                   const ObjectStore& clone) {
+  Splits splits;
+  for (const ObjectClass& oc : schema.classes()) {
+    for (int64_t row = 0; row < base.NumObjects(oc.id);
+         row += Extent::kSegmentRows) {
+      if (base.extent(oc.id).SegmentIdentity(row) !=
+          clone.extent(oc.id).SegmentIdentity(row)) {
+        ++splits.segments;
+      }
+    }
+  }
+  for (const Relationship& rel : schema.relationships()) {
+    for (ClassId side : {rel.a, rel.b}) {
+      for (int64_t row = 0; row < base.NumObjects(side);
+           row += Adjacency::kChunkRows) {
+        if (base.AdjacencyChunkIdentity(rel.id, side, row) !=
+            clone.AdjacencyChunkIdentity(rel.id, side, row)) {
+          ++splits.chunks;
+        }
+      }
+    }
+  }
+  for (const ObjectClass& oc : schema.classes()) {
+    for (AttrId attr_id : schema.LayoutOf(oc.id)) {
+      const AttributeIndex* index = base.GetIndex({oc.id, attr_id});
+      if (index == nullptr) continue;
+      std::vector<const void*> shared = index->tree().NodeIdentities();
+      std::sort(shared.begin(), shared.end());
+      for (const void* node :
+           clone.GetIndex({oc.id, attr_id})->tree().NodeIdentities()) {
+        if (!std::binary_search(shared.begin(), shared.end(), node)) {
+          ++splits.nodes;
+        }
+      }
+    }
+  }
+  return splits;
+}
+
+class CowStoreTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_OK_AND_ASSIGN(schema_, BuildExperimentSchema());
+    supplier_ = schema_.FindClass("supplier");
+    cargo_ = schema_.FindClass("cargo");
+    supplies_ = schema_.FindRelationship("supplies");
+    code_ = schema_.ResolveQualified("cargo.code").value();
+  }
+
+  std::unique_ptr<ObjectStore> Generate(int64_t rows) {
+    auto store = GenerateDatabase(
+        schema_, DbSpec{"cow", rows, rows + rows / 2}, /*seed=*/7);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    return std::move(store).value();
+  }
+
+  // A live supplier/cargo pair `store` does not link yet.
+  std::pair<int64_t, int64_t> UnlinkedPair(const ObjectStore& store) {
+    for (int64_t a = 0;; ++a) {
+      if (!store.IsLive(supplier_, a) || !store.IsLive(cargo_, a + 1)) {
+        continue;
+      }
+      std::span<const int64_t> p = store.Partners(supplies_, supplier_, a);
+      if (std::find(p.begin(), p.end(), a + 1) == p.end()) return {a, a + 1};
+    }
+  }
+
+  Schema schema_;
+  ClassId supplier_, cargo_;
+  RelId supplies_;
+  AttrRef code_;
+};
+
+TEST_F(CowStoreTest, WritesToACloneLeaveTheBaseUnchanged) {
+  std::unique_ptr<ObjectStore> base = Generate(1500);
+  const ReadableState before = Capture(schema_, *base);
+  std::unique_ptr<ObjectStore> clone = base->CloneForWrite();
+  EXPECT_EQ(Capture(schema_, *clone), before);
+
+  const auto [a, b] = UnlinkedPair(*base);
+  ASSERT_OK(clone->Link(supplies_, a, b));
+  EXPECT_EQ(Capture(schema_, *base), before);
+  const int64_t partner = base->Partners(supplies_, supplier_, 3).front();
+  ASSERT_OK(clone->Unlink(supplies_, 3, partner));
+  EXPECT_EQ(Capture(schema_, *base), before);
+  ASSERT_OK(clone->Delete(cargo_, 10));  // cascades on both cargo sides
+  EXPECT_EQ(Capture(schema_, *base), before);
+  ASSERT_OK_AND_ASSIGN(Object obj,
+                       MakeSegmentObject(schema_, cargo_, 0, 99999));
+  ASSERT_OK(clone->Insert(cargo_, std::move(obj)).status());
+  EXPECT_EQ(Capture(schema_, *base), before);
+  ASSERT_OK(clone->UpdateAttribute(cargo_, 20, code_.attr_id,
+                                   Value::String("renamed")));
+  EXPECT_EQ(Capture(schema_, *base), before);
+
+  // The clone sees its own writes, in link order.
+  std::span<const int64_t> linked = clone->Partners(supplies_, supplier_, a);
+  EXPECT_EQ(linked.back(), b);
+  EXPECT_EQ(clone->NumPairs(supplies_),
+            base->NumPairs(supplies_) + 1 - 1 -
+                static_cast<int64_t>(
+                    base->Partners(supplies_, cargo_, 10).size()));
+  EXPECT_TRUE(clone->Partners(supplies_, cargo_, 10).empty());
+  EXPECT_EQ(clone->GetIndex(code_)->Equal(Value::String("renamed")),
+            std::vector<int64_t>{20});
+  EXPECT_TRUE(
+      base->GetIndex(code_)->Equal(Value::String("renamed")).empty());
+
+  // The base may be written too, without reaching the clone.
+  const ReadableState cloned = Capture(schema_, *clone);
+  ASSERT_OK(base->Delete(supplier_, 0));
+  EXPECT_EQ(Capture(schema_, *clone), cloned);
+}
+
+TEST_F(CowStoreTest, OneWriteSplitsOnlyItsChunkOrPathAtAnySize) {
+  std::vector<Splits> link_splits, update_splits;
+  for (int64_t rows : {3000, 6000}) {
+    std::unique_ptr<ObjectStore> base = Generate(rows);
+    std::unique_ptr<ObjectStore> clone = base->CloneForWrite();
+    EXPECT_EQ(CountSplits(schema_, *base, *clone), Splits{});
+
+    const auto [a, b] = UnlinkedPair(*base);
+    ASSERT_OK(clone->Link(supplies_, a, b));
+    link_splits.push_back(CountSplits(schema_, *base, *clone));
+
+    clone = base->CloneForWrite();
+    ASSERT_OK(clone->UpdateAttribute(cargo_, 5, code_.attr_id,
+                                     Value::String("~last")));
+    update_splits.push_back(CountSplits(schema_, *base, *clone));
+    // Remove and insert each copy one root-to-leaf path; the paths
+    // share at least the root.
+    const int height = base->GetIndex(code_)->height();
+    EXPECT_GE(update_splits.back().nodes, height) << rows;
+    EXPECT_LE(update_splits.back().nodes, 2 * height - 1) << rows;
+  }
+  // A link copies one chunk per side; an update one segment plus the
+  // index paths. Doubling the store changes none of it.
+  EXPECT_EQ(link_splits[0], (Splits{0, 2, 0}));
+  EXPECT_EQ(link_splits[1], link_splits[0]);
+  EXPECT_EQ(update_splits[0].segments, 1);
+  EXPECT_EQ(update_splits[0].chunks, 0);
+  EXPECT_EQ(update_splits[1], update_splits[0]);
+}
+
+// Readers scan a published snapshot while a writer keeps cloning it and
+// splitting its chunks, segments and index paths. Run under TSan in
+// CI: the ownership stamps must keep every write off shared pieces.
+TEST_F(CowStoreTest, ReadersOfAnOldSnapshotRaceCommitsThatSplitIt) {
+  std::shared_ptr<const ObjectStore> base = Generate(1200);
+  const ReadableState expected = Capture(schema_, *base);
+  std::atomic<bool> stop{false};
+  std::atomic<int> passes{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&] {
+      do {
+        if (!(Capture(schema_, *base) == expected)) ++mismatches;
+        ++passes;
+      } while (!stop.load());
+    });
+  }
+  // Commit until the readers have made several passes, so the two
+  // overlap whatever the scheduling.
+  std::shared_ptr<const ObjectStore> head = base;
+  for (int commit = 0; commit < 20 || passes.load() < 6; ++commit) {
+    // Alternate between cloning the pinned snapshot and the latest
+    // head, as commits do once the pinned one is superseded.
+    std::unique_ptr<ObjectStore> next =
+        (commit % 2 == 0 ? base : head)->CloneForWrite();
+    const auto [a, b] = UnlinkedPair(*next);
+    ASSERT_OK(next->Link(supplies_, a, b));
+    const int64_t row = commit % 1000;
+    if (next->IsLive(cargo_, row)) ASSERT_OK(next->Delete(cargo_, row));
+    ASSERT_OK(next->UpdateAttribute(cargo_, 1100, code_.attr_id,
+                                    Value::String("c" + std::to_string(
+                                                            commit))));
+    head = std::move(next);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(Capture(schema_, *base), expected);
 }
 
 }  // namespace

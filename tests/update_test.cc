@@ -128,7 +128,7 @@ TEST_F(UpdateTest, DeleteTombstonesCascadesAndHidesFromScans) {
             pairs_before - static_cast<int64_t>(partners_of_0));
   // ...adjacency is scrubbed from the partner side too...
   for (int64_t s = 0; s < store_->NumObjects(supplier); ++s) {
-    const std::vector<int64_t>& back =
+    std::span<const int64_t> back =
         store_->Partners(supplies, supplier, s);
     EXPECT_EQ(std::count(back.begin(), back.end(), 0), 0);
   }
@@ -160,7 +160,7 @@ TEST_F(UpdateTest, UnlinkRemovesExactlyOnePair) {
   // The diagonal guarantees pair (3, 3) exists.
   ASSERT_OK(store_->Unlink(supplies, 3, 3));
   EXPECT_EQ(store_->NumPairs(supplies), pairs_before - 1);
-  const std::vector<int64_t>& partners =
+  std::span<const int64_t> partners =
       store_->Partners(supplies, schema_.FindClass("supplier"), 3);
   EXPECT_EQ(std::count(partners.begin(), partners.end(), 3), 0);
   EXPECT_EQ(store_->Unlink(supplies, 3, 3).code(), StatusCode::kNotFound);
@@ -171,29 +171,39 @@ TEST_F(UpdateTest, UnlinkRemovesExactlyOnePair) {
 TEST_F(UpdateTest, CloneForWriteIsolatesTouchedStateAndSharesTheRest) {
   ClassId vehicle = schema_.FindClass("vehicle");
   RelId supplies = schema_.FindRelationship("supplies");
-  std::unique_ptr<ObjectStore> clone =
-      store_->CloneForWrite({cargo_}, {supplies});
-
-  // Untouched substructures are SHARED (same objects, not copies)...
-  EXPECT_EQ(&clone->extent(vehicle), &store_->extent(vehicle));
+  std::unique_ptr<ObjectStore> clone = store_->CloneForWrite();
   AttrRef vno = schema_.ResolveQualified("vehicle.vehicleNo").value();
-  EXPECT_EQ(clone->GetIndex(vno), store_->GetIndex(vno));
-  // ...while touched ones are private copies.
-  EXPECT_NE(&clone->extent(cargo_), &store_->extent(cargo_));
-  EXPECT_NE(clone->GetIndex(desc_), store_->GetIndex(desc_));
+  auto shares_index = [&](const AttrRef& ref) {
+    return clone->GetIndex(ref)->tree().NodeIdentities() ==
+           store_->GetIndex(ref)->tree().NodeIdentities();
+  };
+  // The clone starts out sharing every segment, chunk and index node.
+  EXPECT_EQ(clone->extent(cargo_).SegmentIdentity(0),
+            store_->extent(cargo_).SegmentIdentity(0));
+  EXPECT_TRUE(shares_index(desc_));
 
   // Mutations on the clone never reach the original.
   ASSERT_OK(clone->UpdateAttribute(cargo_, 0, desc_.attr_id,
                                    Value::String("mystery box")));
   ASSERT_OK(clone->Delete(cargo_, 1));
   ASSERT_OK(clone->Unlink(supplies, 2, 2));
+  // Untouched state stays SHARED (same objects, not copies)...
+  EXPECT_EQ(clone->extent(vehicle).SegmentIdentity(0),
+            store_->extent(vehicle).SegmentIdentity(0));
+  EXPECT_TRUE(shares_index(vno));
+  // ...while touched state split off into private copies.
+  EXPECT_NE(clone->extent(cargo_).SegmentIdentity(0),
+            store_->extent(cargo_).SegmentIdentity(0));
+  EXPECT_FALSE(shares_index(desc_));
+  EXPECT_NE(clone->AdjacencyChunkIdentity(supplies, cargo_, 2),
+            store_->AdjacencyChunkIdentity(supplies, cargo_, 2));
   EXPECT_EQ(store_->extent(cargo_).ValueAt(0, desc_.attr_id),
             Value::String("frozen food"));
   EXPECT_TRUE(store_->IsLive(cargo_, 1));
   EXPECT_TRUE(store_->GetIndex(desc_)
                   ->Equal(Value::String("mystery box"))
                   .empty());
-  const std::vector<int64_t>& partners =
+  std::span<const int64_t> partners =
       store_->Partners(supplies, schema_.FindClass("supplier"), 2);
   EXPECT_EQ(std::count(partners.begin(), partners.end(), 2), 1);
 
