@@ -1,6 +1,6 @@
 // Durability bench: what persistence costs on the write path and what
 // it buys on startup. Measures (1) commit latency through Engine::Apply
-// with the WAL fsync on vs off, split into clone/WAL/fsync phases from
+// with the WAL fsync on vs off, split into clone/apply/WAL/fsync phases from
 // the per-commit ApplyOutcome timers, (2) Checkpoint time (fold the log
 // into a fresh snapshot), and (3) cold-open time — Engine::Open(dir) on a
 // checkpointed 40k-row database, which deserializes the precompiled
@@ -37,12 +37,13 @@ double MsSince(Clock::time_point start) {
 }
 
 // Mean per-commit cost of `n` small (4-update) batches, split into the
-// phases the engine reports per commit: snapshot clone, WAL encode +
-// write (fsync excluded), and the fsync itself. `total_us` is the
-// caller-observed wall clock per Apply.
+// phases the engine reports per commit: snapshot clone, apply +
+// validate, WAL encode + write (fsync excluded), and the fsync itself.
+// `total_us` is the caller-observed wall clock per Apply.
 struct CommitTiming {
   double total_us = 0;
   double clone_us = 0;
+  double apply_us = 0;
   double wal_us = 0;    // Append minus fsync
   double fsync_us = 0;  // fsync() alone; 0 with the flush off
 };
@@ -54,7 +55,7 @@ CommitTiming MeasureCommits(sqopt::Engine* engine, int n, uint64_t seed) {
   const AttrRef rating = schema.ResolveQualified("supplier.rating").value();
   const int64_t rows = engine->store()->NumLiveObjects(supplier);
   Rng rng(seed);
-  uint64_t clone = 0, wal = 0, fsync = 0;
+  uint64_t clone = 0, apply = 0, wal = 0, fsync = 0;
   const auto start = Clock::now();
   for (int i = 0; i < n; ++i) {
     MutationBatch batch;
@@ -67,12 +68,14 @@ CommitTiming MeasureCommits(sqopt::Engine* engine, int n, uint64_t seed) {
     }
     ApplyOutcome out = bench::Unwrap(engine->Apply(batch));
     clone += out.clone_micros;
+    apply += out.apply_micros;
     wal += out.wal_micros - out.fsync_micros;
     fsync += out.fsync_micros;
   }
   CommitTiming t;
   t.total_us = MsSince(start) * 1000.0 / n;
   t.clone_us = static_cast<double>(clone) / n;
+  t.apply_us = static_cast<double>(apply) / n;
   t.wal_us = static_cast<double>(wal) / n;
   t.fsync_us = static_cast<double>(fsync) / n;
   return t;
@@ -166,11 +169,11 @@ int main(int argc, char** argv) {
   std::printf(
       "load %.0f ms, save %.0f ms, cold open %.0f ms (%.1fx faster than "
       "re-Load), checkpoint %.0f ms\n"
-      "commit %.0f us total (fsync on: clone %.0f + wal %.0f + fsync %.0f) "
-      "/ %.0f us (no fsync), identical=%d\n",
+      "commit %.0f us total (fsync on: clone %.0f + apply %.0f + wal %.0f + "
+      "fsync %.0f) / %.0f us (no fsync), identical=%d\n",
       load_ms, save_ms, cold_open_ms, open_speedup, checkpoint_ms,
-      fsync_on.total_us, fsync_on.clone_us, fsync_on.wal_us,
-      fsync_on.fsync_us, fsync_off.total_us, identical);
+      fsync_on.total_us, fsync_on.clone_us, fsync_on.apply_us,
+      fsync_on.wal_us, fsync_on.fsync_us, fsync_off.total_us, identical);
   fs::remove_all(dir);
 
   BenchJson json("durability");
@@ -183,10 +186,12 @@ int main(int argc, char** argv) {
   json.Set("open_speedup", open_speedup);
   json.Set("checkpoint_ms", checkpoint_ms);
   // Phase split of the fsync-on commit (totals stay for the gate):
-  // clone = delta COW snapshot, wal = record encode + write, fsync =
-  // the flush itself.
+  // clone = delta COW snapshot, apply = the ops plus their constraint
+  // validation on the clone, wal = record encode + write, fsync = the
+  // flush itself.
   json.Set("commit_fsync_us", fsync_on.total_us);
   json.Set("commit_clone_us", fsync_on.clone_us);
+  json.Set("commit_apply_us", fsync_on.apply_us);
   json.Set("commit_wal_us", fsync_on.wal_us);
   json.Set("commit_sync_us", fsync_on.fsync_us);
   json.Set("commit_nofsync_us", fsync_off.total_us);

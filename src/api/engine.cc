@@ -913,13 +913,18 @@ void Engine::CommitGroupLocked(
   // Statistics: start from the previous snapshot's and fold in the
   // group's effects. Cardinalities are exact (recounted from the
   // clone). Attribute stats are patched incrementally from the ops'
-  // value deltas — histogram buckets updated in place, min/max
-  // extended on adds — and only fall back to a full per-attribute
-  // recollection where a patch cannot absorb the change (value outside
-  // the histogram range, no stats yet). Distinct counts and min/max
-  // shrinkage on removals are left stale by design: they feed cost
-  // estimates, not answers, and the threshold-crossing full recollect
-  // below resyncs them whenever the data drifts enough to matter.
+  // value deltas — histogram buckets updated in place (the range
+  // widening to take values beyond it), min/max extended on adds, and
+  // the distinct count bumped by one for an added value strictly
+  // beyond the current min or max. That bump is exact: min/max only go
+  // stale on removals, and then only outward, so a value beyond them
+  // is beyond every live value. A full per-attribute recollection runs
+  // only where a patch cannot absorb the change (no histogram yet, a
+  // non-finite value, a removal the histogram cannot place). Distinct
+  // counts and min/max shrinkage on removals are left stale by design:
+  // they feed cost estimates, not answers, and the threshold-crossing
+  // full recollect below resyncs them whenever the data drifts enough
+  // to matter.
   const auto stats_start = Clock::now();
   auto data = std::make_shared<detail::LoadedData>();
   data->db_stats = base->db_stats;
@@ -959,6 +964,8 @@ void Engine::CommitGroupLocked(
     for (const auto& [cid, ops] : class_ops) {
       CollectClassStats(*next, cid, &data->db_stats);
     }
+    state.stats_recollections.fetch_add(class_ops.size(),
+                                        std::memory_order_relaxed);
   } else {
     for (const auto& [cid, ops] : class_ops) {
       data->db_stats.SetClassCardinality(cid, next->NumLiveObjects(cid));
@@ -979,11 +986,17 @@ void Engine::CommitGroupLocked(
           continue;
         }
         if (d.added.has_value() && d.added->is_numeric()) {
+          bool beyond = false;
           if (stats->min.has_value() && d.added.value() < *stats->min) {
             stats->min = d.added;
+            beyond = true;
           }
           if (stats->max.has_value() && *stats->max < d.added.value()) {
             stats->max = d.added;
+            beyond = true;
+          }
+          if (beyond && stats->distinct_values > 0) {
+            ++stats->distinct_values;
           }
           if (!stats->histogram.Add(d.added->AsDouble())) {
             dirty.insert(d.ref);
@@ -994,6 +1007,8 @@ void Engine::CommitGroupLocked(
     for (const AttrRef& ref : dirty) {
       CollectAttrStats(*next, ref, &data->db_stats);
     }
+    state.stats_recollections.fetch_add(dirty.size(),
+                                        std::memory_order_relaxed);
   }
   for (const auto& [rid, ops] : rel_ops) {
     CollectRelationshipStats(*next, rid, &data->db_stats);
@@ -1042,9 +1057,15 @@ void Engine::CommitGroupLocked(
   // Drop the replaced snapshot. Unless a reader still pins it, this
   // frees the segments, chunks and index nodes the group replaced.
   const uint64_t base_version = base->version;
+  const auto release_start = Clock::now();
   base.reset();
-  const uint64_t stats_micros = micros(stats_start, Clock::now());
-  for (PendingCommit* pc : survivors) pc->out.stats_micros = stats_micros;
+  const auto release_end = Clock::now();
+  const uint64_t stats_micros = micros(stats_start, release_start);
+  const uint64_t release_micros = micros(release_start, release_end);
+  for (PendingCommit* pc : survivors) {
+    pc->out.stats_micros = stats_micros;
+    pc->out.release_micros = release_micros;
+  }
 
   // Replication tap: the published group, in commit order, gap-free
   // (we still hold commit_mutex). Independent of WAL attachment so
@@ -1487,6 +1508,8 @@ EngineStats Engine::stats() const {
   out.checkpoints = state.checkpoints.load(std::memory_order_relaxed);
   out.wal_records_replayed =
       state.wal_records_replayed.load(std::memory_order_relaxed);
+  out.stats_recollections =
+      state.stats_recollections.load(std::memory_order_relaxed);
   return out;
 }
 

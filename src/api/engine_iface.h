@@ -47,6 +47,11 @@ struct EngineStats {
   // group of concurrent Apply calls shares a record; a lone Apply is a
   // group of one).
   uint64_t wal_records_replayed = 0;
+  // Full per-attribute or per-class statistics recollections on the
+  // commit path: attributes the incremental patch could not absorb
+  // (no stats yet, a non-finite value, a removal it cannot place) and
+  // classes resynced after a commit drifted past the replan threshold.
+  uint64_t stats_recollections = 0;
 };
 
 class EngineInterface {

@@ -176,6 +176,7 @@ struct EngineState {
   mutable std::atomic<uint64_t> mutation_batches_rejected{0};
   mutable std::atomic<uint64_t> checkpoints{0};
   mutable std::atomic<uint64_t> wal_records_replayed{0};
+  mutable std::atomic<uint64_t> stats_recollections{0};
 };
 
 // Execution context for one plan: parallel plans borrow the engine's

@@ -114,16 +114,18 @@ struct ApplyOutcome {
   // - wal: the WAL append, fsync included;
   // - fsync: the fsync alone (0 with durability.fsync off, or when no
   //   WAL is attached);
-  // - stats: statistics, cost model, publishing the new snapshot and
-  //   releasing the replaced one.
+  // - stats: statistics, cost model and publishing the new snapshot;
+  // - release: dropping the replaced snapshot, which frees whatever
+  //   the group copied unless a reader still pins it.
   // Clone and apply are summed over the restarts a rejected batch
-  // causes. clone + apply + wal + stats is at most the group's wall
-  // time; the rest is queueing and id validation.
+  // causes. clone + apply + wal + stats + release is at most the
+  // group's wall time; the rest is queueing and id validation.
   uint64_t clone_micros = 0;
   uint64_t apply_micros = 0;
   uint64_t wal_micros = 0;
   uint64_t fsync_micros = 0;
   uint64_t stats_micros = 0;
+  uint64_t release_micros = 0;
 };
 
 }  // namespace sqopt

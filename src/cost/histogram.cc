@@ -46,12 +46,39 @@ Histogram Histogram::FromParts(double lo, double hi, int64_t total,
 }
 
 bool Histogram::Add(double x) {
-  if (empty() || x < lo_ || x > hi_) return false;
+  if (empty() || !std::isfinite(x)) return false;
+  while (x < lo_ || x > hi_) {
+    if (!Widen(/*grow_up=*/x > hi_)) return false;
+  }
   int b = static_cast<int>((x - lo_) / width_);
   if (b >= num_buckets()) b = num_buckets() - 1;
   if (b < 0) b = 0;
   counts_[b] += 1;
   total_ += 1;
+  return true;
+}
+
+bool Histogram::Widen(bool grow_up) {
+  const double span = 2.0 * (hi_ - lo_);
+  const double lo = grow_up ? lo_ : hi_ - span;
+  const double hi = grow_up ? lo_ + span : hi_;
+  if (!std::isfinite(lo) || !std::isfinite(hi)) return false;
+  // New bucket j holds old buckets 2j and 2j + 1 counted from the
+  // anchored side; with an odd count the far new bucket gets one old
+  // bucket, and the half of the range beyond the old one starts empty.
+  const int n = num_buckets();
+  std::vector<int64_t> merged(counts_.size(), 0);
+  for (int i = 0; i < n; ++i) {
+    if (grow_up) {
+      merged[i / 2] += counts_[i];
+    } else {
+      merged[n - 1 - (n - 1 - i) / 2] += counts_[i];
+    }
+  }
+  counts_ = std::move(merged);
+  lo_ = lo;
+  hi_ = hi;
+  width_ = (hi_ - lo_) / static_cast<double>(n);  // as FromParts derives it
   return true;
 }
 

@@ -44,15 +44,22 @@ class Histogram {
                      double fallback) const;
 
   // Incremental maintenance for the commit path: adds/removes one
-  // observation in place (touched bucket + total only). Returns false
-  // when the update cannot be absorbed without a rebuild — the
-  // histogram is empty, `x` falls outside [lo, hi] (the bucket range
-  // would have to grow), or a removal would drive a count negative.
-  // The caller falls back to a full recollection in that case.
+  // observation in place. An Add outside [lo, hi] first widens the
+  // range, doubling the bucket width by merging adjacent bucket pairs
+  // (anchored on the side away from x) until x fits: O(buckets) per
+  // doubling, no rescan, total conserved. Returns false when the
+  // update cannot be absorbed without a rebuild — the histogram is
+  // empty, `x` is not finite (or widening to it would overflow), a
+  // removal falls outside [lo, hi], or a removal would drive a count
+  // negative. The caller falls back to a full recollection then.
   bool Add(double x);
   bool Remove(double x);
 
  private:
+  // One doubling of the range toward +inf (grow_up) or -inf. False,
+  // leaving the histogram unchanged, when a bound would overflow.
+  bool Widen(bool grow_up);
+
   double lo_ = 0.0;
   double hi_ = 0.0;
   double width_ = 0.0;

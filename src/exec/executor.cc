@@ -242,7 +242,7 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
       for (int slot : proj_slots) {
         result_row.push_back(slot < 0
                                  ? Value::Null()
-                                 : batch.cols[static_cast<size_t>(slot)]
+                                 : batch.chunk(static_cast<size_t>(slot))
                                        .Get(offset));
       }
       out->rows.push_back(std::move(result_row));

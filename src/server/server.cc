@@ -730,6 +730,7 @@ struct Server::Impl {
     put("engine_mutation_batches_rejected", es.mutation_batches_rejected);
     put("engine_checkpoints", es.checkpoints);
     put("engine_wal_records_replayed", es.wal_records_replayed);
+    put("engine_stats_recollections", es.stats_recollections);
     put("engine_data_version", engine->data_version());
     const PlanCacheStats pc = engine->plan_cache_stats();
     put("plan_cache_hits", pc.hits);

@@ -128,6 +128,7 @@ EngineStats RemoteShard::stats() const {
   s.checkpoints = ParseMetric(*text, "engine_checkpoints");
   s.wal_records_replayed =
       ParseMetric(*text, "engine_wal_records_replayed");
+  s.stats_recollections = ParseMetric(*text, "engine_stats_recollections");
   return s;
 }
 

@@ -1106,12 +1106,14 @@ EngineStats ShardedEngine::stats() const {
       st.precheck_rejected.load(std::memory_order_relaxed);
   out.checkpoints = st.checkpoints.load(std::memory_order_relaxed);
   out.mutation_ops_applied = 0;
+  out.stats_recollections = 0;
   out.wal_records_replayed =
       st.coord_records_replayed.load(std::memory_order_relaxed);
   for (const Engine& s : st.shards) {
     const EngineStats ss = s.stats();
     out.mutation_ops_applied += ss.mutation_ops_applied;
     out.wal_records_replayed += ss.wal_records_replayed;
+    out.stats_recollections += ss.stats_recollections;
   }
   return out;
 }

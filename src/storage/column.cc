@@ -1,10 +1,12 @@
 #include "storage/column.h"
 
+#include <algorithm>
+
 namespace sqopt {
 
 namespace {
 
-bool Fits(const Value& v, ColumnEncoding enc) {
+bool FitsEncoding(const Value& v, ColumnEncoding enc) {
   switch (enc) {
     case ColumnEncoding::kInt64:
       return v.type() == ValueType::kInt;
@@ -29,62 +31,80 @@ ColumnEncoding FastEncodingFor(ValueType declared) {
 
 }  // namespace
 
-ColumnChunk ColumnChunk::ForType(ValueType declared) {
-  ColumnChunk chunk;
-  chunk.enc_ = FastEncodingFor(declared);
-  return chunk;
-}
-
-ColumnChunk ColumnChunk::FromSlice(const ColumnData& src, size_t begin,
-                                   size_t end, ValueType declared) {
-  ColumnChunk chunk;
-  switch (src.encoding) {
+ColumnChunk::ColumnChunk(ColumnEncoding enc, size_t capacity,
+                         OwnerStamp owner, int64_t written)
+    : owner(owner), frontier(written), enc_(enc) {
+  switch (enc_) {
     case ColumnEncoding::kInt64:
-      chunk.enc_ = ColumnEncoding::kInt64;
-      chunk.i64_.assign(src.i64.begin() + begin, src.i64.begin() + end);
-      return chunk;
+      i64_.resize(capacity);
+      break;
     case ColumnEncoding::kFloat64:
-      chunk.enc_ = ColumnEncoding::kFloat64;
-      chunk.f64_.assign(src.f64.begin() + begin, src.f64.begin() + end);
-      return chunk;
+      f64_.resize(capacity);
+      break;
     case ColumnEncoding::kGeneric:
+      generic_.resize(capacity);
       break;
   }
+}
+
+ColumnChunk::ColumnChunk(ValueType declared, size_t capacity,
+                         OwnerStamp owner)
+    : ColumnChunk(FastEncodingFor(declared), capacity, owner, 0) {}
+
+std::shared_ptr<ColumnChunk> ColumnChunk::FromSlice(const ColumnData& src,
+                                                    size_t begin, size_t end,
+                                                    ValueType declared,
+                                                    size_t capacity,
+                                                    OwnerStamp owner) {
+  const size_t n = end - begin;
+  ColumnEncoding enc = src.encoding;
   // Re-promote a generic slice whose values all match the declared
   // type: a mixed extent serializes generically, but segments that are
   // actually homogeneous should scan fast after restore.
-  const ColumnEncoding fast = FastEncodingFor(declared);
-  if (fast != ColumnEncoding::kGeneric) {
-    bool homogeneous = true;
-    for (size_t i = begin; i < end; ++i) {
-      if (!Fits(src.generic[i], fast)) {
-        homogeneous = false;
-        break;
-      }
-    }
-    if (homogeneous) {
-      chunk.enc_ = fast;
-      if (fast == ColumnEncoding::kInt64) {
-        chunk.i64_.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          chunk.i64_.push_back(src.generic[i].int_value());
-        }
-      } else {
-        chunk.f64_.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) {
-          chunk.f64_.push_back(src.generic[i].double_value());
-        }
-      }
-      return chunk;
+  if (enc == ColumnEncoding::kGeneric) {
+    const ColumnEncoding fast = FastEncodingFor(declared);
+    enc = fast;
+    for (size_t i = begin; i < end && enc != ColumnEncoding::kGeneric; ++i) {
+      if (!FitsEncoding(src.generic[i], fast)) enc = ColumnEncoding::kGeneric;
     }
   }
-  chunk.enc_ = ColumnEncoding::kGeneric;
-  chunk.generic_.assign(src.generic.begin() + begin,
-                        src.generic.begin() + end);
+  std::shared_ptr<ColumnChunk> chunk(
+      new ColumnChunk(enc, capacity, owner, static_cast<int64_t>(n)));
+  for (size_t i = 0; i < n; ++i) {
+    switch (src.encoding) {
+      case ColumnEncoding::kInt64:
+        chunk->i64_[i] = src.i64[begin + i];
+        break;
+      case ColumnEncoding::kFloat64:
+        chunk->f64_[i] = src.f64[begin + i];
+        break;
+      case ColumnEncoding::kGeneric:
+        chunk->Set(i, src.generic[begin + i]);
+        break;
+    }
+  }
   return chunk;
 }
 
-size_t ColumnChunk::size() const {
+std::shared_ptr<ColumnChunk> ColumnChunk::CopyPrefix(size_t n,
+                                                     OwnerStamp owner) const {
+  std::shared_ptr<ColumnChunk> copy(new ColumnChunk(
+      enc_, capacity(), owner, static_cast<int64_t>(n)));
+  switch (enc_) {
+    case ColumnEncoding::kInt64:
+      std::copy_n(i64_.begin(), n, copy->i64_.begin());
+      break;
+    case ColumnEncoding::kFloat64:
+      std::copy_n(f64_.begin(), n, copy->f64_.begin());
+      break;
+    case ColumnEncoding::kGeneric:
+      std::copy_n(generic_.begin(), n, copy->generic_.begin());
+      break;
+  }
+  return copy;
+}
+
+size_t ColumnChunk::capacity() const {
   switch (enc_) {
     case ColumnEncoding::kInt64:
       return i64_.size();
@@ -96,23 +116,11 @@ size_t ColumnChunk::size() const {
   return 0;
 }
 
-void ColumnChunk::Reserve(size_t n) {
-  switch (enc_) {
-    case ColumnEncoding::kInt64:
-      i64_.reserve(n);
-      break;
-    case ColumnEncoding::kFloat64:
-      f64_.reserve(n);
-      break;
-    case ColumnEncoding::kGeneric:
-      generic_.reserve(n);
-      break;
-  }
-}
+bool ColumnChunk::Fits(const Value& v) const { return FitsEncoding(v, enc_); }
 
 void ColumnChunk::Demote() {
   std::vector<Value> values;
-  values.reserve(size());
+  values.reserve(capacity());
   switch (enc_) {
     case ColumnEncoding::kInt64:
       for (int64_t v : i64_) values.push_back(Value::Int(v));
@@ -131,23 +139,8 @@ void ColumnChunk::Demote() {
   generic_ = std::move(values);
 }
 
-void ColumnChunk::Append(Value v) {
-  if (!Fits(v, enc_)) Demote();
-  switch (enc_) {
-    case ColumnEncoding::kInt64:
-      i64_.push_back(v.int_value());
-      break;
-    case ColumnEncoding::kFloat64:
-      f64_.push_back(v.double_value());
-      break;
-    case ColumnEncoding::kGeneric:
-      generic_.push_back(std::move(v));
-      break;
-  }
-}
-
 void ColumnChunk::Set(size_t i, Value v) {
-  if (!Fits(v, enc_)) Demote();
+  if (!FitsEncoding(v, enc_)) Demote();
   switch (enc_) {
     case ColumnEncoding::kInt64:
       i64_[i] = v.int_value();

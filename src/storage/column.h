@@ -10,14 +10,16 @@
 //
 // ColumnView / SegmentBatch are the read API the executor scans with:
 // borrowed pointers into one segment's arrays, valid only while the
-// owning snapshot (shared_ptr<Segment>) is alive — the same lifetime
-// contract reads already rely on.
+// owning snapshot is alive — the same lifetime contract reads already
+// rely on.
 #ifndef SQOPT_STORAGE_COLUMN_H_
 #define SQOPT_STORAGE_COLUMN_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "storage/cow.h"
 #include "types/value.h"
 
 namespace sqopt {
@@ -76,40 +78,60 @@ struct ColumnView {
   }
 };
 
-// One attribute slot of one segment: an append-only-ish typed array
-// with per-element overwrite (SetValue) and on-mismatch demotion.
+// One attribute slot of one segment: a fixed-capacity typed array with
+// per-element overwrite (Set) and on-mismatch demotion. It is a
+// copy-on-write piece of its own (storage/cow.h), so versions share it
+// until one of them writes it. The array is allocated at full capacity
+// once and never resized: a version appending at the piece's frontier
+// writes the next element in place while other versions read the
+// elements below it, so no read ever sees the array move. How many
+// elements a version sees is the extent's business (its row count), not
+// the chunk's; readers bound every access by it.
 class ColumnChunk {
  public:
-  ColumnChunk() = default;  // generic
+  // Empty chunk of `capacity` elements in the fast encoding of the
+  // attribute's declared type, stamped `owner`, frontier 0.
+  ColumnChunk(ValueType declared, size_t capacity, OwnerStamp owner);
 
-  // Chunk whose fast encoding matches the attribute's declared type.
-  static ColumnChunk ForType(ValueType declared);
+  ColumnChunk(const ColumnChunk&) = delete;
+  ColumnChunk& operator=(const ColumnChunk&) = delete;
 
-  // Chunk over rows [begin, end) of a whole-extent column. A generic
-  // source slice is re-promoted to `declared`'s fast encoding when
-  // every value in the slice matches it.
-  static ColumnChunk FromSlice(const ColumnData& src, size_t begin,
-                               size_t end, ValueType declared);
+  // Chunk over rows [begin, end) of a whole-extent column, with room
+  // for `capacity` (>= end - begin) elements and its frontier at
+  // end - begin. A generic source slice is re-promoted to `declared`'s
+  // fast encoding when every value in the slice matches it.
+  static std::shared_ptr<ColumnChunk> FromSlice(const ColumnData& src,
+                                                size_t begin, size_t end,
+                                                ValueType declared,
+                                                size_t capacity,
+                                                OwnerStamp owner);
+
+  // A private copy of elements [0, n), same encoding and capacity,
+  // stamped `owner`, frontier n (see WritablePrefix).
+  std::shared_ptr<ColumnChunk> CopyPrefix(size_t n, OwnerStamp owner) const;
+
+  OwnerStamp owner;  // see storage/cow.h
+  // Elements written by any version; only writers touch it.
+  mutable AppendFrontier frontier;
 
   ColumnEncoding encoding() const { return enc_; }
-  size_t size() const;
-  void Reserve(size_t n);
+  size_t capacity() const;
 
-  // Appends `v`, demoting the chunk to generic if `v` does not fit the
-  // current typed encoding.
-  void Append(Value v);
+  // True when `v` can be stored without demoting the chunk.
+  bool Fits(const Value& v) const;
 
-  // Overwrites element `i` (precondition: i < size()), demoting on
-  // type mismatch.
+  // Overwrites element `i` (precondition: i < capacity()). A value
+  // that does not fit demotes the whole chunk to generic, which
+  // rewrites the array: only the chunk's owner may store such a value.
   void Set(size_t i, Value v);
 
-  // Materializes element `i` by value. Precondition: i < size().
+  // Materializes element `i` by value. Precondition: i < capacity().
   Value Get(size_t i) const;
 
   // Hot-path accessor that avoids copying strings: generic chunks
   // return a direct reference, typed chunks materialize into *scratch
   // and return it. The reference is invalidated by the next call with
-  // the same scratch and by any mutation of the chunk.
+  // the same scratch and by any mutation of the element.
   const Value& GetRef(size_t i, Value* scratch) const {
     switch (enc_) {
       case ColumnEncoding::kInt64:
@@ -124,10 +146,12 @@ class ColumnChunk {
     return *scratch;
   }
 
-  ColumnView View() const {
+  // View of the first `rows` elements (the ones the caller's version
+  // sees).
+  ColumnView View(int64_t rows) const {
     ColumnView view;
     view.encoding = enc_;
-    view.size = static_cast<int64_t>(size());
+    view.size = rows;
     switch (enc_) {
       case ColumnEncoding::kInt64:
         view.i64 = i64_.data();
@@ -143,6 +167,9 @@ class ColumnChunk {
   }
 
  private:
+  ColumnChunk(ColumnEncoding enc, size_t capacity, OwnerStamp owner,
+              int64_t written);
+
   // Rewrites the chunk as a generic Value array (int64/double are
   // exactly representable as Values, so reads are unchanged).
   void Demote();
@@ -155,16 +182,18 @@ class ColumnChunk {
 
 // One segment's worth of columns, borrowed from an Extent. `base_row`
 // is the extent row id of element 0; `rows` is the number of row slots
-// the segment currently holds (== each column's size and the live
-// bitmap's length).
+// of the segment the borrowing version sees. Every column and the live
+// bitmap may hold more (rows other versions appended), so readers stay
+// below `rows`.
 struct SegmentBatch {
   int64_t base_row = 0;
   int64_t rows = 0;
-  const uint8_t* live = nullptr;       // 1 = live, 0 = tombstoned
-  const ColumnChunk* cols = nullptr;   // num_slots chunks
+  const uint8_t* live = nullptr;  // 1 = live, 0 = tombstoned
+  const std::shared_ptr<ColumnChunk>* cols = nullptr;  // num_slots chunks
   size_t num_slots = 0;
 
-  ColumnView column(size_t slot) const { return cols[slot].View(); }
+  const ColumnChunk& chunk(size_t slot) const { return *cols[slot]; }
+  ColumnView column(size_t slot) const { return cols[slot]->View(rows); }
 };
 
 }  // namespace sqopt

@@ -1,5 +1,6 @@
 #include "storage/extent.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -27,6 +28,26 @@ Extent::Segment& Extent::MutableSegment(size_t seg_idx) {
   return WritableCopy(segments_[seg_idx], owner_);
 }
 
+std::shared_ptr<Extent::LiveBitmap> Extent::LiveBitmap::CopyPrefix(
+    size_t n, OwnerStamp owner) const {
+  auto copy = std::make_shared<LiveBitmap>(bits.size(), owner,
+                                           static_cast<int64_t>(n));
+  std::copy_n(bits.begin(), n, copy->bits.begin());
+  return copy;
+}
+
+template <typename Pick>
+auto& Extent::AppendTarget(size_t seg_idx, int64_t k, bool fits, Pick pick) {
+  auto& piece = *pick(*segments_[seg_idx]);
+  if ((fits || piece.owner == owner_) && piece.frontier.Claim(k)) {
+    return piece;
+  }
+  auto& slot = pick(MutableSegment(seg_idx));
+  slot = slot->CopyPrefix(static_cast<size_t>(k), owner_);
+  slot->frontier.Claim(k);
+  return *slot;
+}
+
 void Extent::CheckRow(int64_t row) const {
   if (row >= 0 && row < size_) return;
   std::fprintf(stderr,
@@ -43,24 +64,31 @@ Result<int64_t> Extent::Insert(Object obj) {
         "' has " + std::to_string(obj.values.size()) + " values, expected " +
         std::to_string(slot_types_.size()));
   }
-  Segment* seg;
-  if ((size_ & kSegmentMask) == 0) {
-    segments_.push_back(std::make_shared<Segment>());
-    seg = segments_.back().get();
+  const int64_t k = size_ & kSegmentMask;
+  if (k == 0) {
+    auto seg = std::make_shared<Segment>();
     seg->owner = owner_;
     seg->cols.reserve(slot_types_.size());
     for (ValueType type : slot_types_) {
-      seg->cols.push_back(ColumnChunk::ForType(type));
-      seg->cols.back().Reserve(static_cast<size_t>(kSegmentRows));
+      seg->cols.push_back(std::make_shared<ColumnChunk>(
+          type, static_cast<size_t>(kSegmentRows), owner_));
     }
-    seg->live.reserve(static_cast<size_t>(kSegmentRows));
-  } else {
-    seg = &MutableSegment(segments_.size() - 1);
+    seg->live = std::make_shared<LiveBitmap>(
+        static_cast<size_t>(kSegmentRows), owner_, 0);
+    segments_.push_back(std::move(seg));
   }
+  const size_t seg_idx = segments_.size() - 1;
+  const size_t offset = static_cast<size_t>(k);
   for (size_t slot = 0; slot < obj.values.size(); ++slot) {
-    seg->cols[slot].Append(std::move(obj.values[slot]));
+    Value& v = obj.values[slot];
+    const bool fits = segments_[seg_idx]->cols[slot]->Fits(v);
+    AppendTarget(seg_idx, k, fits, [slot](Segment& seg) -> auto& {
+      return seg.cols[slot];
+    }).Set(offset, std::move(v));
   }
-  seg->live.push_back(1);
+  AppendTarget(seg_idx, k, true, [](Segment& seg) -> auto& {
+    return seg.live;
+  }).bits[offset] = 1;
   ++live_count_;
   return size_++;
 }
@@ -70,14 +98,14 @@ Status Extent::Delete(int64_t row) {
     return Status::OutOfRange("row " + std::to_string(row) +
                               " out of range");
   }
-  Segment& seg = MutableSegment(static_cast<size_t>(row >> kSegmentShift));
-  uint8_t& live = seg.live[static_cast<size_t>(row & kSegmentMask)];
-  if (live == 0) {
+  if (!IsLive(row)) {
     return Status::NotFound("row " + std::to_string(row) + " of class '" +
                             schema_->object_class(class_id_).name +
                             "' is already deleted");
   }
-  live = 0;
+  const size_t seg_idx = static_cast<size_t>(row >> kSegmentShift);
+  WritablePrefix(MutableSegment(seg_idx).live, owner_, RowsIn(seg_idx))
+      .bits[static_cast<size_t>(row & kSegmentMask)] = 0;
   --live_count_;
   return Status::OK();
 }
@@ -113,10 +141,15 @@ Status Extent::RestoreColumns(std::vector<ColumnData> cols,
     seg->owner = owner_;
     seg->cols.reserve(cols.size());
     for (size_t slot = 0; slot < cols.size(); ++slot) {
-      seg->cols.push_back(
-          ColumnChunk::FromSlice(cols[slot], base, end, slot_types_[slot]));
+      seg->cols.push_back(ColumnChunk::FromSlice(
+          cols[slot], base, end, slot_types_[slot],
+          static_cast<size_t>(kSegmentRows), owner_));
     }
-    seg->live.assign(live.begin() + base, live.begin() + end);
+    seg->live = std::make_shared<LiveBitmap>(
+        static_cast<size_t>(kSegmentRows), owner_,
+        static_cast<int64_t>(end - base));
+    std::copy(live.begin() + base, live.begin() + end,
+              seg->live->bits.begin());
     segments_.push_back(std::move(seg));
   }
   size_ = static_cast<int64_t>(rows);
@@ -130,7 +163,7 @@ Value Extent::ValueAt(int64_t row, AttrId attr_id) const {
   if (slot < 0) return Value::Null();
   return segments_[static_cast<size_t>(row >> kSegmentShift)]
       ->cols[static_cast<size_t>(slot)]
-      .Get(static_cast<size_t>(row & kSegmentMask));
+      ->Get(static_cast<size_t>(row & kSegmentMask));
 }
 
 const Value& Extent::ValueRef(int64_t row, AttrId attr_id,
@@ -143,7 +176,7 @@ const Value& Extent::ValueRef(int64_t row, AttrId attr_id,
   }
   return segments_[static_cast<size_t>(row >> kSegmentShift)]
       ->cols[static_cast<size_t>(slot)]
-      .GetRef(static_cast<size_t>(row & kSegmentMask), scratch);
+      ->GetRef(static_cast<size_t>(row & kSegmentMask), scratch);
 }
 
 Object Extent::MaterializeRow(int64_t row) const {
@@ -152,8 +185,8 @@ Object Extent::MaterializeRow(int64_t row) const {
   const size_t offset = static_cast<size_t>(row & kSegmentMask);
   Object obj;
   obj.values.reserve(seg.cols.size());
-  for (const ColumnChunk& col : seg.cols) {
-    obj.values.push_back(col.Get(offset));
+  for (const std::shared_ptr<ColumnChunk>& col : seg.cols) {
+    obj.values.push_back(col->Get(offset));
   }
   return obj;
 }
@@ -168,9 +201,10 @@ Status Extent::SetValue(int64_t row, AttrId attr_id, Value value) {
     return Status::NotFound("attribute does not belong to class '" +
                             schema_->object_class(class_id_).name + "'");
   }
-  Segment& seg = MutableSegment(static_cast<size_t>(row >> kSegmentShift));
-  seg.cols[static_cast<size_t>(slot)].Set(
-      static_cast<size_t>(row & kSegmentMask), std::move(value));
+  const size_t seg_idx = static_cast<size_t>(row >> kSegmentShift);
+  WritablePrefix(MutableSegment(seg_idx).cols[static_cast<size_t>(slot)],
+                 owner_, RowsIn(seg_idx))
+      .Set(static_cast<size_t>(row & kSegmentMask), std::move(value));
   return Status::OK();
 }
 

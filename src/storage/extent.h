@@ -4,17 +4,24 @@
 //
 // Rows live in fixed-size SEGMENTS held by shared_ptr, and each
 // segment stores its rows COLUMN-MAJOR: one ColumnChunk (contiguous
-// value array) per attribute slot, plus the live bitmap. Clone()
-// shares every segment; a mutation copies only the one segment it
-// touches, under the ownership rule of storage/cow.h. That makes the
-// commit path's copy-on-write clone O(segments) pointer copies, and a
-// commit's copying O(touched segments), while pinned old snapshots
-// keep seeing their pre-image through the shared segment pointers —
+// value array) per attribute slot, plus the live bitmap. The segment,
+// each of its chunks and its bitmap are separate copy-on-write pieces
+// under the ownership rule of storage/cow.h. Clone() shares every
+// segment; a delete copies the segment's pointer shell and its 1 KB
+// bitmap, an update the shell and the one column it writes. An insert
+// at the tail claims the next row of each shared tail piece at its
+// append frontier and writes it in place, copying nothing, because no
+// other version can see that row (see AppendFrontier); only a writer
+// behind the frontier, or a typed chunk that would demote, copies.
+// That makes the commit path's copy-on-write clone O(segments) pointer
+// copies, and a commit's copying O(touched columns), while pinned old
+// snapshots keep seeing their pre-image through the shared pieces —
 // and scans read each attribute as a tight contiguous array
 // (SegmentBatch / ColumnView).
 #ifndef SQOPT_STORAGE_EXTENT_H_
 #define SQOPT_STORAGE_EXTENT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -57,7 +64,8 @@ class Extent {
   bool IsLive(int64_t row) const {
     return row >= 0 && row < size_ &&
            segments_[static_cast<size_t>(row >> kSegmentShift)]
-                   ->live[static_cast<size_t>(row & kSegmentMask)] != 0;
+                   ->live->bits[static_cast<size_t>(row & kSegmentMask)] !=
+               0;
   }
   size_t num_slots() const { return slot_types_.size(); }
 
@@ -105,8 +113,8 @@ class Extent {
     const Segment& seg = *segments_[static_cast<size_t>(seg_idx)];
     SegmentBatch batch;
     batch.base_row = seg_idx << kSegmentShift;
-    batch.rows = static_cast<int64_t>(seg.live.size());
-    batch.live = seg.live.data();
+    batch.rows = std::min(kSegmentRows, size_ - batch.base_row);
+    batch.live = seg.live->bits.data();
     batch.cols = seg.cols.data();
     batch.num_slots = seg.cols.size();
     return batch;
@@ -123,13 +131,22 @@ class Extent {
                         std::vector<uint8_t> live);
 
   // Test hooks for the delta-clone contract: how many segments back
-  // this extent, and the identity of the segment holding `row` (two
-  // extents sharing a segment return the same pointer).
+  // this extent, and the identity of the segment holding `row`, of its
+  // column chunk for `slot` and of its live bitmap (two extents sharing
+  // a piece return the same pointer).
   int64_t num_segments() const {
     return static_cast<int64_t>(segments_.size());
   }
   const void* SegmentIdentity(int64_t row) const {
     return segments_[static_cast<size_t>(row >> kSegmentShift)].get();
+  }
+  const void* ColumnIdentity(int64_t row, size_t slot) const {
+    return segments_[static_cast<size_t>(row >> kSegmentShift)]
+        ->cols[slot]
+        .get();
+  }
+  const void* LiveIdentity(int64_t row) const {
+    return segments_[static_cast<size_t>(row >> kSegmentShift)]->live.get();
   }
 
  private:
@@ -137,18 +154,46 @@ class Extent {
   static constexpr int64_t kSegmentMask = kSegmentRows - 1;
   static_assert((int64_t{1} << kSegmentShift) == kSegmentRows);
 
+  // Parallel to a segment's columns: 1 = live, 0 = tombstoned. A
+  // copy-on-write append piece like ColumnChunk (storage/cow.h).
+  struct LiveBitmap {
+    LiveBitmap(size_t capacity, OwnerStamp owner, int64_t written)
+        : owner(owner), frontier(written), bits(capacity, 0) {}
+    std::shared_ptr<LiveBitmap> CopyPrefix(size_t n, OwnerStamp owner) const;
+
+    OwnerStamp owner;
+    mutable AppendFrontier frontier;
+    std::vector<uint8_t> bits;  // kSegmentRows, never resized
+  };
+
+  // The segment's pointer shell. Copying it shares every piece.
   struct Segment {
-    OwnerStamp owner = 0;           // see storage/cow.h
-    std::vector<ColumnChunk> cols;  // one per slot, layout order
-    // Parallel to the columns: 1 = live, 0 = tombstoned.
-    std::vector<uint8_t> live;
+    OwnerStamp owner = 0;  // see storage/cow.h
+    std::vector<std::shared_ptr<ColumnChunk>> cols;  // one per slot
+    std::shared_ptr<LiveBitmap> live;
   };
 
   Extent(const Extent&) = default;  // shares segments; see Clone()
 
-  // Returns segment `seg_idx` writable, copying it first unless this
-  // extent owns it (storage/cow.h).
+  // Returns segment `seg_idx`'s shell writable, copying it first unless
+  // this extent owns it (storage/cow.h). The pieces stay shared.
   Segment& MutableSegment(size_t seg_idx);
+
+  // Row slots of segment `seg_idx` this extent sees.
+  size_t RowsIn(size_t seg_idx) const {
+    return static_cast<size_t>(std::min(
+        kSegmentRows,
+        size_ - (static_cast<int64_t>(seg_idx) << kSegmentShift)));
+  }
+
+  // The piece of segment `seg_idx` that `pick(segment)` names (a
+  // column chunk or the live bitmap), ready to take element `k`, the
+  // next row: the piece itself when element `k` is still free at its
+  // frontier and the value `fits` its encoding (or the piece is this
+  // extent's own), else a private copy of its first `k` elements. A
+  // shared piece is never demoted in place.
+  template <typename Pick>
+  auto& AppendTarget(size_t seg_idx, int64_t k, bool fits, Pick pick);
 
   // Aborts unless 0 <= row < size(): the documented precondition of
   // the row accessors above.

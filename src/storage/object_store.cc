@@ -190,7 +190,7 @@ namespace {
 bool AllSegmentsEncoded(const Extent& extent, size_t slot,
                         ColumnEncoding enc) {
   for (int64_t s = 0; s < extent.num_segments(); ++s) {
-    if (extent.Batch(s).cols[slot].encoding() != enc) return false;
+    if (extent.Batch(s).chunk(slot).encoding() != enc) return false;
   }
   return true;
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace sqopt {
@@ -172,9 +177,17 @@ TEST(HistogramTest, AddRemoveRefuseWhatNeedsARebuild) {
 
   std::vector<Value> values = Ints({0, 10, 20, 30, 40});
   Histogram h = Histogram::Build(values, 4);
-  // Out of [lo, hi]: the bucket range would have to grow.
-  EXPECT_FALSE(h.Add(-1.0));
-  EXPECT_FALSE(h.Add(41.0));
+  // Out of [lo, hi]: the range widens instead of refusing; only
+  // non-finite values still need the caller's rebuild.
+  EXPECT_TRUE(h.Add(-1.0));
+  EXPECT_TRUE(h.Add(41.0));
+  EXPECT_LE(h.lo(), -1.0);
+  EXPECT_GE(h.hi(), 41.0);
+  EXPECT_EQ(h.total(), 7);
+  EXPECT_FALSE(h.Add(std::nan("")));
+  EXPECT_FALSE(h.Add(std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(h.Add(-std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(h.total(), 7);
   // Removing from a bucket that holds nothing would go negative.
   Histogram drained = Histogram::Build(Ints({0, 0, 0, 40}), 4);
   ASSERT_TRUE(drained.Remove(40.0));
@@ -184,6 +197,86 @@ TEST(HistogramTest, AddRemoveRefuseWhatNeedsARebuild) {
   ASSERT_TRUE(h.Add(20.0));
   ASSERT_TRUE(h.Remove(20.0));
   EXPECT_EQ(h.total(), total);
+}
+
+// One widening step as the histogram documents it: new bucket j holds
+// old buckets 2j and 2j + 1, counted from the side away from the new
+// value.
+std::vector<int64_t> MergePairs(const std::vector<int64_t>& counts,
+                                bool grow_up) {
+  const int n = static_cast<int>(counts.size());
+  std::vector<int64_t> merged(counts.size(), 0);
+  for (int j = 0; j < n; ++j) {
+    for (int i : {2 * j, 2 * j + 1}) {
+      if (i >= n) continue;
+      if (grow_up) {
+        merged[j] += counts[i];
+      } else {
+        merged[n - 1 - j] += counts[n - 1 - i];
+      }
+    }
+  }
+  return merged;
+}
+
+std::vector<int64_t> Counts(const Histogram& h) {
+  std::vector<int64_t> out;
+  for (int b = 0; b < h.num_buckets(); ++b) out.push_back(h.bucket_count(b));
+  return out;
+}
+
+// An out-of-range Add doubles the width until the value fits, anchored
+// on the far side, and must equal the pairwise merge of the old
+// buckets plus the one new value: both directions, even and odd bucket
+// counts, one and several doublings.
+TEST(HistogramTest, WideningMergesBucketPairsAndConservesTotal) {
+  std::vector<Value> values;
+  for (int i = 0; i <= 100; ++i) values.push_back(Value::Int(i * i % 101));
+  for (int buckets : {4, 5, 16}) {
+    for (double x : {150.0, 1000.0, -30.0, -900.0}) {
+      Histogram h = Histogram::Build(values, buckets);
+      ASSERT_FALSE(h.empty());
+      const bool grow_up = x > h.hi();
+      double lo = h.lo();
+      double hi = h.hi();
+      std::vector<int64_t> expected = Counts(h);
+      while (x < lo || x > hi) {
+        expected = MergePairs(expected, grow_up);
+        if (grow_up) {
+          hi = lo + 2.0 * (hi - lo);
+        } else {
+          lo = hi - 2.0 * (hi - lo);
+        }
+      }
+      const int64_t total = h.total();
+      ASSERT_TRUE(h.Add(x)) << buckets << " " << x;
+      EXPECT_EQ(h.total(), total + 1);
+      EXPECT_DOUBLE_EQ(h.lo(), lo);
+      EXPECT_DOUBLE_EQ(h.hi(), hi);
+      EXPECT_LE(h.lo(), x);
+      EXPECT_GE(h.hi(), x);
+      const double width = (hi - lo) / buckets;
+      const int xb = std::min(buckets - 1, static_cast<int>((x - lo) / width));
+      expected[static_cast<size_t>(xb)] += 1;
+      EXPECT_EQ(Counts(h), expected) << buckets << " " << x;
+      int64_t sum = 0;
+      for (int64_t c : Counts(h)) sum += c;
+      EXPECT_EQ(sum, h.total());
+    }
+  }
+}
+
+// Widening keeps the histogram usable by the estimator and by the
+// snapshot codec: FromParts over its parts reproduces it exactly.
+TEST(HistogramTest, WidenedHistogramRoundTripsThroughParts) {
+  Histogram h = Histogram::Build(Ints({0, 10, 20, 30, 40}), 4);
+  for (int i = 1; i <= 50; ++i) ASSERT_TRUE(h.Add(40.0 + 13.0 * i));
+  Histogram copy = Histogram::FromParts(h.lo(), h.hi(), h.total(), Counts(h));
+  for (double c : {-5.0, 0.0, 17.0, 200.0, 555.0, 700.0}) {
+    EXPECT_EQ(copy.Selectivity(CompareOp::kLt, Value::Double(c), 0.5),
+              h.Selectivity(CompareOp::kLt, Value::Double(c), 0.5));
+  }
+  EXPECT_GT(h.Selectivity(CompareOp::kGt, Value::Int(300), 0.5), 0.4);
 }
 
 }  // namespace

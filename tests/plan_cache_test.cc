@@ -136,6 +136,30 @@ TEST(PlanCacheEngineTest, CanonicalKeyCoalescesTextualVariants) {
   EXPECT_EQ(engine.plan_cache_stats().entries, 1u);
 }
 
+// The projection's order is the result's column order, so a query and
+// its swapped twin need separate entries: sharing one would hand the
+// second text the first text's columns.
+TEST(PlanCacheEngineTest, ProjectionOrderIsPartOfTheKey) {
+  Engine engine = OpenLoadedEngine();
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutcome first,
+      engine.Execute("{department.name, department.securityClass} {} {} {} "
+                     "{department}"));
+  ASSERT_OK_AND_ASSIGN(
+      QueryOutcome swapped,
+      engine.Execute("{department.securityClass, department.name} {} {} {} "
+                     "{department}"));
+  EXPECT_FALSE(swapped.plan_cache_hit);
+  EXPECT_EQ(engine.plan_cache_stats().entries, 2u);
+  ASSERT_FALSE(first.rows.rows.empty());
+  ASSERT_EQ(swapped.rows.rows.size(), first.rows.rows.size());
+  for (const std::vector<Value>& row : swapped.rows.rows) {
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_EQ(row[0].type(), ValueType::kInt);
+    EXPECT_EQ(row[1].type(), ValueType::kString);
+  }
+}
+
 TEST(PlanCacheEngineTest, PrepareAndExecuteShareEntries) {
   Engine engine = OpenLoadedEngine();
   // Execute seeds the cache; Prepare hits it (no second miss) ...

@@ -122,7 +122,8 @@ TEST(WireV2Test, ReplicateResponseRoundtripsWalPayload) {
   push.type = RequestType::kReplicate;
   push.code = StatusCode::kOk;
   push.first_version = 17;
-  push.wal_record = std::string("\x01\x02\x00\xff binary", 14);
+  static constexpr char kRecord[] = "\x01\x02\x00\xff binary";
+  push.wal_record = std::string(kRecord, sizeof(kRecord) - 1);
   ASSERT_OK_AND_ASSIGN(Response decoded,
                        DecodeResponse(PayloadOfResponse(push)));
   EXPECT_EQ(decoded.first_version, 17u);
