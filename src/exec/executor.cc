@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "exec/batch_filter.h"
@@ -62,61 +63,130 @@ bool ResultSet::SameDistinctRows(const ResultSet& other) const {
 
 namespace {
 
-using Binding = std::vector<int64_t>;  // class id -> row (-1 unbound)
+// The flat pipeline. A stage-s tuple is s + 1 row ids laid out
+// contiguously, tuple[k] being the row bound by plan step k; a stage's
+// tuples live in one std::vector<int64_t>. Every attribute a predicate
+// or the projection reads is resolved to (step, extent, slot) once per
+// plan, so no stage touches a class-indexed binding, allocates per row,
+// or looks up a slot per cell.
+struct AttrSlot {
+  size_t step = 0;
+  const Extent* extent = nullptr;
+  int slot = -1;  // -1: the attribute is not in the extent (reads null)
 
-bool EvalPredicate(const ObjectStore& store, const Binding& binding,
-                   const Predicate& p, ExecutionMeter* meter) {
-  ++meter->predicate_evals;
-  Value lhs_scratch, rhs_scratch;
-  const Value& lhs =
-      store.extent(p.lhs().class_id)
-          .ValueRef(binding[p.lhs().class_id], p.lhs().attr_id,
-                    &lhs_scratch);
-  if (p.is_attr_const()) {
-    return EvalCompare(lhs, p.op(), p.rhs_value());
+  const Value& Read(const int64_t* tuple, Value* scratch) const {
+    return extent->ValueRefAtSlot(tuple[step], slot, scratch);
   }
-  const Value& rhs =
-      store.extent(p.rhs_attr().class_id)
-          .ValueRef(binding[p.rhs_attr().class_id], p.rhs_attr().attr_id,
-                    &rhs_scratch);
-  return EvalCompare(lhs, p.op(), rhs);
-}
-
-// Which join predicates / residual (cycle-closing) relationships
-// become checkable after each step: both endpoint classes bound, and
-// not checkable earlier. Immutable once built; shared by every morsel.
-struct StepSchedule {
-  std::vector<std::vector<Predicate>> joins_at;
-  std::vector<std::vector<RelId>> rels_at;
 };
 
-Result<StepSchedule> BuildStepSchedule(const Schema& schema,
-                                       const Plan& plan) {
-  StepSchedule sched;
-  sched.joins_at.resize(plan.steps.size());
-  sched.rels_at.resize(plan.steps.size());
-  std::set<ClassId> bound;
+struct CompiledPredicate {
+  const Predicate* pred = nullptr;
+  AttrSlot lhs;
+  AttrSlot rhs;  // attr-attr predicates only
+};
+
+// A cycle-closing relationship, checked once both endpoints are bound.
+struct CycleCheck {
+  RelId rel = kInvalidRel;
+  ClassId a = kInvalidClass;
+  size_t a_step = 0;
+  size_t b_step = 0;
+};
+
+struct Stage {
+  // Expansion steps: the relationship followed from step `from`.
+  RelId via_rel = kInvalidRel;
+  ClassId from_class = kInvalidClass;
+  size_t from = 0;
+  // Expansion steps only: the step's residual conjuncts (the driving
+  // step's run in the batch filter).
+  std::vector<CompiledPredicate> residuals;
+  // Join predicates and cycles that become checkable at this step:
+  // both ends bound, and not checkable earlier.
+  std::vector<CompiledPredicate> joins;
+  std::vector<CycleCheck> cycles;
+};
+
+// Immutable once built; shared by every morsel.
+struct Pipeline {
+  std::vector<Stage> stages;  // parallel to plan.steps
+  std::vector<AttrSlot> projection;
+};
+
+Result<Pipeline> BuildPipeline(const ObjectStore& store, const Plan& plan) {
+  const Schema& schema = store.schema();
+  std::vector<int> step_of(schema.num_classes(), -1);
+  Pipeline pipe;
+  pipe.stages.resize(plan.steps.size());
+
+  auto known = [&](ClassId id) {
+    return id >= 0 && id < static_cast<ClassId>(step_of.size());
+  };
+  auto bound = [&](ClassId id, size_t at) {
+    return known(id) && step_of[id] >= 0 &&
+           static_cast<size_t>(step_of[id]) <= at;
+  };
+  // The step binding `class_id` no later than step `at`.
+  auto step_binding = [&](ClassId class_id, size_t at) -> Result<size_t> {
+    if (!bound(class_id, at)) {
+      return Status::InvalidArgument(
+          "plan reads a class before any step binds it");
+    }
+    return static_cast<size_t>(step_of[class_id]);
+  };
+  auto resolve = [&](const AttrRef& ref, size_t at) -> Result<AttrSlot> {
+    SQOPT_ASSIGN_OR_RETURN(size_t step, step_binding(ref.class_id, at));
+    const Extent& extent = store.extent(ref.class_id);
+    return AttrSlot{step, &extent, extent.SlotOf(ref.attr_id)};
+  };
+  auto compile = [&](const Predicate& p,
+                     size_t at) -> Result<CompiledPredicate> {
+    CompiledPredicate c;
+    c.pred = &p;
+    SQOPT_ASSIGN_OR_RETURN(c.lhs, resolve(p.lhs(), at));
+    if (!p.is_attr_const()) {
+      SQOPT_ASSIGN_OR_RETURN(c.rhs, resolve(p.rhs_attr(), at));
+    }
+    return c;
+  };
+
   std::vector<bool> placed(plan.join_predicates.size(), false);
   std::vector<bool> rel_placed(plan.residual_relationships.size(), false);
   for (size_t s = 0; s < plan.steps.size(); ++s) {
-    bound.insert(plan.steps[s].class_id);
-    for (size_t j = 0; j < plan.join_predicates.size(); ++j) {
-      if (placed[j]) continue;
-      const Predicate& p = plan.join_predicates[j];
-      if (bound.count(p.lhs().class_id) > 0 &&
-          bound.count(p.rhs_attr().class_id) > 0) {
-        sched.joins_at[s].push_back(p);
-        placed[j] = true;
+    const AccessStep& step = plan.steps[s];
+    Stage& stage = pipe.stages[s];
+    if (!known(step.class_id) || step_of[step.class_id] >= 0) {
+      return Status::InvalidArgument("plan step binds an unknown class or "
+                                     "one an earlier step bound");
+    }
+    step_of[step.class_id] = static_cast<int>(s);
+    if (s > 0) {
+      stage.via_rel = step.via_rel;
+      stage.from_class = step.from_class;
+      SQOPT_ASSIGN_OR_RETURN(stage.from, step_binding(step.from_class, s - 1));
+      for (const Predicate& p : step.residual_predicates) {
+        SQOPT_ASSIGN_OR_RETURN(CompiledPredicate c, compile(p, s));
+        stage.residuals.push_back(c);
       }
     }
+    for (size_t j = 0; j < plan.join_predicates.size(); ++j) {
+      const Predicate& p = plan.join_predicates[j];
+      if (placed[j] || !bound(p.lhs().class_id, s) ||
+          !bound(p.rhs_attr().class_id, s)) {
+        continue;
+      }
+      SQOPT_ASSIGN_OR_RETURN(CompiledPredicate c, compile(p, s));
+      stage.joins.push_back(c);
+      placed[j] = true;
+    }
     for (size_t r = 0; r < plan.residual_relationships.size(); ++r) {
-      if (rel_placed[r]) continue;
       const Relationship& rel =
           schema.relationship(plan.residual_relationships[r]);
-      if (bound.count(rel.a) > 0 && bound.count(rel.b) > 0) {
-        sched.rels_at[s].push_back(rel.id);
-        rel_placed[r] = true;
-      }
+      if (rel_placed[r] || !bound(rel.a, s) || !bound(rel.b, s)) continue;
+      stage.cycles.push_back(CycleCheck{rel.id, rel.a,
+                                        static_cast<size_t>(step_of[rel.a]),
+                                        static_cast<size_t>(step_of[rel.b])});
+      rel_placed[r] = true;
     }
   }
   for (size_t j = 0; j < plan.join_predicates.size(); ++j) {
@@ -131,7 +201,45 @@ Result<StepSchedule> BuildStepSchedule(const Schema& schema,
           "residual relationship not covered by the plan's steps");
     }
   }
-  return sched;
+  const size_t last = plan.steps.size() - 1;
+  for (const AttrRef& ref : plan.projection) {
+    SQOPT_ASSIGN_OR_RETURN(AttrSlot slot, resolve(ref, last));
+    pipe.projection.push_back(slot);
+  }
+  return pipe;
+}
+
+bool EvalCompiled(const CompiledPredicate& c, const int64_t* tuple,
+                  ExecutionMeter* meter) {
+  ++meter->predicate_evals;
+  Value lhs_scratch, rhs_scratch;
+  const Value& lhs = c.lhs.Read(tuple, &lhs_scratch);
+  if (c.pred->is_attr_const()) {
+    return EvalCompare(lhs, c.pred->op(), c.pred->rhs_value());
+  }
+  return EvalCompare(lhs, c.pred->op(), c.rhs.Read(tuple, &rhs_scratch));
+}
+
+// Residuals, then joins, then cycles, each list short-circuiting — the
+// order and counts the meter contract fixes.
+bool PassesStage(const ObjectStore& store, const Stage& stage,
+                 const int64_t* tuple, ExecutionMeter* meter) {
+  for (const CompiledPredicate& c : stage.residuals) {
+    if (!EvalCompiled(c, tuple, meter)) return false;
+  }
+  for (const CompiledPredicate& c : stage.joins) {
+    if (!EvalCompiled(c, tuple, meter)) return false;
+  }
+  for (const CycleCheck& cycle : stage.cycles) {
+    std::span<const int64_t> partners =
+        store.Partners(cycle.rel, cycle.a, tuple[cycle.a_step]);
+    ++meter->pointer_traversals;
+    if (std::find(partners.begin(), partners.end(), tuple[cycle.b_step]) ==
+        partners.end()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Runs driving candidates [begin, end) through the whole pipeline —
@@ -147,163 +255,82 @@ Result<StepSchedule> BuildStepSchedule(const Schema& schema,
 // reproduces the sequential order. `prov` (optional) receives the
 // driving row of every appended output row, in output order.
 void RunPipeline(const ObjectStore& store, const Plan& plan,
-                 const StepSchedule& sched,
+                 const Pipeline& pipe,
                  const std::vector<int64_t>* candidates, int64_t begin,
                  int64_t end, ResultSet* out, ExecutionMeter* meter,
                  std::vector<int64_t>* prov = nullptr) {
-  const Schema& schema = store.schema();
-  size_t num_classes = schema.num_classes();
-
-  // Membership filter for a cycle-closing relationship.
-  auto linked = [&](RelId rel_id, const Binding& binding) {
-    const Relationship& rel = schema.relationship(rel_id);
-    std::span<const int64_t> partners =
-        store.Partners(rel_id, rel.a, binding[rel.a]);
-    ++meter->pointer_traversals;
-    return std::find(partners.begin(), partners.end(), binding[rel.b]) !=
-           partners.end();
-  };
-
   // Driving step, batch-at-a-time: residual conjuncts run over whole
   // segment column ranges (selection vectors + vectorized kernels, see
   // exec/batch_filter.h) instead of row-at-a-time. An identity scan
   // walks row SLOTS, so tombstoned rows are skipped inside the filter;
   // index candidates never contain dead rows (Delete drops their
   // entries). The eval-counting contract keeps per-morsel meters
-  // summing exactly to a sequential run's.
+  // summing exactly to a sequential run's. The survivors are the
+  // stage-0 tuples.
   const AccessStep& drive = plan.steps[0];
   const Extent& drive_extent = store.extent(drive.class_id);
-  std::vector<int64_t> survivors;
+  std::vector<int64_t> tuples;
   if (candidates == nullptr) {
     FilterScratch scratch;
     FilterRows(drive_extent, drive.residual_predicates,
-               drive.residual_classes, begin, end, &scratch, &survivors,
+               drive.residual_classes, begin, end, &scratch, &tuples,
                &meter->predicate_evals);
   } else {
     FilterCandidates(drive_extent, drive.residual_predicates, *candidates,
-                     begin, end, &survivors, &meter->predicate_evals);
+                     begin, end, &tuples, &meter->predicate_evals);
   }
 
-  // Join predicates and cycle filters placed at step 0 reference only
-  // the driving class; apply them per surviving row, in the same order
-  // (and with the same short-circuit counting) as the expansion steps
-  // apply theirs.
-  if (!sched.joins_at[0].empty() || !sched.rels_at[0].empty()) {
-    auto eval_at_drive_row = [&](const Predicate& p, int64_t row) {
-      ++meter->predicate_evals;
-      Value lhs_scratch, rhs_scratch;
-      const Value& lhs =
-          drive_extent.ValueRef(row, p.lhs().attr_id, &lhs_scratch);
-      if (p.is_attr_const()) return EvalCompare(lhs, p.op(), p.rhs_value());
-      const Value& rhs =
-          drive_extent.ValueRef(row, p.rhs_attr().attr_id, &rhs_scratch);
-      return EvalCompare(lhs, p.op(), rhs);
-    };
+  // Join predicates and cycles placed at step 0 reference only the
+  // driving class.
+  const Stage& first = pipe.stages[0];
+  if (!first.joins.empty() || !first.cycles.empty()) {
     size_t w = 0;
-    for (int64_t row : survivors) {
-      bool keep = true;
-      for (const Predicate& p : sched.joins_at[0]) {
-        if (!eval_at_drive_row(p, row)) {
-          keep = false;
-          break;
-        }
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      if (PassesStage(store, first, &tuples[i], meter)) {
+        tuples[w++] = tuples[i];
       }
-      for (RelId rel_id : sched.rels_at[0]) {
-        if (!keep) break;
-        const Relationship& rel = schema.relationship(rel_id);
-        std::span<const int64_t> partners =
-            store.Partners(rel_id, rel.a, row);
-        ++meter->pointer_traversals;
-        if (std::find(partners.begin(), partners.end(), row) ==
-            partners.end()) {
-          keep = false;
-        }
-      }
-      if (keep) survivors[w++] = row;
     }
-    survivors.resize(w);
+    tuples.resize(w);
   }
 
-  // Single-step plan: fuse filter→project per morsel — project the
-  // surviving rows straight out of the columns, no Binding vectors.
-  if (plan.steps.size() == 1) {
-    std::vector<int> proj_slots;
-    proj_slots.reserve(plan.projection.size());
-    for (const AttrRef& ref : plan.projection) {
-      proj_slots.push_back(drive_extent.SlotOf(ref.attr_id));
-    }
-    out->rows.reserve(out->rows.size() + survivors.size());
-    for (int64_t row : survivors) {
-      const SegmentBatch batch =
-          drive_extent.Batch(row / Extent::kSegmentRows);
-      const size_t offset = static_cast<size_t>(row - batch.base_row);
-      std::vector<Value> result_row;
-      result_row.reserve(proj_slots.size());
-      for (int slot : proj_slots) {
-        result_row.push_back(slot < 0
-                                 ? Value::Null()
-                                 : batch.chunk(static_cast<size_t>(slot))
-                                       .Get(offset));
-      }
-      out->rows.push_back(std::move(result_row));
-      if (prov != nullptr) prov->push_back(row);
-    }
-    return;
-  }
-
-  std::vector<Binding> bindings;
-  bindings.reserve(survivors.size());
-  for (int64_t row : survivors) {
-    Binding binding(num_classes, -1);
-    binding[drive.class_id] = row;
-    bindings.push_back(std::move(binding));
-  }
-
-  // Expansion steps.
+  // Expansion steps: a stage-(s-1) tuple and one partner make a
+  // stage-s tuple, written straight into the next stage's array and
+  // retracted if a check rejects it.
+  std::vector<int64_t> next;
   for (size_t s = 1; s < plan.steps.size(); ++s) {
-    const AccessStep& step = plan.steps[s];
-    std::vector<Binding> next;
-    for (const Binding& binding : bindings) {
-      int64_t from_row = binding[step.from_class];
+    const Stage& stage = pipe.stages[s];
+    next.clear();
+    next.reserve(tuples.size() / s * (s + 1));
+    for (size_t t = 0; t < tuples.size(); t += s) {
+      const int64_t* parent = &tuples[t];
       std::span<const int64_t> partners =
-          store.Partners(step.via_rel, step.from_class, from_row);
+          store.Partners(stage.via_rel, stage.from_class, parent[stage.from]);
       ++meter->pointer_traversals;
       meter->instances_scanned += partners.size();
       for (int64_t partner : partners) {
-        Binding extended = binding;
-        extended[step.class_id] = partner;
-        bool keep = true;
-        for (const Predicate& p : step.residual_predicates) {
-          if (!EvalPredicate(store, extended, p, meter)) {
-            keep = false;
-            break;
-          }
-        }
-        for (const Predicate& p : sched.joins_at[s]) {
-          if (!keep) break;
-          if (!EvalPredicate(store, extended, p, meter)) keep = false;
-        }
-        for (RelId rel_id : sched.rels_at[s]) {
-          if (!keep) break;
-          if (!linked(rel_id, extended)) keep = false;
-        }
-        if (keep) next.push_back(std::move(extended));
+        const size_t at = next.size();
+        next.insert(next.end(), parent, parent + s);
+        next.push_back(partner);
+        if (!PassesStage(store, stage, &next[at], meter)) next.resize(at);
       }
     }
-    bindings = std::move(next);
+    tuples.swap(next);
   }
 
   // Projection.
-  out->rows.reserve(out->rows.size() + bindings.size());
-  for (const Binding& binding : bindings) {
+  const size_t width = plan.steps.size();
+  const size_t count = tuples.size() / width;
+  out->rows.reserve(out->rows.size() + count);
+  if (prov != nullptr) prov->reserve(prov->size() + count);
+  for (size_t t = 0; t < tuples.size(); t += width) {
+    const int64_t* tuple = &tuples[t];
     std::vector<Value> row;
-    row.reserve(plan.projection.size());
-    for (const AttrRef& ref : plan.projection) {
-      row.push_back(store.extent(ref.class_id)
-                        .ValueAt(binding[ref.class_id], ref.attr_id));
+    row.reserve(pipe.projection.size());
+    for (const AttrSlot& col : pipe.projection) {
+      row.push_back(col.extent->ValueAtSlot(tuple[col.step], col.slot));
     }
     out->rows.push_back(std::move(row));
-    if (prov != nullptr) prov->push_back(binding[drive.class_id]);
+    if (prov != nullptr) prov->push_back(tuple[0]);
   }
 }
 
@@ -314,15 +341,19 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
 struct MorselRun {
   const ObjectStore* store = nullptr;
   const Plan* plan = nullptr;
-  const StepSchedule* sched = nullptr;
+  const Pipeline* pipe = nullptr;
   const std::vector<int64_t>* candidates = nullptr;  // null = identity scan
   std::vector<Morsel> morsels;
 
   std::atomic<int64_t> next{0};  // morsel claim cursor
-  std::vector<ResultSet> results;       // per-morsel, slot-owned
-  std::vector<ExecutionMeter> meters;   // per-morsel, slot-owned
+  // Per-morsel outputs, slot-owned. A morsel fills private buffers and
+  // stores them here once, when it is done: neighbouring slots share
+  // cache lines, so writing them row by row made the workers contend
+  // on those lines.
+  std::vector<ResultSet> results;
+  std::vector<ExecutionMeter> meters;
   bool want_provenance = false;
-  std::vector<std::vector<int64_t>> provenance;  // per-morsel, slot-owned
+  std::vector<std::vector<int64_t>> provenance;
 
   std::atomic<size_t> completed{0};
   // Distinct threads that ran >= 1 morsel; each bumps it once, before
@@ -352,14 +383,19 @@ void WorkMorsels(const std::shared_ptr<MorselRun>& run) {
     const size_t slot = static_cast<size_t>(i);
     const Morsel& morsel = run->morsels[slot];
     const auto start = std::chrono::steady_clock::now();
-    RunPipeline(*run->store, *run->plan, *run->sched, run->candidates,
-                morsel.begin, morsel.end, &run->results[slot],
-                &run->meters[slot],
-                run->want_provenance ? &run->provenance[slot] : nullptr);
-    run->meters[slot].parallel_busy_micros = static_cast<uint64_t>(
+    ResultSet rows;
+    ExecutionMeter meter;
+    std::vector<int64_t> prov;
+    RunPipeline(*run->store, *run->plan, *run->pipe, run->candidates,
+                morsel.begin, morsel.end, &rows, &meter,
+                run->want_provenance ? &prov : nullptr);
+    meter.parallel_busy_micros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
+    run->results[slot] = std::move(rows);
+    run->meters[slot] = meter;
+    if (run->want_provenance) run->provenance[slot] = std::move(prov);
     // acq_rel keeps the increment chain a release sequence: the
     // submitter's acquire load of the final count sees every worker's
     // slot writes. Only the last morsel pays the lock + notify.
@@ -390,8 +426,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
     return Status::InvalidArgument("plan has no access steps");
   }
 
-  SQOPT_ASSIGN_OR_RETURN(StepSchedule sched,
-                         BuildStepSchedule(store.schema(), plan));
+  SQOPT_ASSIGN_OR_RETURN(Pipeline pipe, BuildPipeline(store, plan));
 
   // Driving candidates: the ordered sequence the morsels slice. A full
   // scan morselizes the extent itself (PartitionExtent) and never
@@ -408,14 +443,13 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
     if (index == nullptr) {
       return Status::Internal("plan chose a nonexistent index");
     }
-    index_candidates = index->Lookup(ip.op(), ip.rhs_value());
-    // Canonical candidate order: ascending row id. Full scans already
-    // visit rows in ascending slot order; sorting index results makes
-    // EVERY plan's output order a function of driving-row order alone,
-    // which is what lets (a) morsel merge stay concatenation and (b)
-    // the sharded engine reproduce single-engine output order by
+    // Canonical candidate order: ascending row id, which Lookup
+    // returns. Full scans visit rows in ascending slot order too, so
+    // EVERY plan's output order is a function of driving-row order
+    // alone, which is what lets (a) morsel merge stay concatenation and
+    // (b) the sharded engine reproduce single-engine output order by
     // k-way-merging per-shard results on global driving row.
-    std::sort(index_candidates.begin(), index_candidates.end());
+    index_candidates = index->Lookup(ip.op(), ip.rhs_value());
     ++meter->index_probes;
     candidates = &index_candidates;
     count = static_cast<int64_t>(index_candidates.size());
@@ -445,7 +479,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
 
   if (workers <= 1 || morsels.size() <= 1) {
     // Sequential: one pipeline pass over the whole candidate list.
-    RunPipeline(store, plan, sched, candidates, 0, count, &result, meter,
+    RunPipeline(store, plan, pipe, candidates, 0, count, &result, meter,
                 context.driving_rows);
     meter->rows_out += result.rows.size();
     return result;
@@ -456,7 +490,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
   auto run = std::make_shared<MorselRun>();
   run->store = &store;
   run->plan = &plan;
-  run->sched = &sched;
+  run->pipe = &pipe;
   run->candidates = candidates;
   run->morsels = std::move(morsels);
   run->results.resize(run->morsels.size());

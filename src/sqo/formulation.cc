@@ -153,11 +153,30 @@ FormulationResult FormulateQuery(const Schema& schema,
   // Original predicates, for the entailment guards.
   std::vector<Predicate> original_preds = original.AllPredicates();
 
+  // The soundness invariant of every candidate query: each ORIGINAL
+  // predicate on a class absent from `candidate` is entailed by
+  // `saturated`, the candidate's saturation. Steps 4 and 5 check it on
+  // every elimination and every drop, introduced predicates included:
+  // a predicate an earlier elimination dropped stays in force only
+  // while something left in the query entails it, and a later
+  // elimination or drop can remove that something.
+  auto absent_classes_entailed = [&](const Query& candidate,
+                                     const std::vector<Predicate>& saturated) {
+    for (const Predicate& p : original_preds) {
+      bool absent = false;
+      for (ClassId c : p.ReferencedClasses()) {
+        if (!candidate.ReferencesClass(c)) absent = true;
+      }
+      if (absent && !EntailmentOracle::Entails(saturated, p)) return false;
+    }
+    return true;
+  };
+
   // 4. Class elimination (King's rule): a class with no projected
   // attributes, no imperative predicate, and exactly one relationship
-  // link is dangling. Guard: every ORIGINAL predicate on the class must
-  // remain entailed by the query that is left after the elimination.
-  // Iterate: removals can expose new dangling classes.
+  // link is dangling. Guard: the invariant above, on the query that is
+  // left after the elimination. Iterate: removals can expose new
+  // dangling classes.
   if (options.enable_class_elimination) {
     auto has_imperative_pred = [&](ClassId id) {
       for (const Tagged& t : tagged) {
@@ -176,19 +195,10 @@ FormulationResult FormulateQuery(const Schema& schema,
         Query without = working;
         RemoveClass(schema, &without, id);
 
-        // Soundness guard: the surviving predicates must still entail
-        // every original predicate that touches the eliminated class.
-        std::vector<Predicate> saturated =
-            oracle.Saturate(without.AllPredicates());
-        bool sound = true;
-        for (const Predicate& p : original_preds) {
-          if (!PredicateTouchesClass(p, id)) continue;
-          if (!EntailmentOracle::Entails(saturated, p)) {
-            sound = false;
-            break;
-          }
+        if (!absent_classes_entailed(
+                without, oracle.Saturate(without.AllPredicates()))) {
+          continue;
         }
-        if (!sound) continue;
 
         if (cost_model != nullptr &&
             options.enable_profitability_analysis &&
@@ -205,8 +215,9 @@ FormulationResult FormulateQuery(const Schema& schema,
 
   // 5. Profitability of the surviving optional predicates: greedily
   // drop any whose retention does not lower estimated cost. Optionals
-  // on eliminated classes are already gone. Original-query optionals
-  // additionally require the remaining predicates to entail them.
+  // on eliminated classes are already gone. A drop must keep the
+  // invariant above, and an original-query optional must stay entailed
+  // by the remaining predicates.
   auto still_in_working = [&](const Predicate& p) {
     const auto& list =
         p.is_attr_attr() ? working.join_predicates
@@ -221,22 +232,19 @@ FormulationResult FormulateQuery(const Schema& schema,
       continue;
     }
     if (RetainIsProfitable(*cost_model, working, p)) continue;
-    if (t.in_query) {
-      Query without = working;
-      auto& wlist = without.join_predicates;
-      auto& slist = without.selective_predicates;
-      wlist.erase(std::remove(wlist.begin(), wlist.end(), p), wlist.end());
-      slist.erase(std::remove(slist.begin(), slist.end(), p), slist.end());
-      std::vector<Predicate> saturated =
-          oracle.Saturate(without.AllPredicates());
-      if (!EntailmentOracle::Entails(saturated, p)) continue;  // keep it
-    }
+    Query without = working;
+    auto& wlist = without.join_predicates;
+    auto& slist = without.selective_predicates;
+    wlist.erase(std::remove(wlist.begin(), wlist.end(), p), wlist.end());
+    slist.erase(std::remove(slist.begin(), slist.end(), p), slist.end());
+    std::vector<Predicate> saturated =
+        oracle.Saturate(without.AllPredicates());
+    if (t.in_query && !EntailmentOracle::Entails(saturated, p)) continue;
+    if (!absent_classes_entailed(without, saturated)) continue;
     // §3.4: non-profitable optional predicates are re-classified as
     // redundant and dropped.
     t.tag = PredicateTag::kRedundant;
-    auto& list = p.is_attr_attr() ? working.join_predicates
-                                  : working.selective_predicates;
-    list.erase(std::remove(list.begin(), list.end(), p), list.end());
+    working = std::move(without);
   }
 
   // 6. Entailment guard for redundant-tagged original predicates on
@@ -252,7 +260,8 @@ FormulationResult FormulateQuery(const Schema& schema,
       for (Tagged& t : tagged) {
         if (!t.in_query || t.tag != PredicateTag::kRedundant) continue;
         const Predicate& p = table.pool().Get(t.col);
-        // Skip predicates on eliminated classes (guarded in step 4).
+        // Skip predicates on eliminated classes (the invariant of steps
+        // 4 and 5 guards them).
         bool on_surviving = true;
         for (ClassId c : p.ReferencedClasses()) {
           if (!working.ReferencesClass(c)) on_surviving = false;

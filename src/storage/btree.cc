@@ -1,28 +1,58 @@
 #include "storage/btree.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace sqopt {
 
 namespace {
 
-// Total-order helpers over Value (operator< orders by type class then
-// value; numerics interleave).
-bool KeyLess(const Value& a, const Value& b) { return a < b; }
-bool KeyEq(const Value& a, const Value& b) { return !(a < b) && !(b < a); }
+thread_local uint64_t key_comparisons = 0;
+
+// Total-order helpers over Value (Value::Order orders by type class
+// then value; numerics interleave), and over (key, row) entries.
+bool KeyLess(const Value& a, const Value& b) {
+  ++key_comparisons;
+  return a < b;
+}
+bool EntryLess(const Value& ka, int64_t ra, const Value& kb, int64_t rb) {
+  ++key_comparisons;
+  const int order = ka.Order(kb);
+  return order != 0 ? order < 0 : ra < rb;
+}
 
 }  // namespace
+
+uint64_t BTree::KeyComparisons() { return key_comparisons; }
 
 struct BTree::Node {
   OwnerStamp owner = 0;  // see storage/cow.h
   bool leaf = true;
-  // Leaf: entry keys (sorted, duplicates allowed) parallel to `rows`.
-  // Internal: separator keys; children[i] holds keys <= keys[i] (with
-  // duplicates allowed to sit on either side), children.back() the
-  // rest.
+  // Leaf: entries as parallel (key, row) arrays, sorted by the pair.
+  // Internal: separator pairs; every entry under children[i] is <=
+  // (keys[i], rows[i]) and every entry under children[i + 1] is >= it,
+  // children.back() the rest.
   std::vector<Value> keys;
   std::vector<int64_t> rows;
   std::vector<std::shared_ptr<Node>> children;
+
+  // Index of the first entry (leaf) or child (internal) at which
+  // `before(key, row)` stops holding. `before` must hold on a prefix
+  // of the (key, row) order. For an internal node, every child left of
+  // the result holds only entries that satisfy `before`.
+  template <typename Before>
+  size_t Seek(Before before) const {
+    size_t lo = 0, hi = keys.size();
+    while (lo < hi) {
+      const size_t mid = (lo + hi) / 2;
+      if (before(keys[mid], rows[mid])) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
 };
 
 // In-order iterator over the entries: the root-to-leaf path of (node,
@@ -36,41 +66,41 @@ class BTree::Cursor {
     size_t child;
   };
 
-  // Positions at the first entry >= *start, or at the first entry when
-  // `start` is null. Lookup routing takes the first separator >= key,
-  // so the leftmost of a run of duplicates is reached.
-  Cursor(const Node* root, const Value* start) {
+  // Positions at the first entry for which `before(key, row)` is false
+  // (see Node::Seek), or at the end.
+  template <typename Before>
+  Cursor(const Node* root, Before before) {
     const Node* node = root;
     while (!node->leaf) {
-      size_t idx = 0;
-      if (start != nullptr) {
-        idx = static_cast<size_t>(
-            std::lower_bound(node->keys.begin(), node->keys.end(), *start,
-                             KeyLess) -
-            node->keys.begin());
-      }
+      const size_t idx = node->Seek(before);
       path_.push_back({node, idx});
       node = node->children[idx].get();
     }
     leaf_ = node;
-    if (start != nullptr) {
-      pos_ = static_cast<size_t>(
-          std::lower_bound(leaf_->keys.begin(), leaf_->keys.end(), *start,
-                           KeyLess) -
-          leaf_->keys.begin());
-    }
+    pos_ = node->Seek(before);
     SkipExhausted();
   }
+
+  // Positions at the first entry.
+  explicit Cursor(const Node* root)
+      : Cursor(root, [](const Value&, int64_t) { return false; }) {}
 
   bool Valid() const { return leaf_ != nullptr; }
   const Value& key() const { return leaf_->keys[pos_]; }
   int64_t row() const { return leaf_->rows[pos_]; }
+  const Node& leaf() const { return *leaf_; }
   // Frames from the root down to the current leaf's parent.
   const std::vector<Frame>& path() const { return path_; }
   size_t pos() const { return pos_; }
 
   void Next() {
     ++pos_;
+    SkipExhausted();
+  }
+
+  // Moves to the first entry of the next non-empty leaf.
+  void NextLeaf() {
+    pos_ = leaf_->keys.size();
     SkipExhausted();
   }
 
@@ -137,10 +167,10 @@ BTree BTree::BuildFromSorted(std::vector<std::pair<Value, int64_t>> entries,
 
   // Leaves, left to right at full legal fill (Insert splits a node
   // BEFORE it exceeds max_keys, so full leaves stay mutable). `mins`
-  // runs parallel to each level: the smallest key under that node,
+  // runs parallel to each level: the smallest entry under that node,
   // which becomes the separator to its left one level up.
   std::vector<std::shared_ptr<Node>> level;
-  std::vector<Value> mins;
+  std::vector<std::pair<Value, int64_t>> mins;
   for (size_t begin = 0; begin < entries.size(); begin += max_keys) {
     const size_t end = std::min(begin + max_keys, entries.size());
     auto leaf = fresh(/*leaf=*/true);
@@ -150,22 +180,25 @@ BTree BTree::BuildFromSorted(std::vector<std::pair<Value, int64_t>> entries,
       leaf->keys.push_back(std::move(entries[i].first));
       leaf->rows.push_back(entries[i].second);
     }
-    mins.push_back(leaf->keys.front());
+    mins.emplace_back(leaf->keys.front(), leaf->rows.front());
     level.push_back(std::move(leaf));
   }
 
   while (level.size() > 1) {
     std::vector<std::shared_ptr<Node>> parents;
-    std::vector<Value> parent_mins;
+    std::vector<std::pair<Value, int64_t>> parent_mins;
     const size_t fanout = static_cast<size_t>(tree.order_);
     for (size_t begin = 0; begin < level.size(); begin += fanout) {
       const size_t end = std::min(begin + fanout, level.size());
       auto parent = fresh(/*leaf=*/false);
       parent_mins.push_back(mins[begin]);
       for (size_t i = begin; i < end; ++i) {
-        // Separator between children i-1 and i = smallest key under
+        // Separator between children i-1 and i = smallest entry under
         // child i (the convention SplitChild's leaf case establishes).
-        if (i > begin) parent->keys.push_back(std::move(mins[i]));
+        if (i > begin) {
+          parent->keys.push_back(std::move(mins[i].first));
+          parent->rows.push_back(mins[i].second);
+        }
         parent->children.push_back(std::move(level[i]));
       }
       parents.push_back(std::move(parent));
@@ -178,18 +211,6 @@ BTree BTree::BuildFromSorted(std::vector<std::pair<Value, int64_t>> entries,
   return tree;
 }
 
-namespace {
-
-// Child index for descending on insert: first separator strictly
-// greater than `key`, so a new duplicate lands after its equal run.
-int RouteIndex(const std::vector<Value>& separators, const Value& key) {
-  return static_cast<int>(std::upper_bound(separators.begin(),
-                                           separators.end(), key, KeyLess) -
-                          separators.begin());
-}
-
-}  // namespace
-
 void BTree::SplitChild(Node* parent, int index) {
   Node& child = Writable(parent->children[index]);
   auto right = std::make_shared<Node>();
@@ -199,23 +220,29 @@ void BTree::SplitChild(Node* parent, int index) {
 
   if (child.leaf) {
     // Right leaf takes entries [mid, end); separator is a copy of the
-    // right leaf's first key.
+    // right leaf's first entry.
     right->keys.assign(child.keys.begin() + mid, child.keys.end());
     right->rows.assign(child.rows.begin() + mid, child.rows.end());
     child.keys.resize(mid);
     child.rows.resize(mid);
     parent->keys.insert(parent->keys.begin() + index, right->keys.front());
+    parent->rows.insert(parent->rows.begin() + index, right->rows.front());
   } else {
-    // Internal: median key moves up; right takes keys (mid, end) and
-    // children [mid+1, end), still shared with any other version.
+    // Internal: median separator moves up; right takes separators
+    // (mid, end) and children [mid+1, end), still shared with any other
+    // version.
     Value median = child.keys[mid];
+    const int64_t median_row = child.rows[mid];
     right->keys.assign(child.keys.begin() + mid + 1, child.keys.end());
+    right->rows.assign(child.rows.begin() + mid + 1, child.rows.end());
     right->children.assign(
         std::make_move_iterator(child.children.begin() + mid + 1),
         std::make_move_iterator(child.children.end()));
     child.keys.resize(mid);
+    child.rows.resize(mid);
     child.children.resize(mid + 1);
     parent->keys.insert(parent->keys.begin() + index, std::move(median));
+    parent->rows.insert(parent->rows.begin() + index, median_row);
   }
   parent->children.insert(parent->children.begin() + index + 1,
                           std::move(right));
@@ -223,6 +250,11 @@ void BTree::SplitChild(Node* parent, int index) {
 
 void BTree::Insert(const Value& key, int64_t row) {
   const size_t max_keys = static_cast<size_t>(order_ - 1);
+  // Descends past every entry <= (key, row), so an equal pair lands
+  // after its run.
+  auto not_after = [&](const Value& k, int64_t r) {
+    return !EntryLess(key, row, k, r);
+  };
 
   if (root_->keys.size() >= max_keys) {
     auto new_root = std::make_shared<Node>();
@@ -237,79 +269,96 @@ void BTree::Insert(const Value& key, int64_t row) {
   // this tree owns it) and full children split before the descent.
   Node* node = &Writable(root_);
   while (!node->leaf) {
-    int idx = RouteIndex(node->keys, key);
+    size_t idx = node->Seek(not_after);
     if (node->children[idx]->keys.size() >= max_keys) {
-      SplitChild(node, idx);
+      SplitChild(node, static_cast<int>(idx));
       // The new separator sits at node->keys[idx]; re-route.
-      if (!KeyLess(key, node->keys[idx])) ++idx;
+      if (not_after(node->keys[idx], node->rows[idx])) ++idx;
     }
     node = &Writable(node->children[idx]);
   }
 
-  // Insert after any equal run (stable for duplicates).
-  auto it = std::upper_bound(node->keys.begin(), node->keys.end(), key,
-                             KeyLess);
-  size_t pos = static_cast<size_t>(it - node->keys.begin());
-  node->keys.insert(it, key);
-  node->rows.insert(node->rows.begin() + pos, row);
+  const size_t pos = node->Seek(not_after);
+  node->keys.insert(node->keys.begin() + static_cast<long>(pos), key);
+  node->rows.insert(node->rows.begin() + static_cast<long>(pos), row);
   ++size_;
 }
 
 bool BTree::Remove(const Value& key, int64_t row) {
-  // Find the entry read-only first, so a miss copies nothing; then make
-  // the recorded root-to-leaf path writable by child index (a copied
-  // node keeps its children in place).
-  Cursor cursor(root_.get(), &key);
-  while (cursor.Valid() && KeyEq(cursor.key(), key) && cursor.row() != row) {
-    cursor.Next();
+  // Find the entry read-only first, by one descent on the pair, so a
+  // miss copies nothing; then make the recorded root-to-leaf path
+  // writable by child index (a copied node keeps its children in
+  // place).
+  Cursor cursor(root_.get(), [&](const Value& k, int64_t r) {
+    return EntryLess(k, r, key, row);
+  });
+  if (!cursor.Valid() || cursor.row() != row || KeyLess(key, cursor.key())) {
+    return false;
   }
-  if (!cursor.Valid() || !KeyEq(cursor.key(), key)) return false;
   Node* node = &Writable(root_);
   for (const Cursor::Frame& frame : cursor.path()) {
     node = &Writable(node->children[frame.child]);
   }
-  node->keys.erase(node->keys.begin() + cursor.pos());
-  node->rows.erase(node->rows.begin() + cursor.pos());
+  node->keys.erase(node->keys.begin() + static_cast<long>(cursor.pos()));
+  node->rows.erase(node->rows.begin() + static_cast<long>(cursor.pos()));
   --size_;
   return true;
 }
 
+template <typename InRange>
+void BTree::CollectRun(Cursor cursor, InRange in_range,
+                       std::vector<int64_t>* out) {
+  while (cursor.Valid()) {
+    const Node& leaf = cursor.leaf();
+    const auto first = leaf.keys.begin() + static_cast<long>(cursor.pos());
+    const size_t end = static_cast<size_t>(
+        std::partition_point(first, leaf.keys.end(), in_range) -
+        leaf.keys.begin());
+    out->insert(out->end(),
+                leaf.rows.begin() + static_cast<long>(cursor.pos()),
+                leaf.rows.begin() + static_cast<long>(end));
+    if (end < leaf.keys.size()) return;
+    cursor.NextLeaf();
+  }
+}
+
 std::vector<int64_t> BTree::Equal(const Value& key) const {
   std::vector<int64_t> out;
-  for (Cursor c(root_.get(), &key); c.Valid() && KeyEq(c.key(), key);
-       c.Next()) {
-    out.push_back(c.row());
-  }
+  CollectRun(
+      Cursor(root_.get(),
+             [&](const Value& k, int64_t) { return KeyLess(k, key); }),
+      [&](const Value& k) { return !KeyLess(key, k); }, &out);
   return out;
 }
 
 std::vector<int64_t> BTree::LessThan(const Value& bound,
                                      bool inclusive) const {
   std::vector<int64_t> out;
-  for (Cursor c(root_.get(), nullptr); c.Valid(); c.Next()) {
-    const bool in = inclusive ? !KeyLess(bound, c.key())
-                              : KeyLess(c.key(), bound);
-    if (!in) break;
-    out.push_back(c.row());
-  }
+  CollectRun(
+      Cursor(root_.get()),
+      [&](const Value& k) {
+        return inclusive ? !KeyLess(bound, k) : KeyLess(k, bound);
+      },
+      &out);
   return out;
 }
 
 std::vector<int64_t> BTree::GreaterThan(const Value& bound,
                                         bool inclusive) const {
   std::vector<int64_t> out;
-  Cursor c(root_.get(), &bound);
-  if (!inclusive) {
-    while (c.Valid() && KeyEq(c.key(), bound)) c.Next();
-  }
-  for (; c.Valid(); c.Next()) out.push_back(c.row());
+  CollectRun(Cursor(root_.get(),
+                    [&](const Value& k, int64_t) {
+                      return inclusive ? KeyLess(k, bound)
+                                       : !KeyLess(bound, k);
+                    }),
+             [](const Value&) { return true; }, &out);
   return out;
 }
 
 std::vector<std::pair<Value, int64_t>> BTree::Scan() const {
   std::vector<std::pair<Value, int64_t>> out;
   out.reserve(size_);
-  for (Cursor c(root_.get(), nullptr); c.Valid(); c.Next()) {
+  for (Cursor c(root_.get()); c.Valid(); c.Next()) {
     out.emplace_back(c.key(), c.row());
   }
   return out;
@@ -342,31 +391,45 @@ std::vector<const void*> BTree::NodeIdentities() const {
 }
 
 bool BTree::CheckInvariants() const {
-  // 1. Uniform leaf depth + ordering within nodes + separator bounds.
+  // 1. Uniform leaf depth + (key, row) ordering within nodes +
+  // separator bounds.
+  struct Bound {
+    const Value* key;
+    int64_t row;
+  };
   struct Frame {
     const Node* node;
     int depth;
-    const Value* lo;  // keys must be >= *lo (or null)
-    const Value* hi;  // keys must be <= *hi (or null)
+    std::optional<Bound> lo;  // entries must be >= *lo
+    std::optional<Bound> hi;  // entries must be <= *hi
   };
   int leaf_depth = -1;
-  std::vector<Frame> stack = {{root_.get(), 0, nullptr, nullptr}};
+  std::vector<Frame> stack = {{root_.get(), 0, std::nullopt, std::nullopt}};
   size_t leaf_entries = 0;
   while (!stack.empty()) {
     Frame f = stack.back();
     stack.pop_back();
     const Node* node = f.node;
     if (node->keys.size() >= static_cast<size_t>(order_)) return false;
-    // Keys sorted (non-strict: duplicates allowed).
+    if (node->keys.size() != node->rows.size()) return false;
+    // Entries sorted (non-strict: equal pairs allowed).
     for (size_t i = 1; i < node->keys.size(); ++i) {
-      if (KeyLess(node->keys[i], node->keys[i - 1])) return false;
+      if (EntryLess(node->keys[i], node->rows[i], node->keys[i - 1],
+                    node->rows[i - 1])) {
+        return false;
+      }
     }
-    for (const Value& key : node->keys) {
-      if (f.lo != nullptr && KeyLess(key, *f.lo)) return false;
-      if (f.hi != nullptr && KeyLess(*f.hi, key)) return false;
+    for (size_t i = 0; i < node->keys.size(); ++i) {
+      if (f.lo.has_value() && EntryLess(node->keys[i], node->rows[i],
+                                        *f.lo->key, f.lo->row)) {
+        return false;
+      }
+      if (f.hi.has_value() && EntryLess(*f.hi->key, f.hi->row,
+                                        node->keys[i], node->rows[i])) {
+        return false;
+      }
     }
     if (node->leaf) {
-      if (node->keys.size() != node->rows.size()) return false;
       if (!node->children.empty()) return false;
       if (leaf_depth == -1) leaf_depth = f.depth;
       if (leaf_depth != f.depth) return false;
@@ -374,9 +437,14 @@ bool BTree::CheckInvariants() const {
     } else {
       if (node->children.size() != node->keys.size() + 1) return false;
       for (size_t i = 0; i < node->children.size(); ++i) {
-        const Value* lo = (i == 0) ? f.lo : &node->keys[i - 1];
-        const Value* hi =
-            (i == node->keys.size()) ? f.hi : &node->keys[i];
+        std::optional<Bound> lo =
+            i == 0 ? f.lo
+                   : std::optional<Bound>(
+                         Bound{&node->keys[i - 1], node->rows[i - 1]});
+        std::optional<Bound> hi =
+            i == node->keys.size()
+                ? f.hi
+                : std::optional<Bound>(Bound{&node->keys[i], node->rows[i]});
         stack.push_back({node->children[i].get(), f.depth + 1, lo, hi});
       }
     }
@@ -387,7 +455,10 @@ bool BTree::CheckInvariants() const {
   auto scan = Scan();
   if (scan.size() != size_) return false;
   for (size_t i = 1; i < scan.size(); ++i) {
-    if (KeyLess(scan[i].first, scan[i - 1].first)) return false;
+    if (EntryLess(scan[i].first, scan[i].second, scan[i - 1].first,
+                  scan[i - 1].second)) {
+      return false;
+    }
   }
   return true;
 }

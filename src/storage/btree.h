@@ -3,6 +3,12 @@
 // (key, row) pair), and node/height statistics so benches and the cost
 // model can reason about probe depth.
 //
+// Entries are ordered by the pair (key, row), and internal separators
+// are pairs too. So duplicates of a key sit in ascending row order,
+// Remove finds its entry by one root-to-leaf descent, and Equal()
+// returns rows in ascending order. Lookups copy each leaf's matching
+// run in one go, after a binary search for the run's end.
+//
 // Nodes are shared between versions (Rodeh, "B-trees, Shadowing, and
 // Clones", ACM TOS 2008): Clone() is O(1), and Insert/Remove copy only
 // the root-to-leaf path they write, under the ownership rule of
@@ -39,35 +45,40 @@ class BTree {
   // concurrent reads are fine.
   BTree Clone() const;
 
-  // Persistence hook: builds a tree from entries already in key order
-  // (the serialized form Scan() emits) in O(n) — leaves fill left to
-  // right at maximum legal fanout and the internal levels assemble
-  // bottom-up, instead of n root descents through Insert. The caller
-  // must pass a sorted sequence (ObjectStore::RestoreIndexEntries
-  // validates order and rejects unsorted snapshots as corrupt).
+  // Persistence hook: builds a tree from entries already in (key, row)
+  // order (the serialized form Scan() emits) in O(n) — leaves fill left
+  // to right at maximum legal fanout and the internal levels assemble
+  // bottom-up, instead of n root descents through Insert.
+  // ObjectStore::RestoreIndexEntries puts a snapshot's entries in that
+  // order and rejects a key-order violation as corrupt.
   static BTree BuildFromSorted(
       std::vector<std::pair<Value, int64_t>> entries, int order = 64);
 
   void Insert(const Value& key, int64_t row);
 
-  // Removes one (key, row) entry. Returns false if no such entry
-  // exists (and then copies nothing). Deletion is lazy: leaves may
-  // become underfull or empty (the tree never rebalances downward),
-  // which preserves all lookup invariants and suits the store's
-  // update-in-place workload where deletes are immediately followed by
-  // a reinsertion.
+  // Removes one (key, row) entry in O(log n) comparisons. Returns false
+  // if no such entry exists (and then copies nothing). Deletion is
+  // lazy: leaves may become underfull or empty (the tree never
+  // rebalances downward), which preserves all lookup invariants and
+  // suits the store's update-in-place workload where deletes are
+  // immediately followed by a reinsertion.
   bool Remove(const Value& key, int64_t row);
 
-  // All rows whose key compares equal to `key`.
+  // All rows whose key compares equal to `key`, in ascending row
+  // order.
   std::vector<int64_t> Equal(const Value& key) const;
 
-  // All rows with key < / <= / > / >= bound.
+  // All rows with key < / <= / > / >= bound, in (key, row) order.
   std::vector<int64_t> LessThan(const Value& bound, bool inclusive) const;
   std::vector<int64_t> GreaterThan(const Value& bound,
                                    bool inclusive) const;
 
   // Full in-order (key, row) traversal.
   std::vector<std::pair<Value, int64_t>> Scan() const;
+
+  // Test hook: key comparisons made by BTree calls on this thread so
+  // far, to pin the cost of a lookup or a remove.
+  static uint64_t KeyComparisons();
 
   size_t size() const { return size_; }
   int height() const;
@@ -87,6 +98,13 @@ class BTree {
   class Cursor;
 
   BTree(const BTree&) = default;  // shares the root; see Clone()
+
+  // Appends to *out the rows of the entries from `cursor` on while
+  // `in_range(key)` holds (true on a prefix of the remaining entries),
+  // one leaf-sized copy at a time.
+  template <typename InRange>
+  static void CollectRun(Cursor cursor, InRange in_range,
+                         std::vector<int64_t>* out);
 
   // Returns *slot writable by this tree (storage/cow.h).
   Node& Writable(std::shared_ptr<Node>& slot);

@@ -158,25 +158,12 @@ Status Extent::RestoreColumns(std::vector<ColumnData> cols,
 }
 
 Value Extent::ValueAt(int64_t row, AttrId attr_id) const {
-  CheckRow(row);
-  int slot = SlotOf(attr_id);
-  if (slot < 0) return Value::Null();
-  return segments_[static_cast<size_t>(row >> kSegmentShift)]
-      ->cols[static_cast<size_t>(slot)]
-      ->Get(static_cast<size_t>(row & kSegmentMask));
+  return ValueAtSlot(row, SlotOf(attr_id));
 }
 
 const Value& Extent::ValueRef(int64_t row, AttrId attr_id,
                               Value* scratch) const {
-  CheckRow(row);
-  int slot = SlotOf(attr_id);
-  if (slot < 0) {
-    *scratch = Value::Null();
-    return *scratch;
-  }
-  return segments_[static_cast<size_t>(row >> kSegmentShift)]
-      ->cols[static_cast<size_t>(slot)]
-      ->GetRef(static_cast<size_t>(row & kSegmentMask), scratch);
+  return ValueRefAtSlot(row, SlotOf(attr_id), scratch);
 }
 
 Object Extent::MaterializeRow(int64_t row) const {

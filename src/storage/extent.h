@@ -105,6 +105,26 @@ class Extent {
   // attribute does not belong to this class.
   int SlotOf(AttrId attr_id) const;
 
+  // ValueAt / ValueRef by slot, for callers that resolved SlotOf once
+  // (the executor, per plan). A negative slot reads as null.
+  Value ValueAtSlot(int64_t row, int slot) const {
+    if (row < 0 || row >= size_) [[unlikely]] CheckRow(row);
+    if (slot < 0) return Value::Null();
+    return segments_[static_cast<size_t>(row >> kSegmentShift)]
+        ->cols[static_cast<size_t>(slot)]
+        ->Get(static_cast<size_t>(row & kSegmentMask));
+  }
+  const Value& ValueRefAtSlot(int64_t row, int slot, Value* scratch) const {
+    if (row < 0 || row >= size_) [[unlikely]] CheckRow(row);
+    if (slot < 0) {
+      *scratch = Value::Null();
+      return *scratch;
+    }
+    return segments_[static_cast<size_t>(row >> kSegmentShift)]
+        ->cols[static_cast<size_t>(slot)]
+        ->GetRef(static_cast<size_t>(row & kSegmentMask), scratch);
+  }
+
   // Batch read API: borrowed views of segment `seg_idx`'s columns and
   // live bitmap. Rows [base_row, base_row + rows) of the extent.
   // Valid while this extent (or any copy sharing the segment) lives

@@ -45,12 +45,15 @@ class AttributeIndex {
   size_t size() const { return tree_.size(); }
   int height() const { return tree_.height(); }
 
-  // Rows whose key equals `key`.
+  // Rows whose key equals `key`, in ascending row order.
   std::vector<int64_t> Equal(const Value& key) const;
 
-  // Rows satisfying `key_attr op value` for op in {<, <=, >, >=, =}.
-  // != falls back to a full in-order walk (callers normally don't use
-  // an index for it, but correctness first).
+  // Rows satisfying `key_attr op value` for op in {<, <=, >, >=, =},
+  // in ascending row order. != falls back to a full in-order walk
+  // (callers normally don't use an index for it, but correctness
+  // first). The tree returns an equality run already in row order; a
+  // range comes back as one row-ordered run per key, which are merged
+  // instead of sorted.
   std::vector<int64_t> Lookup(CompareOp op, const Value& value) const;
 
   const BTree& tree() const { return tree_; }

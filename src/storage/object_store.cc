@@ -359,16 +359,27 @@ Status ObjectStore::RestoreIndexEntries(
         std::to_string(class_id) + ", attr " + std::to_string(attr_id) +
         ")");
   }
-  // The serialized form is an in-order scan, so it must be sorted;
-  // bulk-loading an unsorted sequence would silently break every
-  // lookup invariant, so reject it as corruption instead.
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i].first < entries[i - 1].first) {
-      return Status::Corruption(
-          "snapshot index entries out of order (class " +
-          std::to_string(class_id) + ", attr " + std::to_string(attr_id) +
-          ")");
-    }
+  // The serialized form is an in-order scan, so its keys must be
+  // sorted; bulk-loading an unsorted sequence would silently break
+  // every lookup invariant, so reject it as corruption instead. Within
+  // a run of equal keys, snapshots written before the tree ordered
+  // duplicates by row list them in insertion order: sort such a run by
+  // row rather than reject it.
+  auto key_less = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  auto entry_less = [](const auto& a, const auto& b) {
+    const int order = a.first.Order(b.first);
+    return order != 0 ? order < 0 : a.second < b.second;
+  };
+  if (!std::is_sorted(entries.begin(), entries.end(), key_less)) {
+    return Status::Corruption(
+        "snapshot index entries out of order (class " +
+        std::to_string(class_id) + ", attr " + std::to_string(attr_id) +
+        ")");
+  }
+  if (!std::is_sorted(entries.begin(), entries.end(), entry_less)) {
+    std::sort(entries.begin(), entries.end(), entry_less);
   }
   auto fresh = std::make_unique<AttributeIndex>();
   fresh->LoadSorted(std::move(entries));

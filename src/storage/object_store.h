@@ -150,9 +150,10 @@ class ObjectStore {
 
   // Replaces the index on (class_id, attr_id) with a bulk-built tree
   // over the deserialized entries, which must arrive key-ascending (the
-  // serialized form is an in-order scan); unsorted input and
+  // serialized form is an in-order scan); keys out of order and
   // attributes that are not indexed under this schema are rejected as
-  // corruption.
+  // corruption. A run of equal keys out of row order (the insertion
+  // order older snapshots kept) is sorted by row.
   Status RestoreIndexEntries(ClassId class_id, AttrId attr_id,
                              std::vector<std::pair<Value, int64_t>> entries);
 

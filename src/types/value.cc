@@ -104,12 +104,11 @@ int TypeClass(ValueType t) {
 
 }  // namespace
 
-bool Value::operator<(const Value& other) const {
+int Value::Order(const Value& other) const {
   int ca = TypeClass(type()), cb = TypeClass(other.type());
-  if (ca != cb) return ca < cb;
-  std::optional<int> cmp = Compare(other);
-  if (cmp.has_value()) return *cmp < 0;
-  return false;  // nulls, NaNs: treated as equal for ordering purposes
+  if (ca != cb) return ca < cb ? -1 : 1;
+  // Nulls, NaNs: treated as equal for ordering purposes.
+  return Compare(other).value_or(0);
 }
 
 std::string Value::ToString() const {

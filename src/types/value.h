@@ -57,7 +57,9 @@ class Value {
   bool bool_value() const { return std::get<bool>(rep_); }
   int64_t int_value() const { return std::get<int64_t>(rep_); }
   double double_value() const { return std::get<double>(rep_); }
-  const std::string& string_value() const { return std::get<std::string>(rep_); }
+  const std::string& string_value() const {
+    return std::get<std::string>(rep_);
+  }
   Oid ref_value() const { return std::get<Oid>(rep_); }
 
   // Numeric value as double regardless of int/double representation.
@@ -75,7 +77,10 @@ class Value {
 
   // Total order for use as container keys: orders first by type class,
   // then by value. Numerics order together.
-  bool operator<(const Value& other) const;
+  bool operator<(const Value& other) const { return Order(other) < 0; }
+
+  // The same order as a three-way result: -1, 0 (equivalent) or 1.
+  int Order(const Value& other) const;
 
   std::string ToString() const;
 

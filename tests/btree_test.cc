@@ -256,6 +256,59 @@ TEST(BTreeTest, CloneSharesEveryNodeAndAWriteCopiesOnlyItsPath) {
   }
 }
 
+// Duplicates are ordered by (key, row): Equal() returns rows ascending
+// whatever the insertion order, and a range returns each key's run in
+// row order.
+TEST(BTreeTest, EqualReturnsRowsInAscendingOrder) {
+  BTree tree(4);
+  Rng rng(7);
+  std::vector<int64_t> rows(300);
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int64_t>(i);
+  for (size_t i = rows.size() - 1; i > 0; --i) {
+    std::swap(rows[i], rows[rng.Index(i + 1)]);
+  }
+  for (int64_t row : rows) tree.Insert(Value::Int(row % 3), row);
+  ASSERT_TRUE(tree.CheckInvariants());
+  for (int key = 0; key < 3; ++key) {
+    std::vector<int64_t> got = tree.Equal(Value::Int(key));
+    ASSERT_EQ(got.size(), 100u);
+    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "key " << key;
+  }
+  std::vector<int64_t> below = tree.LessThan(Value::Int(2), false);
+  ASSERT_EQ(below.size(), 200u);
+  EXPECT_TRUE(std::is_sorted(below.begin(), below.begin() + 100));
+  EXPECT_TRUE(std::is_sorted(below.begin() + 100, below.end()));
+}
+
+// Remove descends once on the pair (key, row) instead of walking the
+// key's duplicates: on 4 keys, doubling the tree (and each key's run)
+// must not grow the comparisons a remove costs beyond one more level.
+TEST(BTreeTest, RemoveComparisonsDoNotGrowWithDuplicateRuns) {
+  auto per_remove = [](int n) {
+    std::vector<std::pair<Value, int64_t>> entries;
+    for (int key = 0; key < 4; ++key) {
+      for (int row = key; row < n; row += 4) {
+        entries.emplace_back(Value::Int(key), row);
+      }
+    }
+    BTree tree = BTree::BuildFromSorted(std::move(entries));
+    const uint64_t before = BTree::KeyComparisons();
+    int removes = 0;
+    for (int row = n / 2; row < n / 2 + 400; ++row, ++removes) {
+      EXPECT_TRUE(tree.Remove(Value::Int(row % 4), row));
+    }
+    const uint64_t comparisons = BTree::KeyComparisons() - before;
+    EXPECT_TRUE(tree.CheckInvariants());
+    return static_cast<double>(comparisons) / removes;
+  };
+  const double small = per_remove(20000);
+  const double large = per_remove(40000);
+  // One comparison per binary-search step, at most 6 steps per node;
+  // the larger tree may add one level.
+  EXPECT_LT(small, 30.0);
+  EXPECT_LT(large, small + 8.0);
+}
+
 // Many live versions of one lineage, each mutated, cloned and dropped
 // at random, against a std::multimap per version. Every version must
 // keep its own contents (duplicates in insertion order) and invariants.

@@ -6,6 +6,7 @@
 // counters (the fan-out may only change the timing fields).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -163,6 +164,87 @@ TEST_F(ParallelDifferentialTest, IndexRangeScanMorselizes) {
   EXPECT_EQ(meter.index_probes, seq_meter.index_probes);
   EXPECT_EQ(meter.instances_scanned, seq_meter.instances_scanned);
   EXPECT_GT(meter.morsels, 1u);
+}
+
+// The flat pipeline's every placement at once, in a hand-built plan
+// over the cargo-vehicle-driver triangle: a residual predicate on an
+// expansion step (vehicle), a join predicate checkable only at step 2
+// (driver against vehicle) and a cycle-closing relationship (inspects,
+// driver to cargo). At parallelism 1 and 4 with 3-row morsels, rows,
+// order, work counters and driving rows must equal the sequential run,
+// and the rows the reference evaluator's.
+TEST_F(ParallelDifferentialTest, FlatPipelineMatchesSequentialAndReference) {
+  ASSERT_OK_AND_ASSIGN(
+      auto store, GenerateDatabase(schema_, DbSpec{"PFLAT", 24, 60}, 5));
+  auto pred = [&](const char* text) {
+    auto p = ParsePredicate(schema_, text);
+    EXPECT_TRUE(p.ok()) << text;
+    return *p;
+  };
+  auto attr = [&](const char* name) {
+    return schema_.ResolveQualified(name).value();
+  };
+  const ClassId cargo = schema_.FindClass("cargo");
+  const ClassId vehicle = schema_.FindClass("vehicle");
+  const ClassId driver = schema_.FindClass("driver");
+
+  Plan plan;
+  plan.steps.resize(3);
+  plan.steps[0].class_id = cargo;
+  plan.steps[1].class_id = vehicle;
+  plan.steps[1].via_rel = schema_.FindRelationship("collects");
+  plan.steps[1].from_class = cargo;
+  plan.steps[1].residual_predicates = {pred("vehicle.capacity >= 25")};
+  plan.steps[2].class_id = driver;
+  plan.steps[2].via_rel = schema_.FindRelationship("drives");
+  plan.steps[2].from_class = vehicle;
+  plan.join_predicates = {pred("driver.clearance < vehicle.desc")};
+  plan.residual_relationships = {schema_.FindRelationship("inspects")};
+  plan.projection = {attr("cargo.code"), attr("vehicle.vehicleNo"),
+                     attr("driver.name")};
+
+  ASSERT_OK_AND_ASSIGN(
+      Query query,
+      ParseQuery(schema_,
+                 "{cargo.code, vehicle.vehicleNo, driver.name} "
+                 "{driver.clearance < vehicle.desc} "
+                 "{vehicle.capacity >= 25} {collects, drives, inspects} "
+                 "{cargo, vehicle, driver}"));
+  ASSERT_OK_AND_ASSIGN(ResultSet reference, ExecuteReference(*store, query));
+
+  ExecutionMeter seq_meter;
+  std::vector<int64_t> seq_driving;
+  ExecContext seq_context;
+  seq_context.driving_rows = &seq_driving;
+  ASSERT_OK_AND_ASSIGN(ResultSet sequential,
+                       ExecutePlan(*store, plan, &seq_meter, seq_context));
+  ASSERT_FALSE(sequential.rows.empty()) << "the plan must produce rows";
+  EXPECT_TRUE(sequential.SameRows(reference));
+  ASSERT_EQ(seq_driving.size(), sequential.rows.size());
+  EXPECT_TRUE(std::is_sorted(seq_driving.begin(), seq_driving.end()));
+
+  WorkerPool pool(4);
+  for (int parallelism : {1, 4}) {
+    Plan forced = plan;
+    forced.parallelism = parallelism;
+    forced.morsel_size = 3;
+    ExecutionMeter meter;
+    std::vector<int64_t> driving;
+    ExecContext context;
+    context.pool = &pool;
+    context.driving_rows = &driving;
+    ASSERT_OK_AND_ASSIGN(ResultSet parallel,
+                         ExecutePlan(*store, forced, &meter, context));
+    EXPECT_EQ(RowKeys(parallel), RowKeys(sequential)) << parallelism;
+    EXPECT_TRUE(parallel.SameRows(reference)) << parallelism;
+    EXPECT_EQ(driving, seq_driving) << parallelism;
+    EXPECT_EQ(meter.instances_scanned, seq_meter.instances_scanned);
+    EXPECT_EQ(meter.index_probes, seq_meter.index_probes);
+    EXPECT_EQ(meter.pointer_traversals, seq_meter.pointer_traversals);
+    EXPECT_EQ(meter.predicate_evals, seq_meter.predicate_evals);
+    EXPECT_EQ(meter.rows_out, seq_meter.rows_out);
+    EXPECT_EQ(meter.morsels > 1, parallelism > 1) << parallelism;
+  }
 }
 
 // Without a pool the executor ignores plan.parallelism and runs

@@ -535,6 +535,41 @@ TEST_F(PersistTest, PartnerOrderSurvivesSaveCommitAndReopen) {
   }
 }
 
+// Snapshots list an index as its in-order scan. Older ones kept equal
+// keys in insertion order, which the tree (ordered by (key, row)) no
+// longer does: restoring sorts such a run by row. Keys out of order are
+// still corruption.
+TEST_F(PersistTest, IndexRestoreSortsEqualKeyRunsByRow) {
+  ASSERT_OK_AND_ASSIGN(Schema schema, BuildExperimentSchema());
+  ASSERT_OK_AND_ASSIGN(auto store, GenerateDatabase(schema, kSpec, kSeed));
+  const AttrRef desc = schema.ResolveQualified("cargo.desc").value();
+  ASSERT_NE(store->GetIndex(desc), nullptr);
+
+  auto entries = [](std::vector<std::pair<const char*, int64_t>> list) {
+    std::vector<std::pair<Value, int64_t>> out;
+    for (const auto& [key, row] : list) {
+      out.emplace_back(Value::String(key), row);
+    }
+    return out;
+  };
+  ASSERT_OK(store->RestoreIndexEntries(
+      desc.class_id, desc.attr_id,
+      entries({{"fuel", 9}, {"fuel", 2}, {"fuel", 5}, {"parcels", 7},
+               {"parcels", 1}})));
+  const AttributeIndex* index = store->GetIndex(desc);
+  EXPECT_TRUE(index->tree().CheckInvariants());
+  EXPECT_EQ(index->Equal(Value::String("fuel")),
+            (std::vector<int64_t>{2, 5, 9}));
+  EXPECT_EQ(index->Equal(Value::String("parcels")),
+            (std::vector<int64_t>{1, 7}));
+
+  Status out_of_order = store->RestoreIndexEntries(
+      desc.class_id, desc.attr_id,
+      entries({{"parcels", 1}, {"fuel", 2}}));
+  EXPECT_EQ(out_of_order.code(), StatusCode::kCorruption)
+      << out_of_order.ToString();
+}
+
 TEST_F(PersistTest, PreparedHandlesObserveReplayedCommits) {
   // A prepared statement on a reopened engine follows later commits,
   // exactly as on an in-memory engine (same lineage contract).

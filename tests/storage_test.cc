@@ -97,6 +97,29 @@ TEST_F(StorageTest, IndexRangeLookups) {
   EXPECT_EQ(index->Lookup(CompareOp::kEq, Value::Int(5)).size(), 1u);
 }
 
+// Lookup returns rows ascending whatever the key order: an equality
+// run comes back row-ordered from the tree, and a range's per-key runs
+// are merged.
+TEST_F(StorageTest, IndexLookupsReturnRowsAscending) {
+  AttrRef vno = schema_.ResolveQualified("vehicle.vehicleNo").value();
+  auto key_of = [](int64_t row) { return Value::Int((row * 7) % 10); };
+  for (int64_t i = 0; i < 100; ++i) {
+    ASSERT_OK(store_->Insert(vehicle_, Vehicle((i * 7) % 10, "van", 1, 10))
+                  .status());
+  }
+  const AttributeIndex* index = store_->GetIndex(vno);
+  ASSERT_NE(index, nullptr);
+  for (CompareOp op : {CompareOp::kEq, CompareOp::kLt, CompareOp::kLe,
+                       CompareOp::kGt, CompareOp::kGe, CompareOp::kNe}) {
+    std::vector<int64_t> want;
+    for (int64_t row = 0; row < 100; ++row) {
+      if (EvalCompare(key_of(row), op, Value::Int(4))) want.push_back(row);
+    }
+    EXPECT_EQ(index->Lookup(op, Value::Int(4)), want)
+        << "op " << static_cast<int>(op);
+  }
+}
+
 TEST_F(StorageTest, LinkAndPartners) {
   ASSERT_OK(store_->Insert(cargo_, Cargo("a", "fuel", 1, 1)).status());
   ASSERT_OK(store_->Insert(cargo_, Cargo("b", "fuel", 2, 2)).status());
