@@ -1175,54 +1175,6 @@ Result<QueryOutcome> Engine::Execute(const Query& query) const {
   return ExecuteParsed(query, std::nullopt);
 }
 
-Result<PlannedStatement> Engine::PlanStatement(
-    std::string_view query_text) const {
-  detail::EngineState& state = *state_;
-  // Same fast path as Execute: an exact raw-text repeat resolves
-  // straight to its cached prepared state.
-  if (state.plan_cache.enabled()) {
-    if (std::shared_ptr<const detail::PreparedState> entry =
-            state.plan_cache.LookupText(query_text)) {
-      RecordAccess(state, entry->original);
-      return PlannedStatement{std::move(entry), /*plan_cache_hit=*/true};
-    }
-  }
-  SQOPT_ASSIGN_OR_RETURN(Query query, Parse(query_text));
-  if (!state.plan_cache.enabled()) {
-    std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
-    if (data == nullptr) {
-      return Status::FailedPrecondition(
-          "no data loaded: call Engine::Load before PlanStatement");
-    }
-    RecordAccess(state, query);
-    SQOPT_ASSIGN_OR_RETURN(std::shared_ptr<const detail::PreparedState> entry,
-                           BuildPrepared(state, std::move(data), query));
-    return PlannedStatement{std::move(entry), /*plan_cache_hit=*/false};
-  }
-  // Epoch before snapshot — see ExecuteParsed for why this order is
-  // load-bearing against concurrent reloads.
-  const uint64_t epoch = state.plan_cache.epoch();
-  std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
-  if (data == nullptr) {
-    return Status::FailedPrecondition(
-        "no data loaded: call Engine::Load before PlanStatement");
-  }
-  RecordAccess(state, query);
-  SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
-  const std::string key = CanonicalQueryKey(state.schema, query);
-  std::shared_ptr<const detail::PreparedState> entry =
-      state.plan_cache.Lookup(key);
-  const bool hit = entry != nullptr;
-  if (!hit) {
-    SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, data, query));
-    state.plan_cache.Insert(key, entry, epoch);
-  }
-  if (std::string text(query_text); text != key) {
-    state.plan_cache.InsertAlias(text, entry, epoch);
-  }
-  return PlannedStatement{std::move(entry), hit};
-}
-
 Result<QueryOutcome> Engine::ExecuteParsed(
     const Query& query, std::optional<std::string> text) const {
   detail::EngineState& state = *state_;

@@ -57,7 +57,6 @@ namespace sqopt {
 namespace detail {
 struct CommitRequest;
 struct EngineState;
-struct PreparedState;
 }  // namespace detail
 
 // ---------------------------------------------------------------------
@@ -168,17 +167,6 @@ struct BatchOutcome {
 
 // EngineStats lives in api/engine_iface.h (shared with every
 // EngineInterface backend).
-
-// One planned statement: the shared parse/retrieve/transform/plan
-// state Execute(text) would run with, WITHOUT executing it. Produced
-// by Engine::PlanStatement through the same plan cache Execute uses,
-// so repeated planning of one query text is a cache hit. The handle
-// shares ownership of the cached state; it stays valid across reloads
-// (it pins the data snapshot it was planned against).
-struct PlannedStatement {
-  std::shared_ptr<const detail::PreparedState> prepared;
-  bool plan_cache_hit = false;
-};
 
 // ---------------------------------------------------------------------
 // Engine.
@@ -338,13 +326,6 @@ class Engine : public EngineInterface {
   // the outcome reports plan_cache_hit = true.
   Result<QueryOutcome> Execute(std::string_view query_text) const override;
   Result<QueryOutcome> Execute(const Query& query) const;
-
-  // Plans `query_text` exactly as Execute would — plan-cache fast path
-  // included — and returns the shared prepared state instead of
-  // executing it. This is the sharded engine's plan-once hook: the
-  // coordinator plans on its global planning head and scatters the one
-  // plan across every shard. Requires Load().
-  Result<PlannedStatement> PlanStatement(std::string_view query_text) const;
 
   // Fans `queries` across the engine's worker pool (sized by
   // options().serve.threads unless overridden) and returns per-query

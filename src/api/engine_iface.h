@@ -1,12 +1,9 @@
 // The full serving surface the network layer needs from a query
 // engine: execute queries, commit mutation batches, checkpoint, and
-// report the snapshot version and cumulative counters. The
-// single-process Engine, the scatter-gather ShardedEngine, and the
-// wire-speaking shard::RemoteShard all implement it, which is how one
-// TCP front end (server/server.{h,cc}) serves any backend — and how
-// the sharded coordinator can target in-process and remote shards
-// through one seam — with no downcasts. See DESIGN.md "Sharding" and
-// "Replication".
+// report the snapshot version and cumulative counters. The Engine and
+// the wire-speaking shard::RemoteShard both implement it, which is how
+// one TCP front end (server/server.{h,cc}) serves either backend with
+// no downcasts. See DESIGN.md "Replication".
 #ifndef SQOPT_API_ENGINE_IFACE_H_
 #define SQOPT_API_ENGINE_IFACE_H_
 
@@ -23,10 +20,7 @@ namespace sqopt {
 
 struct QueryOutcome;
 
-// Cumulative engine counters; all reads are atomic snapshots. For a
-// sharded engine these are FLEET TOTALS: per-shard counters sum (every
-// mutation op routes to exactly one shard), coordinator-level events
-// (query completions, committed batches, checkpoints) count once.
+// Cumulative engine counters; all reads are atomic snapshots.
 struct EngineStats {
   uint64_t queries_parsed = 0;       // ParseQuery invocations
   uint64_t queries_executed = 0;     // Execute() completions

@@ -1,7 +1,6 @@
 // INTERNAL: shared state behind the Engine pimpl. Included only by
-// engine.cc, plan_cache.cc, prepared_query.cc, and the shard/ layer
-// (which executes PlannedStatement plans directly) — not part of the
-// public API.
+// engine.cc, plan_cache.cc and prepared_query.cc (and plan_cache_test)
+// — not part of the public API.
 //
 // Thread-safety contract: after Open()/AddConstraint()/Recompile()
 // complete, everything here is read-only on the query path except the

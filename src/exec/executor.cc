@@ -252,13 +252,11 @@ bool PassesStage(const ObjectStore& store, const Stage& stage,
 // per-morsel meters sum exactly to a sequential run's meter. Output
 // row order is lexicographic in (candidate position, partner position
 // per step), so concatenating per-morsel outputs in morsel order
-// reproduces the sequential order. `prov` (optional) receives the
-// driving row of every appended output row, in output order.
+// reproduces the sequential order.
 void RunPipeline(const ObjectStore& store, const Plan& plan,
                  const Pipeline& pipe,
                  const std::vector<int64_t>* candidates, int64_t begin,
-                 int64_t end, ResultSet* out, ExecutionMeter* meter,
-                 std::vector<int64_t>* prov = nullptr) {
+                 int64_t end, ResultSet* out, ExecutionMeter* meter) {
   // Driving step, batch-at-a-time: residual conjuncts run over whole
   // segment column ranges (selection vectors + vectorized kernels, see
   // exec/batch_filter.h) instead of row-at-a-time. An identity scan
@@ -321,7 +319,6 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
   const size_t width = plan.steps.size();
   const size_t count = tuples.size() / width;
   out->rows.reserve(out->rows.size() + count);
-  if (prov != nullptr) prov->reserve(prov->size() + count);
   for (size_t t = 0; t < tuples.size(); t += width) {
     const int64_t* tuple = &tuples[t];
     std::vector<Value> row;
@@ -330,7 +327,6 @@ void RunPipeline(const ObjectStore& store, const Plan& plan,
       row.push_back(col.extent->ValueAtSlot(tuple[col.step], col.slot));
     }
     out->rows.push_back(std::move(row));
-    if (prov != nullptr) prov->push_back(tuple[0]);
   }
 }
 
@@ -352,8 +348,6 @@ struct MorselRun {
   // on those lines.
   std::vector<ResultSet> results;
   std::vector<ExecutionMeter> meters;
-  bool want_provenance = false;
-  std::vector<std::vector<int64_t>> provenance;
 
   std::atomic<size_t> completed{0};
   // Distinct threads that ran >= 1 morsel; each bumps it once, before
@@ -385,17 +379,14 @@ void WorkMorsels(const std::shared_ptr<MorselRun>& run) {
     const auto start = std::chrono::steady_clock::now();
     ResultSet rows;
     ExecutionMeter meter;
-    std::vector<int64_t> prov;
     RunPipeline(*run->store, *run->plan, *run->pipe, run->candidates,
-                morsel.begin, morsel.end, &rows, &meter,
-                run->want_provenance ? &prov : nullptr);
+                morsel.begin, morsel.end, &rows, &meter);
     meter.parallel_busy_micros = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
     run->results[slot] = std::move(rows);
     run->meters[slot] = meter;
-    if (run->want_provenance) run->provenance[slot] = std::move(prov);
     // acq_rel keeps the increment chain a release sequence: the
     // submitter's acquire load of the final count sees every worker's
     // slot writes. Only the last morsel pays the lock + notify.
@@ -446,9 +437,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
     // Canonical candidate order: ascending row id, which Lookup
     // returns. Full scans visit rows in ascending slot order too, so
     // EVERY plan's output order is a function of driving-row order
-    // alone, which is what lets (a) morsel merge stay concatenation and
-    // (b) the sharded engine reproduce single-engine output order by
-    // k-way-merging per-shard results on global driving row.
+    // alone, which is what lets the morsel merge stay concatenation.
     index_candidates = index->Lookup(ip.op(), ip.rhs_value());
     ++meter->index_probes;
     candidates = &index_candidates;
@@ -479,8 +468,7 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
 
   if (workers <= 1 || morsels.size() <= 1) {
     // Sequential: one pipeline pass over the whole candidate list.
-    RunPipeline(store, plan, pipe, candidates, 0, count, &result, meter,
-                context.driving_rows);
+    RunPipeline(store, plan, pipe, candidates, 0, count, &result, meter);
     meter->rows_out += result.rows.size();
     return result;
   }
@@ -495,8 +483,6 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
   run->morsels = std::move(morsels);
   run->results.resize(run->morsels.size());
   run->meters.resize(run->morsels.size());
-  run->want_provenance = context.driving_rows != nullptr;
-  if (run->want_provenance) run->provenance.resize(run->morsels.size());
 
   const auto wall_start = std::chrono::steady_clock::now();
   for (int w = 1; w < workers; ++w) {
@@ -522,14 +508,6 @@ Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,
   result.rows.reserve(total_rows);
   for (ResultSet& part : run->results) {
     for (auto& row : part.rows) result.rows.push_back(std::move(row));
-  }
-  if (context.driving_rows != nullptr) {
-    context.driving_rows->reserve(context.driving_rows->size() +
-                                  total_rows);
-    for (const std::vector<int64_t>& part : run->provenance) {
-      context.driving_rows->insert(context.driving_rows->end(),
-                                   part.begin(), part.end());
-    }
   }
   for (const ExecutionMeter& part : run->meters) {
     meter->instances_scanned += part.instances_scanned;

@@ -43,9 +43,11 @@ struct ExecutionMeter {
   // Measured cost in the same units the CostModel estimates.
   double CostUnits(const CostModelParams& params = {}) const;
 
-  // Busy/wall ratio of the morsel phase — the measured intra-query
-  // speedup (>1 when morsels genuinely overlapped). 0 for sequential
-  // runs.
+  // Busy/wall ratio of the morsel phase: the summed per-morsel busy
+  // time over the phase's wall time, 0 for sequential runs. It reads
+  // >1 when morsels overlapped, but it is not a speedup over the
+  // sequential run: work wasted inside morsels (contention, cache
+  // misses) raises the busy sum and so raises this ratio too.
   double ParallelSpeedup() const;
 
   void Reset() { *this = ExecutionMeter{}; }
@@ -69,14 +71,6 @@ struct ResultSet {
 // (or undersized) pool degrades throughput, never deadlocks.
 struct ExecContext {
   WorkerPool* pool = nullptr;
-
-  // Optional provenance channel: when non-null, receives one entry per
-  // output row — the DRIVING-step row that produced it, in result-row
-  // order. Rows produced by multi-partner expansion share their driving
-  // row, so the vector is non-decreasing per morsel. The scatter-gather
-  // sharded engine uses this to k-way-merge per-shard partial results
-  // back into single-engine global order (see DESIGN.md "Sharding").
-  std::vector<int64_t>* driving_rows = nullptr;
 };
 
 Result<ResultSet> ExecutePlan(const ObjectStore& store, const Plan& plan,

@@ -116,8 +116,8 @@ struct ServerStats {
 class Server {
  public:
   // Binds, listens, and spawns the I/O thread + workers. `engine` is
-  // any EngineInterface backend — a single Engine, a ShardedEngine
-  // fleet, or a RemoteShard — that must have data loaded and must
+  // any EngineInterface backend — an Engine or a RemoteShard — that
+  // must have data loaded and must
   // outlive the server. The read path stays const; kApply/kCheckpoint
   // drive the interface's write surface. A non-null `replication`
   // makes this server a replication leader (it must outlive the

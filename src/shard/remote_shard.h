@@ -1,18 +1,15 @@
 // A client-side EngineInterface that speaks wire protocol v2 to a
 // remote sqopt_server — the shard-per-node transport seam. To a
-// caller (the TCP front end, the sharded coordinator, a test) a
-// RemoteShard is indistinguishable from an in-process Engine: Execute
-// sends kQuery, Apply sends kApply, Checkpoint sends kCheckpoint, and
+// caller (the TCP front end, a test) a RemoteShard is
+// indistinguishable from an in-process Engine: Execute sends kQuery,
+// Apply sends kApply, Checkpoint sends kCheckpoint, and
 // stats()/data_version() parse the server's kStats metrics text. One
 // connection, one outstanding request (the Engine read path's
 // concurrency lives server-side in its worker pool); a mutex makes
 // the handle safe to share the way tests share an Engine.
 //
-// Known limit (see DESIGN.md "Replication"): ShardedEngine's
-// scatter-gather plans once and ships PLANS to in-process shards;
-// plans don't cross the wire, so a RemoteShard executes from query
-// TEXT and replans remotely. The interface seam is what this class
-// establishes; plan shipping is future work.
+// Plans don't cross the wire: a RemoteShard executes from query TEXT
+// and the remote node plans locally (see DESIGN.md "Replication").
 #ifndef SQOPT_SHARD_REMOTE_SHARD_H_
 #define SQOPT_SHARD_REMOTE_SHARD_H_
 

@@ -106,54 +106,6 @@ Result<Object> MakeSegmentObject(const Schema& schema, ClassId class_id,
   return obj;
 }
 
-int SegmentOfObject(const Schema& schema, ClassId class_id,
-                    const Object& object) {
-  const std::string& name = schema.object_class(class_id).name;
-  // Object::values is in extent layout order; AttrId is an encoded
-  // (declaring class, slot) pair, so resolve names through LayoutOf.
-  static const Value kNull = Value::Null();
-  const std::vector<AttrId> layout = schema.LayoutOf(class_id);
-  auto attr = [&](const char* attr_name) -> const Value& {
-    const AttrId id = schema.FindAttribute(class_id, attr_name).attr_id;
-    for (size_t i = 0; i < layout.size() && i < object.values.size(); ++i) {
-      if (layout[i] == id) return object.values[i];
-    }
-    return kNull;
-  };
-  // "4 - seg" integers (vclass / licenseClass / securityClass).
-  auto inverse_int = [](const Value& v) -> int {
-    if (v.type() != ValueType::kInt) return -1;
-    const int64_t seg = 4 - v.int_value();
-    return seg >= 0 && seg < kNumSegments ? static_cast<int>(seg) : -1;
-  };
-  auto vocab_index = [](const auto& vocab, const Value& v) -> int {
-    if (v.type() != ValueType::kString) return -1;
-    for (int i = 0; i < kNumSegments; ++i) {
-      if (v.string_value() == vocab[static_cast<size_t>(i)]) return i;
-    }
-    return -1;
-  };
-  int seg = -1;
-  if (name == "supplier") {
-    seg = vocab_index(kRegion, attr("region"));
-  } else if (name == "cargo") {
-    seg = vocab_index(kCargoDesc, attr("desc"));
-  } else if (name == "vehicle") {
-    seg = inverse_int(attr("vclass"));
-  } else if (name == "driver") {
-    seg = inverse_int(attr("licenseClass"));
-  } else if (name == "department") {
-    seg = inverse_int(attr("securityClass"));
-  }
-  if (seg >= 0) return seg;
-  // FNV-1a over the tuple: deterministic for any schema / value set.
-  uint64_t h = 1469598103934665603ull;
-  for (const Value& v : object.values) {
-    h = (h ^ static_cast<uint64_t>(v.Hash())) * 1099511628211ull;
-  }
-  return static_cast<int>(h % static_cast<uint64_t>(kNumSegments));
-}
-
 Result<std::unique_ptr<ObjectStore>> GenerateDatabase(const Schema& schema,
                                                       const DbSpec& spec,
                                                       uint64_t seed) {

@@ -64,18 +64,6 @@ inline int SegmentOfRow(int64_t row) {
 Result<Object> MakeSegmentObject(const Schema& schema, ClassId class_id,
                                  int segment, int64_t ordinal);
 
-// The segment an object's attribute values pin it to — the inverse of
-// the generator's value model (supplier.region, cargo.desc,
-// vehicle.vclass, driver.licenseClass, department.securityClass are
-// all segment-determined and never mutated by the constraint-
-// consistent write workloads). This is the sharded engine's partition
-// key: it is derivable from the object alone, so write routing can be
-// rebuilt from a mutation log during recovery. Objects outside the
-// experiment value model fall back to a deterministic hash of the
-// whole tuple, still in [0, kNumSegments).
-int SegmentOfObject(const Schema& schema, ClassId class_id,
-                    const Object& object);
-
 }  // namespace sqopt
 
 #endif  // SQOPT_WORKLOAD_DBGEN_H_

@@ -30,7 +30,6 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "exec/reference_executor.h"
-#include "shard/sharded_engine.h"
 #include "tests/test_util.h"
 
 namespace sqopt {
@@ -85,16 +84,10 @@ Status ApplyToShadow(ObjectStore& store, const MutationBatch& batch,
   return Status::OK();
 }
 
-// The fuzz driver shared by every schedule, templated over the engine
-// under test: a single Engine or the sharded coordinator — both expose
-// the same Apply/Execute/Parse/store()/data_version() surface, and the
-// ShardedEngine's store() is the planning head's unpartitioned global
-// store, so the reference executor and the cardinality invariants read
-// it exactly like a single engine's.
-template <typename EngineT>
-class MutationFuzzerT {
+// The fuzz driver shared by every schedule.
+class MutationFuzzer {
  public:
-  MutationFuzzerT(EngineT* engine, uint64_t seed)
+  MutationFuzzer(Engine* engine, uint64_t seed)
       : engine_(engine), schema_(engine->schema()), rng_(seed) {
     supplier_ = schema_.FindClass("supplier");
     cargo_ = schema_.FindClass("cargo");
@@ -404,7 +397,7 @@ class MutationFuzzerT {
   }
 
  private:
-  EngineT* engine_;
+  Engine* engine_;
   const Schema& schema_;
   Rng rng_;
   std::unique_ptr<ObjectStore> shadow_;
@@ -422,8 +415,6 @@ class MutationFuzzerT {
   uint64_t cache_hits_ = 0;
   uint64_t rejected_ = 0;
 };
-
-using MutationFuzzer = MutationFuzzerT<Engine>;
 
 // Schedule A's query pool: every query projects or predicates every
 // class it touches, so every semantic transformation except class
@@ -490,46 +481,6 @@ TEST(MutationFuzzTest, InterleavedDifferentialSchedule) {
   EXPECT_GT(fuzz.rejected(), 0u)
       << "no violating write was ever generated";
   EXPECT_GT(engine.stats().mutation_batches_applied, 0u);
-}
-
-// Schedule C: the schedule-A op mix driven through the sharded
-// coordinator at a fleet size that separates every segment, so the
-// SAME differential oracles now also cover write routing, per-shard
-// handle renumbering, the scatter/provenance merge, and the cross-
-// shard pre-check (the violating collects link crosses shards here,
-// so it must be rejected by the coordinator with the same typed
-// status a single engine's validator produces).
-TEST(MutationFuzzTest, ShardedFleetStaysDifferentiallyCorrect) {
-  SCOPED_TRACE(::testing::Message() << "fuzz seed=" << kSeed + 2);
-  shard::ShardOptions options;
-  options.shards = 4;
-  auto opened = shard::ShardedEngine::Open(
-      SchemaSource::Experiment(), ConstraintSource::Experiment(), options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  shard::ShardedEngine fleet = std::move(*opened);
-  ASSERT_OK(fleet.Load(DataSource::Generated(kSpec, kSeed)));
-  MutationFuzzerT<shard::ShardedEngine> fuzz(&fleet, kSeed + 2);
-
-  const std::vector<std::string> pool = FullOpQueryPool();
-  Rng pick(kSeed ^ 0xF1EE7);
-  const int kRounds = RoundsFromEnv(800);
-  for (int round = 0; round < kRounds; ++round) {
-    SCOPED_TRACE(::testing::Message()
-                 << "round=" << round << " seed=" << kSeed + 2
-                 << " shards=" << options.shards);
-    fuzz.MutateRound(/*allow_structure_changes=*/true);
-    if (::testing::Test::HasFatalFailure()) return;
-    fuzz.SettleBookkeeping();
-    fuzz.CheckQuery(pool[pick.Index(pool.size())], round % 5 == 0);
-    if (::testing::Test::HasFatalFailure()) return;
-    fuzz.CheckQuery(pool[pick.Index(pool.size())], false);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-  EXPECT_GE(fuzz.operations(), 5000u)
-      << "schedule shrank below the acceptance floor";
-  EXPECT_GT(fuzz.rejected(), 0u)
-      << "no violating write was ever generated";
-  EXPECT_GT(fleet.stats().mutation_batches_applied, 0u);
 }
 
 // Schedule B: totality-preserving mutations only (world inserts +

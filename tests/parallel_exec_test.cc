@@ -6,7 +6,6 @@
 // counters (the fan-out may only change the timing fields).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -171,8 +170,8 @@ TEST_F(ParallelDifferentialTest, IndexRangeScanMorselizes) {
 // expansion step (vehicle), a join predicate checkable only at step 2
 // (driver against vehicle) and a cycle-closing relationship (inspects,
 // driver to cargo). At parallelism 1 and 4 with 3-row morsels, rows,
-// order, work counters and driving rows must equal the sequential run,
-// and the rows the reference evaluator's.
+// order and work counters must equal the sequential run, and the rows
+// the reference evaluator's.
 TEST_F(ParallelDifferentialTest, FlatPipelineMatchesSequentialAndReference) {
   ASSERT_OK_AND_ASSIGN(
       auto store, GenerateDatabase(schema_, DbSpec{"PFLAT", 24, 60}, 5));
@@ -213,15 +212,10 @@ TEST_F(ParallelDifferentialTest, FlatPipelineMatchesSequentialAndReference) {
   ASSERT_OK_AND_ASSIGN(ResultSet reference, ExecuteReference(*store, query));
 
   ExecutionMeter seq_meter;
-  std::vector<int64_t> seq_driving;
-  ExecContext seq_context;
-  seq_context.driving_rows = &seq_driving;
   ASSERT_OK_AND_ASSIGN(ResultSet sequential,
-                       ExecutePlan(*store, plan, &seq_meter, seq_context));
+                       ExecutePlan(*store, plan, &seq_meter));
   ASSERT_FALSE(sequential.rows.empty()) << "the plan must produce rows";
   EXPECT_TRUE(sequential.SameRows(reference));
-  ASSERT_EQ(seq_driving.size(), sequential.rows.size());
-  EXPECT_TRUE(std::is_sorted(seq_driving.begin(), seq_driving.end()));
 
   WorkerPool pool(4);
   for (int parallelism : {1, 4}) {
@@ -229,15 +223,12 @@ TEST_F(ParallelDifferentialTest, FlatPipelineMatchesSequentialAndReference) {
     forced.parallelism = parallelism;
     forced.morsel_size = 3;
     ExecutionMeter meter;
-    std::vector<int64_t> driving;
     ExecContext context;
     context.pool = &pool;
-    context.driving_rows = &driving;
     ASSERT_OK_AND_ASSIGN(ResultSet parallel,
                          ExecutePlan(*store, forced, &meter, context));
     EXPECT_EQ(RowKeys(parallel), RowKeys(sequential)) << parallelism;
     EXPECT_TRUE(parallel.SameRows(reference)) << parallelism;
-    EXPECT_EQ(driving, seq_driving) << parallelism;
     EXPECT_EQ(meter.instances_scanned, seq_meter.instances_scanned);
     EXPECT_EQ(meter.index_probes, seq_meter.index_probes);
     EXPECT_EQ(meter.pointer_traversals, seq_meter.pointer_traversals);

@@ -20,7 +20,6 @@
 #include "server/client.h"
 #include "server/load_runner.h"
 #include "server/wire.h"
-#include "shard/sharded_engine.h"
 #include "tests/test_util.h"
 #include "workload/dbgen.h"
 #include "workload/query_pool.h"
@@ -45,6 +44,15 @@ Engine OpenLoadedEngine() {
   Status s = engine.Load(DataSource::Generated(kSpec, kSeed));
   EXPECT_TRUE(s.ok()) << s.ToString();
   return engine;
+}
+
+// A query request for kSingleClassQuery; a deadline of 0 means the
+// server's default.
+Request SingleClassQueryRequest(uint32_t deadline_ms) {
+  Request request;
+  request.deadline_ms = deadline_ms;
+  request.query_text = kSingleClassQuery;
+  return request;
 }
 
 std::unique_ptr<Server> StartServer(EngineInterface* engine,
@@ -188,27 +196,13 @@ TEST(ServerTest, StatsEndpointServesMetricsText) {
   EXPECT_NE(text.find("plan_cache_"), std::string::npos);
 }
 
-TEST(ServerTest, StatsOverShardedBackendReportFleetTotals) {
-  // The server takes any EngineInterface; behind a ShardedEngine the
-  // STATS endpoint must serve FLEET totals (per-shard counters summed,
-  // coordinator events counted once), not one shard's view.
-  shard::ShardOptions shard_options;
-  shard_options.shards = 4;
-  auto opened =
-      shard::ShardedEngine::Open(SchemaSource::Experiment(),
-                                 ConstraintSource::Experiment(),
-                                 shard_options);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  shard::ShardedEngine fleet = std::move(*opened);
-  ASSERT_OK(fleet.Load(DataSource::Generated(kSpec, kSeed)));
-  const Schema& schema = fleet.schema();
+TEST(ServerTest, StatsReportEngineCounterValues) {
+  // The STATS text must carry the engine's counter VALUES, not only
+  // its line names: one committed 2-insert batch, one query and one
+  // contradiction over the wire, checked against engine.stats().
+  Engine engine = OpenLoadedEngine();
+  const Schema& schema = engine.schema();
   const ClassId supplier = schema.FindClass("supplier");
-  // Fixture rows round-robin segments, so rows 0 and 3 live on
-  // different shards at 4 shards — the batch below really fans out.
-  ASSERT_NE(fleet.ShardOfRow(supplier, 0), fleet.ShardOfRow(supplier, 3));
-
-  // One committed batch whose two inserts land on two shards: each
-  // shard applies one op, so only the summed view reports 2.
   MutationBatch batch;
   ASSERT_OK_AND_ASSIGN(
       Object fresh0, MakeSegmentObject(schema, supplier, /*segment=*/0,
@@ -218,9 +212,9 @@ TEST(ServerTest, StatsOverShardedBackendReportFleetTotals) {
                                        /*ordinal=*/9001));
   batch.Insert(supplier, std::move(fresh0));
   batch.Insert(supplier, std::move(fresh3));
-  ASSERT_OK(fleet.Apply(batch).status());
+  ASSERT_OK(engine.Apply(batch).status());
 
-  std::unique_ptr<Server> server = StartServer(&fleet);
+  std::unique_ptr<Server> server = StartServer(&engine);
   ASSERT_OK_AND_ASSIGN(Client client,
                        Client::Connect("127.0.0.1", server->port()));
   ASSERT_OK_AND_ASSIGN(Response queried, client.Query(kSingleClassQuery));
@@ -229,10 +223,10 @@ TEST(ServerTest, StatsOverShardedBackendReportFleetTotals) {
   ASSERT_TRUE(refuted.ok()) << refuted.message;
   EXPECT_TRUE(refuted.answered_without_database);
 
-  const EngineStats totals = fleet.stats();
-  EXPECT_EQ(totals.mutation_batches_applied, 1u);
-  EXPECT_EQ(totals.mutation_ops_applied, 2u);
-  EXPECT_GE(totals.contradictions, 1u);
+  const EngineStats counters = engine.stats();
+  EXPECT_EQ(counters.mutation_batches_applied, 1u);
+  EXPECT_EQ(counters.mutation_ops_applied, 2u);
+  EXPECT_GE(counters.contradictions, 1u);
 
   ASSERT_OK_AND_ASSIGN(std::string text, client.Stats());
   auto line = [](const char* name, uint64_t value) {
@@ -240,10 +234,10 @@ TEST(ServerTest, StatsOverShardedBackendReportFleetTotals) {
   };
   EXPECT_NE(text.find("server_queries_ok 2"), std::string::npos) << text;
   EXPECT_NE(text.find(line("engine_queries_executed",
-                           totals.queries_executed)),
+                           counters.queries_executed)),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find(line("engine_contradictions", totals.contradictions)),
+  EXPECT_NE(text.find(line("engine_contradictions", counters.contradictions)),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("engine_mutation_batches_applied 1"),
@@ -251,8 +245,6 @@ TEST(ServerTest, StatsOverShardedBackendReportFleetTotals) {
       << text;
   EXPECT_NE(text.find("engine_mutation_ops_applied 2"), std::string::npos)
       << text;
-  // Plan-cache lines come from the planning head's shared cache.
-  EXPECT_NE(text.find("plan_cache_"), std::string::npos) << text;
 }
 
 TEST(ServerTest, BadCrcGetsTypedErrorAndConnectionSurvives) {
@@ -325,8 +317,7 @@ TEST(ServerTest, ExpiredDeadlineAnswersTypedTimeout) {
   // 50ms deadline and must expire in the queue.
   ASSERT_OK_AND_ASSIGN(Client blocker,
                        Client::Connect("127.0.0.1", server->port()));
-  ASSERT_OK(blocker.SendRaw(EncodeRequest(
-      Request{RequestType::kQuery, 5000, kSingleClassQuery})));
+  ASSERT_OK(blocker.SendRaw(EncodeRequest(SingleClassQueryRequest(5000))));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   ASSERT_OK_AND_ASSIGN(Client hurried,
@@ -352,8 +343,7 @@ TEST(ServerTest, StatsUnderSaturationHonorsDeadlineLikeEveryType) {
 
   ASSERT_OK_AND_ASSIGN(Client blocker,
                        Client::Connect("127.0.0.1", server->port()));
-  ASSERT_OK(blocker.SendRaw(EncodeRequest(
-      Request{RequestType::kQuery, 5000, kSingleClassQuery})));
+  ASSERT_OK(blocker.SendRaw(EncodeRequest(SingleClassQueryRequest(5000))));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   ASSERT_OK_AND_ASSIGN(Client hurried,
@@ -394,8 +384,7 @@ TEST(ServerTest, SaturationShedsTypedOverloadedWithBoundedQueue) {
                                          /*timeout_ms=*/30000));
     clients.push_back(std::move(client));
   }
-  const std::string frame = EncodeRequest(
-      Request{RequestType::kQuery, 0, kSingleClassQuery});
+  const std::string frame = EncodeRequest(SingleClassQueryRequest(0));
   for (Client& client : clients) {
     for (int i = 0; i < kPerClient; ++i) ASSERT_OK(client.SendRaw(frame));
   }
@@ -434,8 +423,7 @@ TEST(ServerTest, GracefulDrainFinishesInFlightWork) {
   ASSERT_OK_AND_ASSIGN(Client client,
                        Client::Connect("127.0.0.1", server->port()));
   // Three pipelined requests in flight, then drain mid-stream.
-  const std::string frame = EncodeRequest(
-      Request{RequestType::kQuery, 0, kSingleClassQuery});
+  const std::string frame = EncodeRequest(SingleClassQueryRequest(0));
   for (int i = 0; i < 3; ++i) ASSERT_OK(client.SendRaw(frame));
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   server->RequestDrain();

@@ -22,15 +22,6 @@
 //            clean run leaving a snapshot + WAL tail (cross-compiler leg:
 //            one toolchain dumps, the other runs `verify` on it)
 //
-// `--shards N` (fixture / writer / verify / sweep) swaps the engine
-// under test for the sharded coordinator: the writer commits the same
-// deterministic script through ShardedEngine (head validation →
-// coordinator WAL → per-shard group commit), kill points cover the
-// coordinator append, mid-dispatch shard divergence windows, manifest
-// renames, and per-shard checkpoints, and verification reopens the
-// WHOLE fleet and diffs it against the single-engine in-memory oracle
-// — proving every shard converges to the manifest's committed prefix.
-//
 // On any failure a repro artifact (seed + kill spec + command lines) is
 // written under --artifact-dir and the process exits non-zero.
 #include <sys/wait.h>
@@ -52,7 +43,6 @@
 #include "persist/crash_point.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
-#include "shard/sharded_engine.h"
 #include "workload/mutation_script.h"
 
 namespace fs = std::filesystem;
@@ -81,32 +71,6 @@ const std::vector<std::string> kCrashPoints = {
     "checkpoint_post_truncate",
 };
 
-// Sharded-mode kill points. The wal_* points fire on the COORDINATOR
-// log append (it is the first WAL touched after arming — the head is
-// memory-only and per-shard appends come after dispatch begins);
-// group_post_wal fires in the head's commit, BEFORE the coordinator
-// append, so its committed prefix excludes the kill group. coord_post_
-// log / coord_mid_dispatch kill between the coordinator's durability
-// point and full shard dispatch — the windows where shards disagree
-// with each other and recovery must replay every shard forward. The
-// manifest_* and shard snapshot/checkpoint points die inside
-// Checkpoint, where the coordinator log still covers everything.
-const std::vector<std::string> kShardCrashPoints = {
-    "exit",
-    "wal_pre_write",
-    "wal_pre_sync",
-    "wal_post_sync",
-    "group_post_wal",
-    "coord_post_log",
-    "coord_mid_dispatch",
-    "manifest_pre_rename",
-    "manifest_post_rename",
-    "snapshot_pre_tmp_sync",
-    "snapshot_pre_rename",
-    "checkpoint_post_rename",
-    "checkpoint_post_truncate",
-};
-
 struct Args {
   std::string mode;
   std::string dir;
@@ -120,9 +84,6 @@ struct Args {
   // 1 = the historical one-Apply-per-batch script. The sweep overrides
   // this per kill to exercise the leader/follower protocol.
   int group = 1;
-  // 0 = single Engine; >0 runs the ShardedEngine coordinator with this
-  // fleet size (fixture / writer / verify / sweep).
-  int shards = 0;
   std::string crash_point;
 };
 
@@ -152,8 +113,6 @@ std::optional<Args> ParseArgs(int argc, char** argv) {
       args.kill_at = std::atoi(v);
     } else if (flag == "--group" && (v = next())) {
       args.group = std::atoi(v);
-    } else if (flag == "--shards" && (v = next())) {
-      args.shards = std::atoi(v);
     } else if (flag == "--crash-point" && (v = next())) {
       args.crash_point = v;
     } else {
@@ -190,8 +149,7 @@ void WriteArtifact(const Args& args, const std::string& name,
                path.c_str(), detail.c_str());
 }
 
-template <typename EngineT>
-std::vector<int64_t> BaseRows(const EngineT& engine) {
+std::vector<int64_t> BaseRows(const Engine& engine) {
   std::vector<int64_t> rows;
   for (const ObjectClass& oc : engine.schema().classes()) {
     rows.push_back(engine.store()->NumObjects(oc.id));
@@ -224,20 +182,6 @@ Engine MakeOracle(uint64_t seed, int committed) {
 // ---------------------------------------------------------------------
 
 int RunFixture(const Args& args) {
-  if (args.shards > 0) {
-    shard::ShardOptions options;
-    options.shards = args.shards;
-    auto opened = shard::ShardedEngine::Open(SchemaSource::Experiment(),
-                                             ConstraintSource::Experiment(),
-                                             options);
-    if (!opened.ok()) Die("fleet open: " + opened.status().ToString());
-    shard::ShardedEngine fleet = std::move(opened).value();
-    Status loaded = fleet.Load(DataSource::Generated(kSpec, args.seed));
-    if (!loaded.ok()) Die("fleet load: " + loaded.ToString());
-    Status saved = fleet.Save(args.dir);
-    if (!saved.ok()) Die("fleet save: " + saved.ToString());
-    return 0;
-  }
   auto opened = Engine::Open(SchemaSource::Experiment(),
                              ConstraintSource::Experiment());
   if (!opened.ok()) Die("open: " + opened.status().ToString());
@@ -249,10 +193,10 @@ int RunFixture(const Args& args) {
   return 0;
 }
 
-// The writer's commit loop, shared by the single-engine and sharded
-// paths (same Apply/ApplyGroup/Checkpoint surface).
-template <typename EngineT>
-int RunWriterLoop(EngineT& engine, const Args& args) {
+int RunWriter(const Args& args) {
+  auto opened = Engine::Open(args.dir);
+  if (!opened.ok()) Die("writer open: " + opened.status().ToString());
+  Engine engine = std::move(opened).value();
   if (engine.data_version() != 1) {
     Die("writer expects a fresh fixture (version 1), found version " +
         std::to_string(engine.data_version()));
@@ -298,26 +242,17 @@ int RunWriterLoop(EngineT& engine, const Args& args) {
   return 0;
 }
 
-int RunWriter(const Args& args) {
-  if (args.shards > 0) {
-    auto opened = shard::ShardedEngine::Open(args.dir);
-    if (!opened.ok()) Die("fleet writer open: " + opened.status().ToString());
-    shard::ShardedEngine fleet = std::move(opened).value();
-    return RunWriterLoop(fleet, args);
+// Reopens `dir`, derives the committed prefix from data_version, and
+// compares counts + every fixture query against an in-memory oracle
+// that applied exactly that prefix. Returns an error description, or
+// empty on success.
+std::string VerifyDir(const std::string& dir, uint64_t seed,
+                      int max_batches) {
+  auto reopened = Engine::Open(dir);
+  if (!reopened.ok()) {
+    return "reopen failed: " + reopened.status().ToString();
   }
-  auto opened = Engine::Open(args.dir);
-  if (!opened.ok()) Die("writer open: " + opened.status().ToString());
-  Engine engine = std::move(opened).value();
-  return RunWriterLoop(engine, args);
-}
-
-// The recovery diff shared by both engine shapes: derive the committed
-// prefix from data_version and compare counts + every fixture query
-// against an in-memory single-engine oracle that applied exactly that
-// prefix. Returns an error description, or empty on success.
-template <typename EngineT>
-std::string DiffAgainstOracle(const EngineT& engine, uint64_t seed,
-                              int max_batches) {
+  const Engine& engine = *reopened;
   const uint64_t version = engine.data_version();
   if (version < 1 || version > 1 + static_cast<uint64_t>(max_batches)) {
     return "data_version " + std::to_string(version) +
@@ -358,27 +293,6 @@ std::string DiffAgainstOracle(const EngineT& engine, uint64_t seed,
   return "";
 }
 
-std::string VerifyDir(const std::string& dir, uint64_t seed,
-                      int max_batches, int shards) {
-  if (shards > 0) {
-    auto reopened = shard::ShardedEngine::Open(dir);
-    if (!reopened.ok()) {
-      return "fleet reopen failed: " + reopened.status().ToString();
-    }
-    if (reopened->num_shards() != shards) {
-      return "fleet reopened with " +
-             std::to_string(reopened->num_shards()) + " shards, expected " +
-             std::to_string(shards);
-    }
-    return DiffAgainstOracle(*reopened, seed, max_batches);
-  }
-  auto reopened = Engine::Open(dir);
-  if (!reopened.ok()) {
-    return "reopen failed: " + reopened.status().ToString();
-  }
-  return DiffAgainstOracle(*reopened, seed, max_batches);
-}
-
 // Spawns this binary as `--mode writer` on `dir` and waits. Returns
 // the child's exit status (137 = simulated crash), or -1 on spawn
 // failure.
@@ -396,10 +310,6 @@ int SpawnWriter(const Args& args, const std::string& dir, int kill_at,
       std::to_string(args.batches), "--checkpoint-every",
       std::to_string(args.checkpoint_every), "--group",
       std::to_string(group)};
-  if (args.shards > 0) {
-    argv_s.push_back("--shards");
-    argv_s.push_back(std::to_string(args.shards));
-  }
   if (kill_at >= 0) {
     argv_s.push_back("--kill-at");
     argv_s.push_back(std::to_string(kill_at));
@@ -439,13 +349,11 @@ int RunSweep(const Args& args) {
   RunFixture(fixture_args);
 
   Rng rng(args.seed ^ 0xC4A54);
-  const std::vector<std::string>& points =
-      args.shards > 0 ? kShardCrashPoints : kCrashPoints;
   int failures = 0;
   for (int k = 0; k < args.kills; ++k) {
     const int kill_at = static_cast<int>(
         rng.Index(static_cast<size_t>(args.batches)));
-    const std::string& point = points[rng.Index(points.size())];
+    const std::string& point = kCrashPoints[rng.Index(kCrashPoints.size())];
     // Vary the commit-group size so the sweep exercises the group WAL
     // record: a kill between a group's single append and its publish
     // must recover the whole group or none of it.
@@ -459,7 +367,7 @@ int RunSweep(const Args& args) {
       error = "writer exited with unexpected status " +
               std::to_string(status);
     } else {
-      error = VerifyDir(run.string(), args.seed, args.batches, args.shards);
+      error = VerifyDir(run.string(), args.seed, args.batches);
     }
     // Exact committed-prefix expectations where the kill point pins
     // them (fsync'd appends survive a process kill deterministically).
@@ -467,26 +375,14 @@ int RunSweep(const Args& args) {
     // kill_at: before the durable append the prefix is the groups
     // before it; once the group record hits the WAL (the page cache
     // survives a process kill) recovery replays the whole group, never
-    // part of it. In sharded mode the durable append is the
-    // COORDINATOR log's, and group_post_wal moves to the pre-durable
-    // side: it fires in the memory-only head's commit, before the
-    // coordinator append.
-    const bool pre_durable =
-        point == "exit" || point == "wal_pre_write" ||
-        (args.shards > 0 && point == "group_post_wal");
-    const bool post_durable =
-        point == "wal_pre_sync" || point == "wal_post_sync" ||
-        point == "coord_post_log" || point == "coord_mid_dispatch" ||
-        (args.shards == 0 && point == "group_post_wal");
+    // part of it.
+    const bool pre_durable = point == "exit" || point == "wal_pre_write";
+    const bool post_durable = point == "wal_pre_sync" ||
+                              point == "wal_post_sync" ||
+                              point == "group_post_wal";
     if (error.empty() && (pre_durable || post_durable) && status == 137) {
-      uint64_t version = 0;
-      if (args.shards > 0) {
-        auto reopened = shard::ShardedEngine::Open(run.string());
-        version = reopened.ok() ? reopened->data_version() : 0;
-      } else {
-        auto reopened = Engine::Open(run.string());
-        version = reopened.ok() ? reopened->data_version() : 0;
-      }
+      auto reopened = Engine::Open(run.string());
+      const uint64_t version = reopened.ok() ? reopened->data_version() : 0;
       const int gstart = kill_at - (kill_at % group);
       const int gsize = std::min(group, args.batches - gstart);
       const uint64_t expected =
@@ -556,8 +452,7 @@ int RunTorn(const Args& args) {
     CopyDir(full, run);
     fs::resize_file(run / persist::kWalFileName,
                     static_cast<uintmax_t>(offsets[i]));
-    std::string error =
-        VerifyDir(run.string(), args.seed, args.batches, /*shards=*/0);
+    std::string error = VerifyDir(run.string(), args.seed, args.batches);
     if (!error.empty()) {
       WriteArtifact(args, "torn_off" + std::to_string(offsets[i]),
                     "truncate_offset: " + std::to_string(offsets[i]) +
@@ -585,20 +480,11 @@ int RunDump(const Args& args) {
 int main(int argc, char** argv) {
   auto args = ParseArgs(argc, argv);
   if (!args.has_value()) return 2;
-  if (args->shards > 0 && (args->mode == "torn" || args->mode == "dump")) {
-    // Artificial truncation of the coordinator log would fake a state
-    // the fsync-before-dispatch ordering makes impossible (shards ahead
-    // of the log), which recovery rightly reports as corruption.
-    std::fprintf(stderr, "--shards is not supported in '%s' mode\n",
-                 args->mode.c_str());
-    return 2;
-  }
   if (args->mode == "fixture") return RunFixture(*args);
   if (args->mode == "writer") return RunWriter(*args);
   if (args->mode == "dump") return RunDump(*args);
   if (args->mode == "verify") {
-    std::string error =
-        VerifyDir(args->dir, args->seed, args->batches, args->shards);
+    std::string error = VerifyDir(args->dir, args->seed, args->batches);
     if (!error.empty()) {
       WriteArtifact(*args, "verify", "error: " + error);
       return 1;
