@@ -209,17 +209,16 @@ Result<std::shared_ptr<const detail::PreparedState>> BuildPrepared(
 // it so cached entries observe committed mutations; the entry's own
 // creation-time pin is only the fallback (e.g. a PreparedQuery handle
 // outliving the engine's data slot — which Load/Apply never empty).
-Result<QueryOutcome> ExecutePreparedState(
+// Runs a prepared plan against `data`; a plan the optimizer proved
+// empty counts a contradiction and returns no rows without touching the
+// store.
+Result<ResultSet> RunPrepared(
     const detail::EngineState& state, const detail::PreparedState& prepared,
-    const std::shared_ptr<const detail::LoadedData>& data) {
-  QueryOutcome out;
-  out.original = prepared.original;
-  out.transformed = prepared.transformed;
-  out.report = prepared.report;
+    const std::shared_ptr<const detail::LoadedData>& data,
+    ExecutionMeter* meter) {
   if (prepared.empty_result) {
-    out.answered_without_database = true;
     state.contradictions.fetch_add(1, std::memory_order_relaxed);
-    return out;
+    return ResultSet{};
   }
   const detail::LoadedData* exec_data =
       detail::ChooseExecData(data, prepared.data);
@@ -228,11 +227,21 @@ Result<QueryOutcome> ExecutePreparedState(
         "no data loaded: call Engine::Load before Execute");
   }
   std::shared_ptr<WorkerPool> pool_holder;
-  SQOPT_ASSIGN_OR_RETURN(
-      out.rows,
-      ExecutePlan(*exec_data->store, *prepared.plan, &out.meter,
-                  MakeExecContext(state, *prepared.plan, &pool_holder)));
-  out.executed = true;
+  return ExecutePlan(*exec_data->store, *prepared.plan, meter,
+                     MakeExecContext(state, *prepared.plan, &pool_holder));
+}
+
+Result<QueryOutcome> ExecutePreparedState(
+    const detail::EngineState& state, const detail::PreparedState& prepared,
+    const std::shared_ptr<const detail::LoadedData>& data) {
+  QueryOutcome out;
+  out.original = prepared.original;
+  out.transformed = prepared.transformed;
+  out.report = prepared.report;
+  out.answered_without_database = prepared.empty_result;
+  SQOPT_ASSIGN_OR_RETURN(out.rows,
+                         RunPrepared(state, prepared, data, &out.meter));
+  out.executed = !prepared.empty_result;
   return out;
 }
 
@@ -1169,6 +1178,25 @@ Result<QueryOutcome> Engine::Execute(std::string_view query_text) const {
   }
   SQOPT_ASSIGN_OR_RETURN(Query query, Parse(query_text));
   return ExecuteParsed(query, std::string(query_text));
+}
+
+Result<CachedAnswer> Engine::ExecuteIfCached(
+    std::string_view query_text) const {
+  detail::EngineState& state = *state_;
+  CachedAnswer answer;
+  std::shared_ptr<const detail::PreparedState> entry =
+      state.plan_cache.LookupText(query_text, /*sequential_only=*/true);
+  if (entry == nullptr) return answer;
+  answer.cached = true;
+  RecordAccess(state, entry->original);
+  ExecutionMeter meter;
+  SQOPT_ASSIGN_OR_RETURN(
+      ResultSet rows,
+      RunPrepared(state, *entry, state.data_snapshot(), &meter));
+  answer.answered_without_database = entry->empty_result;
+  answer.rows = std::move(rows.rows);
+  state.queries_executed.fetch_add(1, std::memory_order_relaxed);
+  return answer;
 }
 
 Result<QueryOutcome> Engine::Execute(const Query& query) const {

@@ -325,6 +325,8 @@ class Engine : public EngineInterface {
   // reload: a hit skips retrieval, transformation, and planning, and
   // the outcome reports plan_cache_hit = true.
   Result<QueryOutcome> Execute(std::string_view query_text) const override;
+  Result<CachedAnswer> ExecuteIfCached(
+      std::string_view query_text) const override;
   Result<QueryOutcome> Execute(const Query& query) const;
 
   // Fans `queries` across the engine's worker pool (sized by

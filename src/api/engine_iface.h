@@ -15,6 +15,7 @@
 #include "api/mutation.h"
 #include "api/plan_cache.h"
 #include "common/status.h"
+#include "types/value.h"
 
 namespace sqopt {
 
@@ -48,12 +49,29 @@ struct EngineStats {
   uint64_t stats_recollections = 0;
 };
 
+// What EngineInterface::ExecuteIfCached answers: the rows and the one
+// flag a server sends back, without the report and queries a full
+// QueryOutcome carries.
+struct CachedAnswer {
+  // False: the text had no cached sequential plan and nothing ran.
+  bool cached = false;
+  bool answered_without_database = false;
+  std::vector<std::vector<Value>> rows;
+};
+
 class EngineInterface {
  public:
   virtual ~EngineInterface() = default;
 
   // Parse -> optimize -> plan -> execute -> meter; thread-safe.
   virtual Result<QueryOutcome> Execute(std::string_view query_text) const = 0;
+
+  // Serves `query_text` only when it is an exact raw-text plan-cache
+  // hit whose plan runs sequentially; otherwise answers "not cached"
+  // having done nothing else — no parse, no counted miss, no plan.
+  // Thread-safe. The server runs such queries on its I/O thread.
+  virtual Result<CachedAnswer> ExecuteIfCached(
+      std::string_view query_text) const = 0;
 
   // Commits one mutation batch atomically (group-commit with
   // concurrent callers where the backend supports it). Thread-safe;

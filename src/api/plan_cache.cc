@@ -28,11 +28,17 @@ PlanCache::Shard& PlanCache::ShardFor(
 }
 
 std::shared_ptr<const PreparedState> PlanCache::LookupIn(
-    std::vector<std::unique_ptr<Shard>>& shards, std::string_view key) {
+    std::vector<std::unique_ptr<Shard>>& shards, std::string_view key,
+    bool sequential_only) {
   Shard& shard = ShardFor(shards, key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
   if (it == shard.index.end()) return nullptr;
+  const PreparedState& entry = *it->second->second;
+  if (sequential_only && entry.plan.has_value() &&
+      entry.plan->parallelism > 1) {
+    return nullptr;
+  }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->second;
 }
@@ -49,9 +55,10 @@ std::shared_ptr<const PreparedState> PlanCache::Lookup(std::string_view key) {
 }
 
 std::shared_ptr<const PreparedState> PlanCache::LookupText(
-    std::string_view text) {
+    std::string_view text, bool sequential_only) {
   if (!enabled()) return nullptr;
-  std::shared_ptr<const PreparedState> entry = LookupIn(alias_shards_, text);
+  std::shared_ptr<const PreparedState> entry =
+      LookupIn(alias_shards_, text, sequential_only);
   // Only a hit is counted: on null the caller parses and falls through
   // to the canonical Lookup, which scores this query exactly once.
   if (entry != nullptr) hits_.fetch_add(1, std::memory_order_relaxed);

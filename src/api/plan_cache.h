@@ -70,7 +70,11 @@ class PlanCache {
   // canonicalization. Counts a hit when found; a miss is NOT counted
   // here (the caller falls through to the canonical Lookup, which
   // counts exactly once per query).
-  std::shared_ptr<const PreparedState> LookupText(std::string_view text);
+  // With `sequential_only`, an entry whose plan fans out across the
+  // morsel pool is treated as absent: not returned, not counted, and
+  // its LRU position left alone.
+  std::shared_ptr<const PreparedState> LookupText(
+      std::string_view text, bool sequential_only = false);
 
   // Caches `entry` under `key` unless the epoch moved since
   // `epoch_at_lookup` (a concurrent invalidation) or the cache is
@@ -115,7 +119,8 @@ class PlanCache {
   Shard& ShardFor(std::vector<std::unique_ptr<Shard>>& shards,
                   std::string_view key);
   std::shared_ptr<const PreparedState> LookupIn(
-      std::vector<std::unique_ptr<Shard>>& shards, std::string_view key);
+      std::vector<std::unique_ptr<Shard>>& shards, std::string_view key,
+      bool sequential_only = false);
   void InsertIn(std::vector<std::unique_ptr<Shard>>& shards,
                 const std::string& key,
                 std::shared_ptr<const PreparedState> entry,

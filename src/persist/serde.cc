@@ -7,12 +7,15 @@ namespace sqopt::persist {
 
 namespace {
 
-// Slicing-by-4 tables: table[0] is the classic byte-at-a-time table,
+// Slicing-by-8 tables: table[0] is the classic byte-at-a-time table,
 // table[k][b] extends it by k extra zero bytes, letting the hot loop
-// fold 4 input bytes per iteration (snapshot sections run to megabytes
-// — the cold-open path checksums the whole file).
-std::array<std::array<uint32_t, 256>, 4> MakeCrcTables() {
-  std::array<std::array<uint32_t, 256>, 4> tables{};
+// fold 8 input bytes per iteration (snapshot sections run to megabytes
+// — the cold-open path checksums the whole file — and every wire frame
+// is checksummed on both ends).
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
@@ -22,7 +25,7 @@ std::array<std::array<uint32_t, 256>, 4> MakeCrcTables() {
   }
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = tables[0][i];
-    for (int t = 1; t < 4; ++t) {
+    for (size_t t = 1; t < tables.size(); ++t) {
       c = tables[0][c & 0xFFu] ^ (c >> 8);
       tables[t][i] = c;
     }
@@ -33,18 +36,22 @@ std::array<std::array<uint32_t, 256>, 4> MakeCrcTables() {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
-  static const std::array<std::array<uint32_t, 256>, 4> kTables =
-      MakeCrcTables();
+  static const CrcTables kTables = MakeCrcTables();
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  while (len >= 4) {
-    c ^= static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) |
-         (static_cast<uint32_t>(p[3]) << 24);
-    c = kTables[3][c & 0xFFu] ^ kTables[2][(c >> 8) & 0xFFu] ^
-        kTables[1][(c >> 16) & 0xFFu] ^ kTables[0][(c >> 24) & 0xFFu];
-    p += 4;
-    len -= 4;
+  while (len >= 8) {
+    // Little-endian loads (serde.h asserts the host order).
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+    p += 8;
+    len -= 8;
   }
   while (len-- > 0) {
     c = kTables[0][(c ^ *p++) & 0xFFu] ^ (c >> 8);
@@ -52,52 +59,62 @@ uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void ByteWriter::PutF64(double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(bits);
-}
-
 void ByteWriter::PutString(std::string_view s) {
   PutU32(static_cast<uint32_t>(s.size()));
   buf_.append(s.data(), s.size());
 }
 
-void ByteWriter::PutValue(const Value& v) {
-  PutU8(static_cast<uint8_t>(v.type()));
+size_t EncodedSize(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
-      break;
+      return 1;
     case ValueType::kBool:
-      PutU8(v.bool_value() ? 1 : 0);
-      break;
+      return 2;
     case ValueType::kInt:
-      PutI64(v.int_value());
-      break;
     case ValueType::kDouble:
-      PutF64(v.double_value());
-      break;
+      return 9;
     case ValueType::kString:
-      PutString(v.string_value());
-      break;
+      return 5 + v.string_value().size();
     case ValueType::kRef:
-      PutI32(v.ref_value().class_id);
-      PutI64(v.ref_value().row);
-      break;
+      return 13;
   }
+  return 1;
+}
+
+namespace {
+
+template <typename T>
+char* Store(char* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+  return out + sizeof(T);
+}
+
+}  // namespace
+
+char* EncodeValue(const Value& v, char* out) {
+  const ValueType type = v.type();
+  *out++ = static_cast<char>(type);
+  switch (type) {
+    case ValueType::kNull:
+      return out;
+    case ValueType::kBool:
+      *out++ = v.bool_value() ? 1 : 0;
+      return out;
+    case ValueType::kInt:
+      return Store(out, v.int_value());
+    case ValueType::kDouble:
+      return Store(out, v.double_value());
+    case ValueType::kString: {
+      const std::string& s = v.string_value();
+      out = Store(out, static_cast<uint32_t>(s.size()));
+      std::memcpy(out, s.data(), s.size());
+      return out + s.size();
+    }
+    case ValueType::kRef:
+      out = Store(out, v.ref_value().class_id);
+      return Store(out, v.ref_value().row);
+  }
+  return out;
 }
 
 Status ByteReader::Need(size_t n) {
@@ -107,48 +124,6 @@ Status ByteReader::Need(size_t n) {
                               std::to_string(remaining()));
   }
   return Status::OK();
-}
-
-Result<uint8_t> ByteReader::U8() {
-  SQOPT_RETURN_IF_ERROR(Need(1));
-  return static_cast<uint8_t>(data_[pos_++]);
-}
-
-Result<uint32_t> ByteReader::U32() {
-  SQOPT_RETURN_IF_ERROR(Need(4));
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-Result<uint64_t> ByteReader::U64() {
-  SQOPT_RETURN_IF_ERROR(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_++]))
-         << (8 * i);
-  }
-  return v;
-}
-
-Result<int32_t> ByteReader::I32() {
-  SQOPT_ASSIGN_OR_RETURN(uint32_t v, U32());
-  return static_cast<int32_t>(v);
-}
-
-Result<int64_t> ByteReader::I64() {
-  SQOPT_ASSIGN_OR_RETURN(uint64_t v, U64());
-  return static_cast<int64_t>(v);
-}
-
-Result<double> ByteReader::F64() {
-  SQOPT_ASSIGN_OR_RETURN(uint64_t bits, U64());
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 Result<std::string> ByteReader::String() {
@@ -166,35 +141,70 @@ Result<std::string_view> ByteReader::Raw(size_t n) {
   return out;
 }
 
-Result<Value> ByteReader::ReadValue() {
-  SQOPT_ASSIGN_OR_RETURN(uint8_t tag, U8());
+bool ByteReader::TryReadValue(Value* out) {
+  const size_t start = pos_;
+  uint8_t tag = 0;
+  if (!TryFixed(&tag)) return false;
+  bool ok = true;
   switch (static_cast<ValueType>(tag)) {
     case ValueType::kNull:
-      return Value::Null();
+      *out = Value::Null();
+      break;
     case ValueType::kBool: {
-      SQOPT_ASSIGN_OR_RETURN(uint8_t b, U8());
-      return Value::Bool(b != 0);
+      uint8_t b = 0;
+      ok = TryFixed(&b);
+      if (ok) *out = Value::Bool(b != 0);
+      break;
     }
     case ValueType::kInt: {
-      SQOPT_ASSIGN_OR_RETURN(int64_t v, I64());
-      return Value::Int(v);
+      int64_t v = 0;
+      ok = TryFixed(&v);
+      if (ok) *out = Value::Int(v);
+      break;
     }
     case ValueType::kDouble: {
-      SQOPT_ASSIGN_OR_RETURN(double v, F64());
-      return Value::Double(v);
+      double v = 0;
+      ok = TryFixed(&v);
+      if (ok) *out = Value::Double(v);
+      break;
     }
     case ValueType::kString: {
-      SQOPT_ASSIGN_OR_RETURN(std::string s, String());
-      return Value::String(std::move(s));
+      uint32_t len = 0;
+      ok = TryFixed(&len) && remaining() >= len;
+      if (ok) {
+        *out = Value::String(std::string(data_.substr(pos_, len)));
+        pos_ += len;
+      }
+      break;
     }
     case ValueType::kRef: {
-      SQOPT_ASSIGN_OR_RETURN(int32_t class_id, I32());
-      SQOPT_ASSIGN_OR_RETURN(int64_t row, I64());
-      return Value::Ref(Oid{class_id, row});
+      Oid oid;
+      ok = TryFixed(&oid.class_id) && TryFixed(&oid.row);
+      if (ok) *out = Value::Ref(oid);
+      break;
     }
+    default:
+      ok = false;
+      break;
   }
-  return Status::Corruption("unknown value type tag " +
-                            std::to_string(static_cast<int>(tag)));
+  if (!ok) pos_ = start;
+  return ok;
+}
+
+Result<Value> ByteReader::ReadValue() {
+  Value v;
+  if (TryReadValue(&v)) return v;
+  if (AtEnd()) return Need(1);
+  const auto tag = static_cast<uint8_t>(data_[pos_]);
+  if (tag > static_cast<uint8_t>(ValueType::kRef)) {
+    return Status::Corruption("unknown value type tag " +
+                              std::to_string(static_cast<int>(tag)));
+  }
+  return Status::Corruption("serialized data truncated: " +
+                            std::to_string(remaining()) +
+                            " bytes left for a " +
+                            ValueTypeName(static_cast<ValueType>(tag)) +
+                            " value");
 }
 
 }  // namespace sqopt::persist

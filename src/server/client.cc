@@ -93,7 +93,7 @@ Status Client::SendRaw(std::string_view bytes) {
 
 Result<Response> Client::ReceiveResponse() {
   if (fd_ < 0) return Status::FailedPrecondition("client is closed");
-  std::string payload;
+  std::string_view payload;
   char buf[16384];
   for (;;) {
     switch (reader_.Next(&payload)) {

@@ -17,6 +17,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -41,33 +42,51 @@ uint64_t MicrosSince(Clock::time_point t0) {
           .count());
 }
 
-// One TCP connection. The I/O thread owns the fd, the FrameReader, and
-// the idle/flush bookkeeping; the write buffer is shared with workers
-// (they append encoded responses) and guarded by `mu` together with
-// `closed`, which tells a late worker the fd is already gone.
+// One TCP connection. The I/O thread owns the fd and the FrameReader.
+// The output side is shared with workers and replication pushes, which
+// may also send() on the fd, all under `mu`; `closed` tells a late
+// worker the fd is already gone.
 struct Conn {
   int fd = -1;
 
   // --- I/O-thread-only state. ---
   FrameReader reader;
-  Clock::time_point last_activity;
-  bool close_after_flush = false;
   // Wire protocol this connection negotiated (HELLO upgrades it).
   uint32_t protocol = kProtocolVersionMin;
 
-  // --- Shared with workers, guarded by mu. ---
+  // Steady-clock ticks of the last traffic; stamped by the I/O thread
+  // and by any thread that sends on the fd.
+  std::atomic<Clock::rep> last_activity{0};
+
+  // --- Shared, guarded by mu. ---
   std::mutex mu;
   std::string outbuf;
   bool closed = false;
+  bool close_after_flush = false;
+  // Answers owed to this connection, in request order. A pooled
+  // request holds an empty slot until its worker fills it, and outbuf
+  // takes frames only from the front, so answers leave in arrival order
+  // whichever thread produced them. `owed_base` numbers owed.front().
+  std::deque<std::optional<std::string>> owed;
+  uint64_t owed_base = 0;
 
   // Requests admitted for this connection and not yet answered; the
-  // reaper never closes a connection with one pending.
+  // reaper never closes a connection with one pending, and no request
+  // runs inline while one is.
   std::atomic<int> inflight{0};
 
   // Replication subscriber: a caught-up follower is quiet by design,
   // so the idle reaper leaves it alone.
   std::atomic<bool> subscribed{false};
+
+  void Touch() {
+    last_activity.store(Clock::now().time_since_epoch().count(),
+                        std::memory_order_relaxed);
+  }
 };
+
+// Post() with no reserved slot: the answer goes behind everything owed.
+constexpr uint64_t kNoSlot = ~uint64_t{0};
 
 Response ErrorResponse(RequestType type, const Status& status) {
   Response r;
@@ -101,6 +120,7 @@ struct Server::Impl {
     std::shared_ptr<Conn> conn;
     Request request;
     Clock::time_point deadline;
+    uint64_t slot = kNoSlot;  // the answer's place in conn->owed
   };
   std::mutex queue_mu;
   std::condition_variable queue_cv;
@@ -121,14 +141,28 @@ struct Server::Impl {
   std::mutex sub_mu;
   std::vector<Subscriber> subscribers;
 
+  // Whether the connection being read may have a query run inline:
+  // only the last readable connection of a poll pass. The queries of
+  // the others are admitted to the pool first, so they never wait
+  // behind an inline run; and under overload the I/O thread runs one
+  // query per pass while the rest fill the admission queue and shed,
+  // instead of running the whole backlog itself behind an empty queue.
+  // I/O thread only.
+  bool inline_allowed = false;
+
   std::atomic<bool> draining{false};
+  // Backpressure: the I/O thread stops reading at `watermark` queued
+  // requests and resumes at half of it. Workers read `reads_paused` to
+  // wake it when their progress crosses the resume line.
+  size_t watermark = 0;
+  std::atomic<bool> reads_paused{false};
   // Admitted requests not yet answered (queued + executing).
   std::atomic<uint64_t> inflight{0};
 
   // Counters (see ServerStats).
   std::atomic<uint64_t> accepted{0}, active{0}, reaped_idle{0};
   std::atomic<uint64_t> requests_received{0}, responses_sent{0};
-  std::atomic<uint64_t> queries_ok{0}, queries_failed{0};
+  std::atomic<uint64_t> queries_ok{0}, queries_failed{0}, queries_inline{0};
   std::atomic<uint64_t> rejected_overloaded{0}, timed_out{0};
   std::atomic<uint64_t> protocol_errors{0};
   std::atomic<uint64_t> queue_depth{0}, queue_depth_hwm{0};
@@ -152,22 +186,60 @@ struct Server::Impl {
     [[maybe_unused]] ssize_t n = ::write(wake_wr, &b, 1);
   }
 
-  // Appends an encoded response to the connection (unless it died) and
-  // nudges the poller so POLLOUT gets registered.
-  void Respond(const std::shared_ptr<Conn>& conn, const Response& response) {
-    const std::string frame = EncodeResponse(response);
-    bool delivered = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->closed) {
-        conn->outbuf.append(frame);
-        delivered = true;
+  // Places `frame` in the connection's answer order — in the slot a
+  // pooled request reserved, or behind everything owed when `slot` is
+  // kNoSlot — and moves every ready answer at the front into outbuf.
+  // With `direct` (any thread but the I/O thread, which flushes after
+  // each read pass), a connection that had nothing waiting for POLLOUT
+  // is sent to right here. Returns whether the poller must be woken:
+  // bytes are left unsent that it does not know about yet, or the
+  // connection is waiting to close after its last answer.
+  bool Post(Conn& conn, std::string frame, uint64_t slot, bool direct) {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    if (conn.closed) return false;
+    responses_sent.fetch_add(1, std::memory_order_relaxed);
+    const bool was_idle = conn.outbuf.empty();
+    if (slot == kNoSlot) {
+      conn.owed.emplace_back(std::move(frame));
+    } else {
+      conn.owed[slot - conn.owed_base] = std::move(frame);
+    }
+    while (!conn.owed.empty() && conn.owed.front().has_value()) {
+      if (conn.outbuf.empty()) {
+        conn.outbuf.swap(*conn.owed.front());
+      } else {
+        conn.outbuf.append(*conn.owed.front());
       }
+      conn.owed.pop_front();
+      ++conn.owed_base;
     }
-    if (delivered) {
-      responses_sent.fetch_add(1, std::memory_order_relaxed);
-      Wake();
+    if (!direct || !was_idle) return false;
+    SendLocked(conn);
+    return !conn.outbuf.empty() || conn.close_after_flush;
+  }
+
+  // Answers from the I/O thread itself: they go out in the same pass's
+  // FlushConn, so no wake-up.
+  void Respond(const std::shared_ptr<Conn>& conn, const Response& response) {
+    Post(*conn, EncodeResponse(response), kNoSlot, /*direct=*/false);
+  }
+
+  // Sends as much of outbuf as the socket takes. Caller holds conn.mu.
+  // Returns false on a hard socket error.
+  static bool SendLocked(Conn& conn) {
+    while (!conn.outbuf.empty()) {
+      const ssize_t n = ::send(conn.fd, conn.outbuf.data(),
+                               conn.outbuf.size(), MSG_NOSIGNAL);
+      if (n > 0) {
+        conn.outbuf.erase(0, static_cast<size_t>(n));
+        conn.Touch();
+        continue;
+      }
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EINTR) continue;
+      return false;
     }
+    return true;
   }
 
   // ------------------------------------------------------------------
@@ -268,10 +340,21 @@ struct Server::Impl {
         }
         Execute(task.request, &response);
       }
-      Respond(task.conn, response);
+      // The worker sends its own answer when it can, and wakes the
+      // poller at most once: for bytes the socket did not take, so
+      // paused reads resume once the queue has drained to half the
+      // watermark, or so a drain rechecks its exit condition. Counters
+      // drop first, so the woken poller sees this request finished.
+      const bool unsent = Post(*task.conn, EncodeResponse(response),
+                               task.slot, /*direct=*/true);
       task.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
       inflight.fetch_sub(1, std::memory_order_relaxed);
-      Wake();  // drain progress: the poller rechecks its exit condition
+      const bool resume =
+          reads_paused.load(std::memory_order_relaxed) &&
+          queue_depth.load(std::memory_order_relaxed) <= watermark / 2;
+      if (unsent || resume || draining.load(std::memory_order_relaxed)) {
+        Wake();
+      }
     }
   }
 
@@ -304,6 +387,11 @@ struct Server::Impl {
     task.conn = conn;
     task.request = std::move(request);
     task.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      task.slot = conn->owed_base + conn->owed.size();
+      conn->owed.emplace_back();
+    }
     conn->inflight.fetch_add(1, std::memory_order_relaxed);
     inflight.fetch_add(1, std::memory_order_relaxed);
     {
@@ -316,6 +404,46 @@ struct Server::Impl {
       }
     }
     queue_cv.notify_one();
+  }
+
+  // Runs a query on the I/O thread when the engine holds a cached,
+  // sequential plan for its text and nothing can be ahead of it: this
+  // is the last readable connection of the poll pass, the admission
+  // queue is empty, this connection has no request in the pool, the
+  // server is not draining, and no execute delay is set (a delay models
+  // a slow engine, so it routes every query through the pool). Returns
+  // false, having done nothing, otherwise.
+  bool ServeInline(const std::shared_ptr<Conn>& conn, std::string_view text) {
+    if (!inline_allowed || opts.execute_delay_ms > 0 ||
+        draining.load(std::memory_order_relaxed) ||
+        queue_depth.load(std::memory_order_relaxed) != 0 ||
+        conn->inflight.load(std::memory_order_relaxed) != 0) {
+      return false;
+    }
+    const Clock::time_point t0 = Clock::now();
+    Result<CachedAnswer> answer = engine->ExecuteIfCached(text);
+    if (answer.ok() && !answer->cached) return false;
+    Response response;
+    response.type = RequestType::kQuery;
+    response.exec_micros = MicrosSince(t0);
+    if (!answer.ok()) {
+      queries_failed.fetch_add(1, std::memory_order_relaxed);
+      response.code = answer.status().code();
+      response.message = answer.status().message();
+    } else {
+      queries_ok.fetch_add(1, std::memory_order_relaxed);
+      response.plan_cache_hit = true;
+      response.answered_without_database = answer->answered_without_database;
+      response.rows = std::move(answer->rows);
+    }
+    queries_inline.fetch_add(1, std::memory_order_relaxed);
+    Respond(conn, response);
+    return true;
+  }
+
+  void CloseAfterFlush(Conn& conn) {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    conn.close_after_flush = true;
   }
 
   void HandleFrame(const std::shared_ptr<Conn>& conn,
@@ -359,7 +487,7 @@ struct Server::Impl {
                         " but this endpoint requires v" +
                         std::to_string(opts.min_protocol) + " through v" +
                         std::to_string(kProtocolVersionMax))));
-        conn->close_after_flush = true;
+        CloseAfterFlush(*conn);
         return;
       }
       conn->protocol = negotiated;
@@ -383,7 +511,7 @@ struct Server::Impl {
                       std::to_string(conn->protocol) +
                       ": send HELLO first (server speaks up to v" +
                       std::to_string(kProtocolVersionMax) + ")")));
-      conn->close_after_flush = true;
+      CloseAfterFlush(*conn);
       return;
     }
 
@@ -414,16 +542,22 @@ struct Server::Impl {
       return;
     }
 
-    // Everything else — queries, stats, pings, applies, checkpoints —
+    // A cached, sequential query runs to completion right here.
+    // Everything else — misses, stats, pings, applies, checkpoints —
     // goes through admission, so backpressure, overload rejection,
     // and the dequeue-time deadline check apply uniformly.
+    if (request->type == RequestType::kQuery &&
+        ServeInline(conn, request->query_text)) {
+      return;
+    }
     Admit(conn, std::move(*request));
   }
 
   // Ships every retained record past each subscriber's version.
   // Called from the I/O thread (subscribe) and from committing
   // threads (the replication log's notifier); sub_mu serializes them,
-  // so each subscriber's stream stays in order and gap-free.
+  // so each subscriber's stream stays in order and gap-free. Frames
+  // queue behind the connection's owed answers and are sent directly.
   void PumpReplication() {
     if (replication == nullptr) return;
     std::lock_guard<std::mutex> lock(sub_mu);
@@ -442,8 +576,8 @@ struct Server::Impl {
       if (!records.ok()) {
         // Behind the retention floor: one typed error, then the
         // follower must re-seed from a snapshot.
-        Respond(it->conn,
-                ErrorResponse(RequestType::kReplicate, records.status()));
+        Push(*it->conn,
+             ErrorResponse(RequestType::kReplicate, records.status()));
         it = subscribers.erase(it);
         changed = true;
         continue;
@@ -453,7 +587,7 @@ struct Server::Impl {
         r.type = RequestType::kReplicate;
         r.first_version = record.first_version;
         r.wal_record = record.payload;
-        Respond(it->conn, r);
+        Push(*it->conn, r);
         it->version = record.last_version;
         records_replicated.fetch_add(1, std::memory_order_relaxed);
       }
@@ -465,6 +599,12 @@ struct Server::Impl {
     }
   }
 
+  void Push(Conn& conn, const Response& response) {
+    if (Post(conn, EncodeResponse(response), kNoSlot, /*direct=*/true)) {
+      Wake();
+    }
+  }
+
   // Reads everything available; returns false when the connection is
   // finished and should be closed by the caller.
   bool ReadConn(const std::shared_ptr<Conn>& conn) {
@@ -472,9 +612,9 @@ struct Server::Impl {
     for (;;) {
       const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n > 0) {
-        conn->last_activity = Clock::now();
+        conn->Touch();
         conn->reader.Append(buf, static_cast<size_t>(n));
-        std::string payload;
+        std::string_view payload;
         for (;;) {
           const FrameReader::Outcome outcome = conn->reader.Next(&payload);
           if (outcome == FrameReader::Outcome::kNeedMore) break;
@@ -495,10 +635,14 @@ struct Server::Impl {
                     ErrorResponse(
                         RequestType::kQuery,
                         Status::Corruption("frame exceeds maximum size")));
-            conn->close_after_flush = true;
+            CloseAfterFlush(*conn);
             return true;  // keep alive until the error flushes
           }
         }
+        // A short read drained the socket: skip the recv that would
+        // only say EAGAIN. poll(2) is level-triggered, so bytes that
+        // arrive later are reported on the next pass.
+        if (static_cast<size_t>(n) < sizeof(buf)) return true;
         continue;
       }
       if (n == 0) {
@@ -514,22 +658,13 @@ struct Server::Impl {
     }
   }
 
-  // Flushes pending output; returns false when the connection died.
+  // Flushes pending output; returns false when the connection died or
+  // has sent its last answer before a close.
   bool FlushConn(const std::shared_ptr<Conn>& conn) {
     std::lock_guard<std::mutex> lock(conn->mu);
-    while (!conn->outbuf.empty()) {
-      const ssize_t n = ::send(conn->fd, conn->outbuf.data(),
-                               conn->outbuf.size(), MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->outbuf.erase(0, static_cast<size_t>(n));
-        conn->last_activity = Clock::now();
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      if (errno == EINTR) continue;
-      return false;
-    }
-    return !conn->close_after_flush;
+    if (!SendLocked(*conn)) return false;
+    return !(conn->close_after_flush && conn->outbuf.empty() &&
+             conn->owed.empty());
   }
 
   void CloseConn(const std::shared_ptr<Conn>& conn) {
@@ -537,6 +672,7 @@ struct Server::Impl {
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->closed = true;
       conn->outbuf.clear();
+      conn->owed.clear();
     }
     {
       std::lock_guard<std::mutex> lock(sub_mu);
@@ -569,7 +705,7 @@ struct Server::Impl {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
-      conn->last_activity = Clock::now();
+      conn->Touch();
       conns.emplace(fd, std::move(conn));
       accepted.fetch_add(1, std::memory_order_relaxed);
       active.fetch_add(1, std::memory_order_relaxed);
@@ -586,11 +722,15 @@ struct Server::Impl {
 
   void ReapIdle() {
     if (opts.idle_timeout_ms == 0) return;
-    const Clock::time_point cutoff =
-        Clock::now() - std::chrono::milliseconds(opts.idle_timeout_ms);
+    const Clock::rep cutoff =
+        (Clock::now() - std::chrono::milliseconds(opts.idle_timeout_ms))
+            .time_since_epoch()
+            .count();
     std::vector<std::shared_ptr<Conn>> victims;
     for (auto& [fd, conn] : conns) {
-      if (conn->last_activity > cutoff) continue;
+      if (conn->last_activity.load(std::memory_order_relaxed) > cutoff) {
+        continue;
+      }
       if (conn->inflight.load(std::memory_order_relaxed) > 0) continue;
       if (conn->subscribed.load(std::memory_order_relaxed)) continue;
       std::lock_guard<std::mutex> lock(conn->mu);
@@ -598,16 +738,15 @@ struct Server::Impl {
       victims.push_back(conn);
     }
     for (const auto& conn : victims) {
-      reaped_idle.fetch_add(1, std::memory_order_relaxed);
+      // Counted after the close, with release order: whoever reads the
+      // reap (stats() loads are seq_cst) also sees the connection gone
+      // from connections_active.
       CloseConn(conn);
+      reaped_idle.fetch_add(1, std::memory_order_release);
     }
   }
 
   void IoLoop() {
-    const size_t watermark = opts.backpressure_watermark == 0
-                                 ? opts.max_queue
-                                 : opts.backpressure_watermark;
-    bool reads_paused = false;
     std::vector<pollfd> pfds;
     std::vector<std::shared_ptr<Conn>> polled;
     for (;;) {
@@ -620,10 +759,12 @@ struct Server::Impl {
       // Backpressure hysteresis: stop reading at the watermark, resume
       // once the workers have drained half of it.
       const size_t depth = queue_depth.load(std::memory_order_relaxed);
-      if (!reads_paused && depth >= watermark) {
-        reads_paused = true;
-      } else if (reads_paused && depth <= watermark / 2) {
-        reads_paused = false;
+      if (!reads_paused.load(std::memory_order_relaxed) &&
+          depth >= watermark) {
+        reads_paused.store(true, std::memory_order_relaxed);
+      } else if (reads_paused.load(std::memory_order_relaxed) &&
+                 depth <= watermark / 2) {
+        reads_paused.store(false, std::memory_order_relaxed);
       }
 
       pfds.clear();
@@ -633,10 +774,17 @@ struct Server::Impl {
       if (poll_listen) pfds.push_back({listen_fd, POLLIN, 0});
       for (auto& [fd, conn] : conns) {
         short events = 0;
-        if (!drain && !reads_paused) events |= POLLIN;
+        if (!drain && !reads_paused.load(std::memory_order_relaxed)) {
+          events |= POLLIN;
+        }
         {
+          // POLLOUT also for a connection whose last answer went out
+          // and that now waits only to be closed.
           std::lock_guard<std::mutex> lock(conn->mu);
-          if (!conn->outbuf.empty()) events |= POLLOUT;
+          if (!conn->outbuf.empty() ||
+              (conn->close_after_flush && conn->owed.empty())) {
+            events |= POLLOUT;
+          }
         }
         pfds.push_back({fd, events, 0});
         polled.push_back(conn);
@@ -658,11 +806,16 @@ struct Server::Impl {
         if (pfds[idx].revents & POLLIN) AcceptAll();
         ++idx;
       }
+      size_t last_readable = polled.size();
+      for (size_t i = 0; i < polled.size(); ++i) {
+        if (pfds[idx + i].revents & POLLIN) last_readable = i;
+      }
       std::vector<std::shared_ptr<Conn>> dead;
       for (size_t i = 0; i < polled.size(); ++i) {
         const short revents = pfds[idx + i].revents;
         const std::shared_ptr<Conn>& conn = polled[i];
         bool alive = true;
+        inline_allowed = i == last_readable;
         if (revents & POLLOUT) alive = FlushConn(conn);
         if (alive && (revents & (POLLIN | POLLERR | POLLHUP))) {
           alive = ReadConn(conn);
@@ -707,6 +860,7 @@ struct Server::Impl {
     put("server_responses_sent", responses_sent.load());
     put("server_queries_ok", queries_ok.load());
     put("server_queries_failed", queries_failed.load());
+    put("server_queries_inline", queries_inline.load());
     put("server_rejected_overloaded", rejected_overloaded.load());
     put("server_timed_out", timed_out.load());
     put("server_protocol_errors", protocol_errors.load());
@@ -771,6 +925,9 @@ Result<std::unique_ptr<Server>> Server::Start(
   auto impl = std::make_unique<Impl>();
   impl->engine = engine;
   impl->opts = options;
+  impl->watermark = options.backpressure_watermark == 0
+                        ? options.max_queue
+                        : options.backpressure_watermark;
   impl->replication = replication;
 
   impl->listen_fd =
@@ -857,6 +1014,7 @@ ServerStats Server::stats() const {
   s.responses_sent = impl_->responses_sent.load();
   s.queries_ok = impl_->queries_ok.load();
   s.queries_failed = impl_->queries_failed.load();
+  s.queries_inline = impl_->queries_inline.load();
   s.rejected_overloaded = impl_->rejected_overloaded.load();
   s.timed_out = impl_->timed_out.load();
   s.protocol_errors = impl_->protocol_errors.load();

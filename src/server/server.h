@@ -1,11 +1,14 @@
 // The network serving layer: an async TCP front end over the const,
 // thread-safe Engine read path. One I/O thread multiplexes every
 // connection over non-blocking sockets + poll(2) (accept, per-
-// connection read/write state machines, idle reaping); a fixed worker
-// pool executes admitted queries against the shared engine — and
-// therefore the shared plan cache, so concurrent clients sending the
-// same query text serve from one cached plan exactly like ExecuteBatch
-// slots do.
+// connection read/write state machines, idle reaping). A query whose
+// text has a cached sequential plan runs to completion on that thread
+// when nothing is queued ahead of it (at most one connection's per
+// poll pass, so a backlog still reaches the pool); a fixed worker pool
+// executes everything else that is admitted, against the same engine
+// and therefore the same plan cache. Workers send their own answers when
+// the connection has nothing else waiting to go out, and every
+// connection's answers leave in request order.
 //
 // Admission control: decoded query requests enter a bounded queue.
 // A full queue rejects the request immediately with a typed
@@ -55,8 +58,10 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; read the bound port from port()
 
-  // Worker threads executing admitted queries. Independent of the
-  // engine's internal ExecuteBatch/morsel pool.
+  // Pool workers executing admitted requests (cache misses, parallel
+  // plans, stats, pings, applies, checkpoints). Cached sequential
+  // queries run on the I/O thread and are not counted here.
+  // Independent of the engine's internal ExecuteBatch/morsel pool.
   int threads = 4;
 
   // Admission bound: queued-but-not-started requests beyond which new
@@ -77,7 +82,9 @@ struct ServerOptions {
   uint32_t idle_timeout_ms = 60000;
 
   // Fault injection: sleep this long inside each worker before
-  // executing a query. Lets tests and the overload bench pin the
+  // executing a request. A delay models a slow engine, so a non-zero
+  // value also routes every query through the pool (none runs inline
+  // on the I/O thread). Lets tests and the overload bench pin the
   // server's capacity deterministically. 0 in production.
   uint32_t execute_delay_ms = 0;
 
@@ -101,6 +108,7 @@ struct ServerStats {
   uint64_t responses_sent = 0;      // responses written back to connections
   uint64_t queries_ok = 0;          // query responses with code kOk
   uint64_t queries_failed = 0;      // typed engine errors (parse etc.)
+  uint64_t queries_inline = 0;      // queries run on the I/O thread
   uint64_t rejected_overloaded = 0; // admission-queue rejections
   uint64_t timed_out = 0;           // deadline expiries
   uint64_t protocol_errors = 0;     // bad CRC, bad payload, oversized frame

@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <cstring>
 #include <utility>
 
 #include "persist/serde.h"
@@ -57,14 +58,35 @@ bool TypeInVersion(RequestType type, uint32_t version) {
   }
 }
 
+char* StoreU32(char* out, size_t v) {
+  const auto u = static_cast<uint32_t>(v);
+  std::memcpy(out, &u, sizeof(u));
+  return out + sizeof(u);
+}
+
+// Frames are built in place: StartFrame reserves the header and
+// FinishFrame patches the payload's length and CRC into it, so the
+// payload is written once and never copied into a second buffer.
+ByteWriter StartFrame() {
+  ByteWriter w;
+  w.PutU32(0);  // payload_len
+  w.PutU32(0);  // payload_crc
+  return w;
+}
+
+std::string FinishFrame(ByteWriter* w) {
+  const size_t len = w->size() - kFrameHeaderBytes;
+  w->PatchU32(0, static_cast<uint32_t>(len));
+  w->PatchU32(4, Crc32(w->buffer().data() + kFrameHeaderBytes, len));
+  return w->Take();
+}
+
 }  // namespace
 
 std::string EncodeFrame(std::string_view payload) {
-  ByteWriter w;
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU32(Crc32(payload.data(), payload.size()));
+  ByteWriter w = StartFrame();
   w.PutRaw(payload);
-  return w.Take();
+  return FinishFrame(&w);
 }
 
 std::string EncodeMutationOps(const MutationBatch& batch) {
@@ -76,14 +98,14 @@ Result<MutationBatch> DecodeMutationOps(std::string_view bytes) {
 }
 
 std::string EncodeRequest(const Request& request, uint32_t protocol_version) {
-  ByteWriter w;
+  ByteWriter w = StartFrame();
   w.PutU8(static_cast<uint8_t>(request.type));
   if (request.type == RequestType::kHello) {
     // Version-invariant layout: HELLO must be encodable before the
     // versions have been agreed.
     w.PutU32(request.protocol_version);
     w.PutU64(request.feature_bits);
-    return EncodeFrame(w.buffer());
+    return FinishFrame(&w);
   }
   if (protocol_version >= 2) {
     w.PutU32(request.deadline_ms);
@@ -104,11 +126,11 @@ std::string EncodeRequest(const Request& request, uint32_t protocol_version) {
     w.PutU32(request.deadline_ms);
     w.PutString(request.query_text);
   }
-  return EncodeFrame(w.buffer());
+  return FinishFrame(&w);
 }
 
 std::string EncodeResponse(const Response& response) {
-  ByteWriter w;
+  ByteWriter w = StartFrame();
   w.PutU8(static_cast<uint8_t>(response.type));
   w.PutU8(static_cast<uint8_t>(response.code));
   w.PutString(response.message);
@@ -120,10 +142,18 @@ std::string EncodeResponse(const Response& response) {
         if (response.answered_without_database) flags |= kFlagNoDatabase;
         w.PutU8(flags);
         w.PutU64(response.exec_micros);
-        w.PutU32(static_cast<uint32_t>(response.rows.size()));
+        // Sized first, then written in one pass into one extension of
+        // the frame.
+        size_t bytes = 4;
         for (const std::vector<Value>& row : response.rows) {
-          w.PutU32(static_cast<uint32_t>(row.size()));
-          for (const Value& v : row) w.PutValue(v);
+          bytes += 4;
+          for (const Value& v : row) bytes += persist::EncodedSize(v);
+        }
+        char* out = w.Extend(bytes);
+        out = StoreU32(out, response.rows.size());
+        for (const std::vector<Value>& row : response.rows) {
+          out = StoreU32(out, row.size());
+          for (const Value& v : row) out = persist::EncodeValue(v, out);
         }
         break;
       }
@@ -153,7 +183,7 @@ std::string EncodeResponse(const Response& response) {
         break;
     }
   }
-  return EncodeFrame(w.buffer());
+  return FinishFrame(&w);
 }
 
 Result<Request> DecodeRequest(std::string_view payload,
@@ -235,13 +265,20 @@ Result<Response> DecodeResponse(std::string_view payload) {
         response.rows.reserve(r.CappedCount(n_rows, 4));
         for (uint32_t i = 0; i < n_rows; ++i) {
           SQOPT_ASSIGN_OR_RETURN(uint32_t n_values, r.U32());
-          std::vector<Value> row;
-          row.reserve(r.CappedCount(n_values, 1));
-          for (uint32_t j = 0; j < n_values; ++j) {
-            SQOPT_ASSIGN_OR_RETURN(Value v, r.ReadValue());
-            row.push_back(std::move(v));
+          std::vector<Value>& row = response.rows.emplace_back();
+          row.resize(r.CappedCount(n_values, 1));
+          if (row.size() < n_values) {
+            return Status::Corruption("response row claims " +
+                                      std::to_string(n_values) +
+                                      " values but only " +
+                                      std::to_string(r.remaining()) +
+                                      " bytes remain");
           }
-          response.rows.push_back(std::move(row));
+          for (Value& v : row) {
+            // TryReadValue leaves the reader on a bad value, so
+            // ReadValue re-reads it only to name the fault.
+            if (!r.TryReadValue(&v)) return r.ReadValue().status();
+          }
         }
         break;
       }
@@ -286,26 +323,35 @@ Result<Response> DecodeResponse(std::string_view payload) {
   return response;
 }
 
-FrameReader::Outcome FrameReader::Next(std::string* payload) {
+FrameReader::Outcome FrameReader::Next(std::string_view* payload) {
   // Compact the consumed prefix away once it dominates the buffer, so
-  // a long-lived connection doesn't grow its input buffer forever.
+  // a long-lived connection doesn't grow its input buffer forever. The
+  // previous call's view dies here, as its contract says.
   if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
   const size_t avail = buf_.size() - pos_;
   if (avail < kFrameHeaderBytes) return Outcome::kNeedMore;
-  ByteReader header(std::string_view(buf_).substr(pos_, kFrameHeaderBytes));
-  const uint32_t len = *header.U32();
-  const uint32_t crc = *header.U32();
+  uint32_t len = 0;
+  uint32_t crc = 0;
+  std::memcpy(&len, buf_.data() + pos_, sizeof(len));
+  std::memcpy(&crc, buf_.data() + pos_ + sizeof(len), sizeof(crc));
   if (len > kMaxFramePayload) return Outcome::kTooLarge;
   if (avail < kFrameHeaderBytes + len) return Outcome::kNeedMore;
   const std::string_view body =
       std::string_view(buf_).substr(pos_ + kFrameHeaderBytes, len);
   pos_ += kFrameHeaderBytes + len;
   if (Crc32(body.data(), body.size()) != crc) return Outcome::kBadCrc;
-  payload->assign(body.data(), body.size());
+  *payload = body;
   return Outcome::kFrame;
+}
+
+FrameReader::Outcome FrameReader::Next(std::string* payload) {
+  std::string_view view;
+  const Outcome outcome = Next(&view);
+  if (outcome == Outcome::kFrame) payload->assign(view.data(), view.size());
+  return outcome;
 }
 
 }  // namespace sqopt::server

@@ -205,6 +205,11 @@ class FrameReader {
 
   void Append(const char* data, size_t n) { buf_.append(data, n); }
 
+  // On kFrame, `*payload` views the verified payload inside the
+  // reader's buffer; the view stays valid until the next Append or
+  // Next call. The server and client decode straight from it.
+  Outcome Next(std::string_view* payload);
+  // The same, copying the payload out.
   Outcome Next(std::string* payload);
 
   // Bytes buffered but not yet consumed (a partial frame at connection

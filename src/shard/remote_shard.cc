@@ -60,6 +60,11 @@ Result<QueryOutcome> RemoteShard::Execute(
   return outcome;
 }
 
+Result<CachedAnswer> RemoteShard::ExecuteIfCached(
+    std::string_view /*query_text*/) const {
+  return CachedAnswer{};
+}
+
 Result<ApplyOutcome> RemoteShard::Apply(const MutationBatch& batch) {
   std::lock_guard<std::mutex> lock(mu_);
   SQOPT_ASSIGN_OR_RETURN(server::Response response, client_.Apply(batch));

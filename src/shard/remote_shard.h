@@ -34,6 +34,9 @@ class RemoteShard : public EngineInterface {
       const std::string& host, int port, int timeout_ms = 5000);
 
   Result<QueryOutcome> Execute(std::string_view query_text) const override;
+  // Always "not cached": the plan cache lives on the remote end.
+  Result<CachedAnswer> ExecuteIfCached(
+      std::string_view query_text) const override;
   Result<ApplyOutcome> Apply(const MutationBatch& batch) override;
   std::vector<Result<ApplyOutcome>> ApplyGroup(
       std::span<const MutationBatch> batches) override;

@@ -98,7 +98,58 @@ TEST(PlanCacheUnitTest, DisabledCacheIsInert) {
   EXPECT_EQ(stats.capacity, 0u);
 }
 
+TEST(PlanCacheUnitTest, SequentialOnlyTextLookupSkipsParallelPlans) {
+  detail::PlanCache cache(/*capacity=*/8);
+  auto parallel = std::make_shared<detail::PreparedState>();
+  parallel->plan.emplace();
+  parallel->plan->parallelism = 4;
+  cache.InsertAlias("wide", parallel, cache.epoch());
+  cache.InsertAlias("narrow", MakeEntry(), cache.epoch());
+
+  EXPECT_EQ(cache.LookupText("wide", /*sequential_only=*/true), nullptr);
+  EXPECT_EQ(cache.stats().hits, 0u);  // skipped, not counted
+  EXPECT_NE(cache.LookupText("narrow", /*sequential_only=*/true), nullptr);
+  EXPECT_NE(cache.LookupText("wide"), nullptr);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
 // --- Engine-integrated behavior. ---
+
+TEST(PlanCacheEngineTest, ExecuteIfCachedServesOnlyRawTextHits) {
+  Engine engine = OpenLoadedEngine();
+  const EngineStats before = engine.stats();
+  const PlanCacheStats cache_before = engine.plan_cache_stats();
+  ASSERT_OK_AND_ASSIGN(CachedAnswer cold, engine.ExecuteIfCached(kJoinQuery));
+  EXPECT_FALSE(cold.cached);
+  // "Not cached" did nothing else: no parse, no miss, no execution.
+  EXPECT_EQ(engine.stats().queries_parsed, before.queries_parsed);
+  EXPECT_EQ(engine.stats().queries_executed, before.queries_executed);
+  EXPECT_EQ(engine.plan_cache_stats().misses, cache_before.misses);
+  EXPECT_EQ(engine.plan_cache_stats().hits, cache_before.hits);
+
+  ASSERT_OK_AND_ASSIGN(QueryOutcome direct, engine.Execute(kJoinQuery));
+  const uint64_t hits = engine.plan_cache_stats().hits;
+  ASSERT_OK_AND_ASSIGN(CachedAnswer warm, engine.ExecuteIfCached(kJoinQuery));
+  EXPECT_TRUE(warm.cached);
+  EXPECT_FALSE(warm.answered_without_database);
+  EXPECT_EQ(warm.rows, direct.rows.rows);
+  EXPECT_EQ(engine.plan_cache_stats().hits, hits + 1);
+
+  // The canonical entry alone is not enough: a textual variant has no
+  // raw-text alias yet.
+  ASSERT_OK(engine.Execute(kSingleClassQuery).status());
+  ASSERT_OK_AND_ASSIGN(CachedAnswer variant,
+                       engine.ExecuteIfCached(kSingleClassQueryVariant));
+  EXPECT_FALSE(variant.cached);
+
+  ASSERT_OK(engine.Execute(kContradictionQuery).status());
+  ASSERT_OK_AND_ASSIGN(CachedAnswer refuted,
+                       engine.ExecuteIfCached(kContradictionQuery));
+  EXPECT_TRUE(refuted.cached);
+  EXPECT_TRUE(refuted.answered_without_database);
+  EXPECT_TRUE(refuted.rows.empty());
+}
 
 TEST(PlanCacheEngineTest, SecondExecuteHitsTheCache) {
   Engine engine = OpenLoadedEngine();

@@ -91,7 +91,13 @@ TEST(WireTest, ResponseRoundtripCarriesRowsAndFlags) {
   response.plan_cache_hit = true;
   response.answered_without_database = false;
   response.exec_micros = 77;
-  response.rows = {{Value::Int(1), Value::String("a")}, {Value::Int(2)}};
+  response.rows = {{Value::Int(1), Value::String("a")},
+                   {Value::Int(2)},
+                   {Value::Null(), Value::Bool(true), Value::Bool(false)},
+                   {Value::Double(-2.5),
+                    Value::String("a string longer than fifteen bytes")},
+                   {Value::Ref(Oid{3, 4100000000LL})},
+                   {}};
   std::string frame = EncodeResponse(response);
 
   FrameReader reader;
@@ -103,9 +109,63 @@ TEST(WireTest, ResponseRoundtripCarriesRowsAndFlags) {
   EXPECT_TRUE(decoded.plan_cache_hit);
   EXPECT_FALSE(decoded.answered_without_database);
   EXPECT_EQ(decoded.exec_micros, 77u);
-  ASSERT_EQ(decoded.rows.size(), 2u);
+  ASSERT_EQ(decoded.rows.size(), response.rows.size());
   ASSERT_EQ(decoded.rows[0].size(), 2u);
   EXPECT_EQ(decoded.rows[0][1], Value::String("a"));
+  for (size_t i = 0; i < response.rows.size(); ++i) {
+    EXPECT_EQ(decoded.rows[i], response.rows[i]) << "row " << i;
+  }
+}
+
+TEST(WireTest, CutOrMistaggedResponseIsCorruption) {
+  // One single-value query response per ValueType. Every strict prefix
+  // of its payload, and the payload with its value's tag byte made
+  // unknown, must decode to kCorruption. Each prefix is copied into a
+  // buffer of exactly its length, so a read past the end is an
+  // out-of-bounds access the ASan leg reports.
+  const std::vector<Value> values = {
+      Value::Null(),
+      Value::Bool(true),
+      Value::Int(-7),
+      Value::Double(0.125),
+      Value::String("a string longer than fifteen bytes"),
+      Value::Ref(Oid{2, 99}),
+  };
+  for (const Value& value : values) {
+    SCOPED_TRACE(ValueTypeName(value.type()));
+    Response response;
+    response.type = RequestType::kQuery;
+    response.rows = {{value}};
+    const std::string frame = EncodeResponse(response);
+    FrameReader reader;
+    reader.Append(frame.data(), frame.size());
+    std::string payload;
+    ASSERT_EQ(reader.Next(&payload), FrameReader::Outcome::kFrame);
+    ASSERT_OK_AND_ASSIGN(Response whole, DecodeResponse(payload));
+    ASSERT_EQ(whole.rows, response.rows);
+
+    for (size_t cut = 0; cut < payload.size(); ++cut) {
+      const std::vector<char> prefix(payload.begin(),
+                                     payload.begin() + cut);
+      Result<Response> decoded =
+          DecodeResponse(std::string_view(prefix.data(), prefix.size()));
+      ASSERT_FALSE(decoded.ok()) << "prefix of " << cut << " bytes";
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << "prefix of " << cut << " bytes";
+    }
+
+    // The value is the payload's last field, so its tag byte sits
+    // EncodedSize(value) bytes from the end.
+    const size_t tag_at = payload.size() - persist::EncodedSize(value);
+    for (const uint8_t bad_tag : {uint8_t{6}, uint8_t{0x7f}, uint8_t{0xff}}) {
+      std::vector<char> mistagged(payload.begin(), payload.end());
+      mistagged[tag_at] = static_cast<char>(bad_tag);
+      Result<Response> decoded = DecodeResponse(
+          std::string_view(mistagged.data(), mistagged.size()));
+      ASSERT_FALSE(decoded.ok()) << "tag " << int{bad_tag};
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    }
+  }
 }
 
 TEST(WireTest, FrameReaderHandlesFragmentationAndPipelining) {
@@ -213,6 +273,10 @@ TEST(ServerTest, StatsReportEngineCounterValues) {
   batch.Insert(supplier, std::move(fresh0));
   batch.Insert(supplier, std::move(fresh3));
   ASSERT_OK(engine.Apply(batch).status());
+  // Cached before the server starts, so the first query over the wire
+  // is a hit the I/O thread serves itself; the contradiction is a miss
+  // and goes through the pool.
+  ASSERT_OK(engine.Execute(kSingleClassQuery).status());
 
   std::unique_ptr<Server> server = StartServer(&engine);
   ASSERT_OK_AND_ASSIGN(Client client,
@@ -245,6 +309,8 @@ TEST(ServerTest, StatsReportEngineCounterValues) {
       << text;
   EXPECT_NE(text.find("engine_mutation_ops_applied 2"), std::string::npos)
       << text;
+  EXPECT_NE(text.find("server_queries_inline 1"), std::string::npos) << text;
+  EXPECT_EQ(server->stats().queries_inline, 1u);
 }
 
 TEST(ServerTest, BadCrcGetsTypedErrorAndConnectionSurvives) {
@@ -503,6 +569,40 @@ TEST(ServerTest, ConcurrentClientsShareThePlanCache) {
             cache_hits.load());  // server hits are engine hits
   server->Shutdown();
   EXPECT_EQ(server->stats().protocol_errors, 0u);
+}
+
+TEST(ServerTest, PipelinedMissThenHitAnswerInArrivalOrder) {
+  // A plan-cache miss goes to the pool; a cached query pipelined right
+  // behind it on the same connection must not overtake it, though the
+  // miss parses and plans while the hit only executes.
+  Engine engine = OpenLoadedEngine();
+  const std::vector<std::string> pool = ExperimentQueryPool();
+  const std::string& slow = pool.back();
+  ASSERT_OK_AND_ASSIGN(QueryOutcome slow_direct, engine.Execute(slow));
+  ASSERT_OK_AND_ASSIGN(QueryOutcome hit_direct,
+                       engine.Execute(kSingleClassQuery));
+  ASSERT_NE(slow_direct.rows.rows.size(), hit_direct.rows.rows.size());
+  std::unique_ptr<Server> server = StartServer(&engine);
+  ASSERT_OK_AND_ASSIGN(Client client,
+                       Client::Connect("127.0.0.1", server->port()));
+
+  for (int i = 0; i < 20; ++i) {
+    // Trailing blanks make a text the raw-text cache has not seen, so
+    // the server cannot serve it inline.
+    Request miss;
+    miss.query_text = slow + std::string(static_cast<size_t>(i) + 1, ' ');
+    ASSERT_OK(client.SendRaw(EncodeRequest(miss) +
+                             EncodeRequest(SingleClassQueryRequest(0))));
+    ASSERT_OK_AND_ASSIGN(Response first, client.ReceiveResponse());
+    ASSERT_OK_AND_ASSIGN(Response second, client.ReceiveResponse());
+    ASSERT_TRUE(first.ok()) << first.message;
+    ASSERT_TRUE(second.ok()) << second.message;
+    EXPECT_EQ(first.rows.size(), slow_direct.rows.rows.size()) << i;
+    EXPECT_EQ(second.rows.size(), hit_direct.rows.rows.size()) << i;
+    EXPECT_TRUE(second.plan_cache_hit) << i;
+  }
+  server->Shutdown();
+  EXPECT_EQ(server->stats().queries_ok, 40u);
 }
 
 TEST(ServerTest, StartValidatesArguments) {
