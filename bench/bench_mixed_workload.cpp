@@ -1,5 +1,5 @@
 // Mixed read/write workload through the Engine facade: rounds of
-// ExecuteBatch query traffic interleaved with transactional commits
+// concurrent Execute traffic interleaved with transactional commits
 // submitted through ApplyGroup — four batches per commit group
 // (segment-consistent updates, world inserts, occasional in-group
 // rejected writes), measuring read throughput while the store churns,
@@ -11,12 +11,14 @@
 //
 // Flags:
 //   --quick        smaller DB + fewer rounds (CI smoke mode)
-//   --threads=N    ExecuteBatch worker threads (default 4)
+//   --threads=N    caller threads running each round's reads (default 4)
 //   --rounds=N     mutate+serve rounds
 //   --out=PATH     JSON output path (default BENCH_mixed.json)
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -50,12 +52,14 @@ int main(int argc, char** argv) {
   }
   const DbSpec spec = quick ? DbSpec{"mixed", 104, 154}
                             : DbSpec{"mixed", 416, 616};
+  if (threads < 1) {
+    std::fprintf(stderr, "--threads must be at least 1\n");
+    return 2;
+  }
   if (rounds <= 0) rounds = quick ? 60 : 240;
   constexpr uint64_t kSeed = 20260729;
 
-  EngineOptions options;
-  options.serve.threads = threads;
-  Engine engine = bench::OpenExperimentEngine(options);
+  Engine engine = bench::OpenExperimentEngine();
   Check(engine.Load(DataSource::Generated(spec, kSeed)));
   const Schema& schema = engine.schema();
   const ClassId supplier = schema.FindClass("supplier");
@@ -159,20 +163,35 @@ int main(int argc, char** argv) {
     }
     if (invalidated) ++invalidations;
 
-    // Reads: one batch over the shared pool + plan cache.
+    // Reads: the stream split into strided slices, one per caller
+    // thread, all sharing the engine's plan cache.
+    std::atomic<uint64_t> failed{0}, hits{0};
     auto read_start = std::chrono::steady_clock::now();
-    BatchOutcome out = Unwrap(engine.ExecuteBatch(stream));
+    std::vector<std::thread> readers;
+    for (int t = 0; t < threads; ++t) {
+      readers.emplace_back([&, t] {
+        for (size_t i = t; i < stream.size(); i += threads) {
+          Result<QueryOutcome> out = engine.Execute(stream[i]);
+          if (!out.ok()) {
+            failed.fetch_add(1, std::memory_order_relaxed);
+          } else if (out->plan_cache_hit) {
+            hits.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    for (std::thread& reader : readers) reader.join();
     read_micros += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - read_start)
             .count());
-    if (out.stats.failed != 0) {
-      std::fprintf(stderr, "mixed bench: %zu queries failed\n",
-                   out.stats.failed);
+    if (failed.load() != 0) {
+      std::fprintf(stderr, "mixed bench: %llu queries failed\n",
+                   static_cast<unsigned long long>(failed.load()));
       return 1;
     }
-    reads += out.stats.queries;
-    cache_hits += out.stats.cache_hits;
+    reads += stream.size();
+    cache_hits += hits.load();
   }
   const double total_s =
       std::chrono::duration_cast<std::chrono::duration<double>>(

@@ -1,7 +1,8 @@
 // Morsel-driven parallel scan: one heavy scan query (full extent scan
 // on a non-indexed predicate, expanded across one relationship)
 // executed at parallelism 1 / 2 / 4 / 8 over a large generated
-// database, through the Engine facade. Measures the intra-query
+// database, through the Engine facade, on one engine per degree (the
+// parallelism ceiling is fixed at Engine::Open). Measures the intra-query
 // speedup the morsel fan-out buys and verifies byte-identical results
 // (rows AND order) across every degree. Emits the machine-readable
 // BENCH_scan.json consumed by the bench-smoke CI regression gate.
@@ -65,16 +66,21 @@ int main(int argc, char** argv) {
   constexpr uint64_t kSeed = 20260728;
 
   // No constraints: this bench isolates the scan path; semantic
-  // rewrites are someone else's benchmark.
-  EngineOptions options;
-  options.serve.threads = threads;
-  options.serve.morsel_size = morsel_size;
-  options.cost_params.morsel_rows = static_cast<double>(morsel_size);
-  Engine engine = Unwrap(Engine::Open(SchemaSource::Experiment(),
-                                      ConstraintSource::None(), options));
+  // rewrites are someone else's benchmark. Every engine loads the same
+  // deterministic database.
+  auto open_engine = [&](int parallelism) {
+    EngineOptions options;
+    options.serve.threads = threads;
+    options.serve.parallelism = parallelism;
+    options.serve.morsel_size = morsel_size;
+    options.cost_params.morsel_rows = static_cast<double>(morsel_size);
+    Engine engine = Unwrap(Engine::Open(SchemaSource::Experiment(),
+                                        ConstraintSource::None(), options));
+    Check(engine.Load(DataSource::Generated(spec, kSeed)));
+    return engine;
+  };
   std::printf("generating %lld-row database...\n",
               static_cast<long long>(spec.class_cardinality));
-  Check(engine.Load(DataSource::Generated(spec, kSeed)));
 
   // Full extent scan (quantity is not indexed) + one pointer-join
   // expansion: the shape the morsel pipeline parallelizes end to end.
@@ -90,6 +96,7 @@ int main(int argc, char** argv) {
   {
     const std::string scan_only =
         "{cargo.code} {} {cargo.weight <= 40} {} {cargo}";
+    const Engine engine = open_engine(1);
     QueryOutcome warm = Unwrap(engine.Execute(scan_only));
     const auto start = std::chrono::steady_clock::now();
     for (int r = 0; r < reps; ++r) {
@@ -145,9 +152,7 @@ int main(int argc, char** argv) {
       degrees.push_back(result);
       continue;
     }
-    ServeOptions serve = engine.options().serve;
-    serve.parallelism = parallelism;
-    engine.SetServeOptions(serve);
+    const Engine engine = open_engine(parallelism);
 
     // Untimed warm-up: plan once into the cache, fault in the data.
     QueryOutcome warm = Unwrap(engine.Execute(query_text));

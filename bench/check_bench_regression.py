@@ -19,9 +19,9 @@ variance.
 Two modes:
 
 Single file (the original interface):
-  check_bench_regression.py --current build/BENCH_serve.json \
-      --baseline bench/baseline/BENCH_serve.json \
-      --metric qps --max-regression 0.30
+  check_bench_regression.py --current build/BENCH_mixed.json \
+      --baseline bench/baseline/BENCH_mixed.json \
+      --metric read_qps --max-regression 0.30
 
 Suite (gate every bench named by a config):
   check_bench_regression.py --suite bench/baseline/gate.json \
@@ -29,9 +29,9 @@ Suite (gate every bench named by a config):
 
 The suite config maps bench file names to their gated metrics:
   {
-    "BENCH_serve.json": {
+    "BENCH_mixed.json": {
       "metrics": {
-        "qps": {"max_regression": 0.30},
+        "read_qps": {"max_regression": 0.30},
         "p95_us": {"max_regression": 0.50, "direction": "lower"},
         "speedup_p8": {"max_regression": 0.40, "min_cores": 2}
       }

@@ -226,9 +226,8 @@ Result<ResultSet> RunPrepared(
     return Status::FailedPrecondition(
         "no data loaded: call Engine::Load before Execute");
   }
-  std::shared_ptr<WorkerPool> pool_holder;
   return ExecutePlan(*exec_data->store, *prepared.plan, meter,
-                     MakeExecContext(state, *prepared.plan, &pool_holder));
+                     MakeExecContext(state, *prepared.plan));
 }
 
 Result<QueryOutcome> ExecutePreparedState(
@@ -278,10 +277,9 @@ Result<QueryOutcome> RunQuery(const detail::EngineState& state,
     SQOPT_ASSIGN_OR_RETURN(
         Plan plan, BuildPlan(state.schema, data->db_stats, out.transformed,
                              MakePlanningOptions(state)));
-    std::shared_ptr<WorkerPool> pool_holder;
     SQOPT_ASSIGN_OR_RETURN(
         out.rows, ExecutePlan(*data->store, plan, &out.meter,
-                              MakeExecContext(state, plan, &pool_holder)));
+                              MakeExecContext(state, plan)));
     out.executed = true;
   }
   return out;
@@ -1130,25 +1128,6 @@ void Engine::SetOptimizerOptions(const OptimizerOptions& optimizer) {
   state_->plan_cache.Invalidate();
 }
 
-void Engine::SetServeOptions(const ServeOptions& serve) {
-  // cache_capacity is consumed at Open; preserve the live value so the
-  // stats surface doesn't lie about the cache's actual budget.
-  ServeOptions updated = serve;
-  updated.cache_capacity = state_->options.serve.cache_capacity;
-  state_->options.serve = updated;
-  // The parallel-scan decision is baked into cached plans; re-plan
-  // under the new knobs.
-  state_->plan_cache.Invalidate();
-  // Drop the pool so the next use rebuilds it at the new thread count
-  // (GetMorselPool never resizes on its own). Work in flight holds its
-  // own reference; the old pool drains and joins when the last holder
-  // releases it.
-  {
-    std::lock_guard<std::mutex> lock(state_->pool_mutex);
-    state_->pool.reset();
-  }
-}
-
 // ---------------------------------------------------------------------
 // Engine: read path.
 // ---------------------------------------------------------------------
@@ -1316,117 +1295,6 @@ Result<std::string> Engine::Explain(std::string_view query_text) const {
 }
 
 // ---------------------------------------------------------------------
-// Engine: batch serving.
-// ---------------------------------------------------------------------
-
-Result<BatchOutcome> Engine::ExecuteBatch(
-    std::span<const std::string> queries) const {
-  return ExecuteBatch(queries, state_->options.serve);
-}
-
-Result<BatchOutcome> Engine::ExecuteBatch(
-    std::span<const std::string> queries, const ServeOptions& serve) const {
-  detail::EngineState& state = *state_;
-  if (state.data_snapshot() == nullptr) {
-    return Status::FailedPrecondition(
-        "no data loaded: call Engine::Load before ExecuteBatch");
-  }
-
-  BatchOutcome out;
-  out.stats.queries = queries.size();
-  out.stats.threads = WorkerPool::ResolveThreads(serve.threads);
-  if (queries.empty()) {
-    state.batches_served.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-
-  // Acquire the shared engine-sized pool for batch dispatch; a
-  // per-call thread override gets a PRIVATE pool for this batch only,
-  // so the override can never silently resize the pool later queries
-  // fan morsels across. Deliberate trade-off: an override that differs
-  // from the engine's configured threads pays pool spawn/teardown per
-  // batch — callers with a steady thread count should configure it at
-  // Open or via SetServeOptions, which use the cached shared pool.
-  // (Intra-query fan-out is engine-level and
-  // deliberately not throttled by the override: parallel plans inside
-  // this batch still borrow the shared engine-sized pool via
-  // GetMorselPool — see the ExecuteBatch contract in engine.h.)
-  std::shared_ptr<WorkerPool> pool;
-  if (out.stats.threads ==
-      WorkerPool::ResolveThreads(state.options.serve.threads)) {
-    pool = state.GetMorselPool();
-  } else {
-    pool = std::make_shared<WorkerPool>(out.stats.threads);
-  }
-
-  out.results.assign(queries.size(), Status::Internal("not run"));
-  std::vector<uint64_t> latencies_micros(queries.size(), 0);
-
-  // Per-batch completion latch.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t remaining = queries.size();
-
-  const auto batch_start = std::chrono::steady_clock::now();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    pool->Submit([&, i] {
-      const auto start = std::chrono::steady_clock::now();
-      Result<QueryOutcome> result = Execute(queries[i]);
-      latencies_micros[i] = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      out.results[i] = std::move(result);
-      // Notify while holding the lock: the waiter can only wake (and
-      // destroy the latch by returning) after this worker releases the
-      // mutex, so the condvar is never signalled after destruction.
-      std::lock_guard<std::mutex> lock(done_mu);
-      --remaining;
-      done_cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  out.stats.wall_micros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - batch_start)
-          .count());
-
-  for (const Result<QueryOutcome>& result : out.results) {
-    if (!result.ok()) {
-      ++out.stats.failed;
-      continue;
-    }
-    ++out.stats.succeeded;
-    if (result->plan_cache_hit) {
-      ++out.stats.cache_hits;
-    } else if (state.plan_cache.enabled()) {
-      ++out.stats.cache_misses;
-    }
-  }
-  if (out.stats.cache_hits + out.stats.cache_misses > 0) {
-    out.stats.cache_hit_rate =
-        static_cast<double>(out.stats.cache_hits) /
-        static_cast<double>(out.stats.cache_hits + out.stats.cache_misses);
-  }
-  if (out.stats.wall_micros > 0) {
-    out.stats.qps = static_cast<double>(queries.size()) * 1e6 /
-                    static_cast<double>(out.stats.wall_micros);
-  }
-  std::sort(latencies_micros.begin(), latencies_micros.end());
-  out.stats.p50_micros = latencies_micros[latencies_micros.size() / 2];
-  out.stats.p95_micros =
-      latencies_micros[latencies_micros.size() * 95 / 100];
-  out.stats.p99_micros =
-      latencies_micros[latencies_micros.size() * 99 / 100];
-  out.stats.max_micros = latencies_micros.back();
-  state.batches_served.fetch_add(1, std::memory_order_relaxed);
-  return out;
-}
-
-// ---------------------------------------------------------------------
 // Engine: introspection.
 // ---------------------------------------------------------------------
 
@@ -1477,8 +1345,6 @@ EngineStats Engine::stats() const {
   out.prepared_executions =
       state.prepared_executions.load(std::memory_order_relaxed);
   out.contradictions = state.contradictions.load(std::memory_order_relaxed);
-  out.batches_served =
-      state.batches_served.load(std::memory_order_relaxed);
   out.mutation_batches_applied =
       state.mutation_batches_applied.load(std::memory_order_relaxed);
   out.mutation_ops_applied =

@@ -10,18 +10,19 @@
 // Open() wires the whole pipeline of the paper — constraint closure
 // precompilation, grouping, the delayed-choice semantic optimizer, the
 // conventional plan builder, and the metered executor — behind a
-// single handle. The read path (Execute / ExecuteBatch / Analyze /
-// Prepare / Explain) is const and safe to call from any number of
-// threads against one engine; Load() and the transactional write path
+// single handle. The read path (Execute / Analyze / Prepare / Explain)
+// is const and safe to call from any number of threads against one
+// engine; Load() and the transactional write path
 // (Apply) may run concurrently with it — every commit publishes a new
 // immutable snapshot and in-flight readers keep theirs — while the
 // catalog mutations (AddConstraint / Recompile) must be quiesced
 // first. Execute is transparently served from a shared plan
 // cache keyed on the canonicalized query text, so repeated execution —
 // the heavy-traffic case — skips parsing, retrieval, transformation,
-// and planning; ExecuteBatch fans whole batches across a worker pool
-// against that cache. Prepare() returns a PreparedQuery handle onto
-// the same cached state for explicit statement reuse.
+// and planning. Concurrency comes from the callers: many threads
+// calling Execute share the one cache. Prepare() returns a
+// PreparedQuery handle onto the same cached state for explicit
+// statement reuse.
 #ifndef SQOPT_API_ENGINE_H_
 #define SQOPT_API_ENGINE_H_
 
@@ -38,7 +39,6 @@
 #include "api/mutation.h"
 #include "api/plan_cache.h"
 #include "api/prepared_query.h"
-#include "api/serve.h"
 #include "catalog/access_stats.h"
 #include "catalog/schema.h"
 #include "common/status.h"
@@ -158,13 +158,6 @@ struct QueryOutcome {
   PlanCacheStats plan_cache;
 };
 
-// Everything one ExecuteBatch call produced: per-query results in input
-// order plus the aggregate throughput meter.
-struct BatchOutcome {
-  std::vector<Result<QueryOutcome>> results;
-  BatchStats stats;
-};
-
 // EngineStats lives in api/engine_iface.h (shared with every
 // EngineInterface backend).
 
@@ -208,9 +201,8 @@ class Engine : public EngineInterface {
   // path: it publishes a complete new data snapshot and invalidates
   // the plan cache, while in-flight queries and PreparedQuery handles
   // keep executing against the snapshot they started with. The other
-  // mutations below (AddConstraint / Recompile / SetOptimizerOptions /
-  // SetServeOptions) still require quiescing Execute/Prepare callers
-  // first. ---
+  // mutations below (AddConstraint / Recompile / SetOptimizerOptions)
+  // still require quiescing Execute/Prepare callers first. ---
 
   // Attaches (or replaces) the data, collects statistics, and builds
   // the cost model (unless options.use_cost_model is false). Drops
@@ -310,13 +302,6 @@ class Engine : public EngineInterface {
   // Admin path, like the rest of this section.
   void SetOptimizerOptions(const OptimizerOptions& optimizer);
 
-  // Replaces the serving knobs (ExecuteBatch threads, intra-query
-  // parallelism ceiling, morsel size) without re-opening; cached plans
-  // are dropped because the parallel-scan decision is baked into them.
-  // cache_capacity changes are ignored (consumed at Open). Admin path:
-  // quiesce readers first, like SetOptimizerOptions.
-  void SetServeOptions(const ServeOptions& serve);
-
   // --- Read path: const, thread-safe. ---
 
   // Parse -> optimize -> plan -> execute -> meter. Requires Load().
@@ -328,20 +313,6 @@ class Engine : public EngineInterface {
   Result<CachedAnswer> ExecuteIfCached(
       std::string_view query_text) const override;
   Result<QueryOutcome> Execute(const Query& query) const;
-
-  // Fans `queries` across the engine's worker pool (sized by
-  // options().serve.threads unless overridden) and returns per-query
-  // outcomes in input order plus an aggregate throughput meter. A
-  // malformed query fails only its own slot. All queries share the
-  // plan cache, so batches with repeated queries serve mostly from
-  // cache. The per-call ServeOptions override sizes THIS batch's
-  // fan-out only; the intra-query parallelism knobs are engine-level
-  // (set at Open or via SetServeOptions) because they are baked into
-  // the shared cached plans. Requires Load().
-  Result<BatchOutcome> ExecuteBatch(
-      std::span<const std::string> queries) const;
-  Result<BatchOutcome> ExecuteBatch(std::span<const std::string> queries,
-                                    const ServeOptions& serve) const;
 
   // Same, skipping semantic optimization (baseline side of A/B runs).
   Result<QueryOutcome> ExecuteUnoptimized(std::string_view query_text) const;

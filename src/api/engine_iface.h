@@ -29,7 +29,6 @@ struct EngineStats {
   uint64_t statements_prepared = 0;  // Prepare() completions
   uint64_t prepared_executions = 0;  // PreparedQuery::Execute completions
   uint64_t contradictions = 0;       // queries answered without the DB
-  uint64_t batches_served = 0;       // ExecuteBatch() completions
   uint64_t mutation_batches_applied = 0;   // committed Apply() calls
   uint64_t mutation_ops_applied = 0;       // ops inside committed batches
   // Apply() batches rejected by constraint validation specifically

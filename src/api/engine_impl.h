@@ -6,10 +6,10 @@
 // complete, everything here is read-only on the query path except the
 // atomic counters, the atomic index/retrieval meters inside the owned
 // components, the mutex-guarded AccessStats, the internally-locked
-// plan cache and worker pool, and the loaded-data slot. Load() IS safe
-// to run concurrently with the read path: it publishes a fully-built
-// LoadedData snapshot under data_mutex and readers pin the snapshot
-// they started with.
+// plan cache, the once-created morsel pool, and the loaded-data slot.
+// Load() IS safe to run concurrently with the read path: it publishes
+// a fully-built LoadedData snapshot under data_mutex and readers pin
+// the snapshot they started with.
 #ifndef SQOPT_API_ENGINE_IMPL_H_
 #define SQOPT_API_ENGINE_IMPL_H_
 
@@ -25,7 +25,6 @@
 #include "api/engine_options.h"
 #include "api/mutation.h"
 #include "api/plan_cache.h"
-#include "api/serve.h"
 #include "catalog/access_stats.h"
 #include "catalog/schema.h"
 #include "common/worker_pool.h"
@@ -91,20 +90,16 @@ struct EngineState {
     return data;
   }
 
-  // The lazily-created shared worker pool, always sized by the
-  // engine's configured serve.threads (SetServeOptions resets it so
-  // the next use rebuilds at the new size; a per-batch thread override
-  // never touches it — ExecuteBatch builds a private pool for that
-  // batch instead). Batches AND morsel-parallel scans hold it via
-  // shared_ptr, so a reset never pulls workers out from under work in
-  // flight.
-  std::shared_ptr<WorkerPool> GetMorselPool() const {
-    std::lock_guard<std::mutex> lock(pool_mutex);
-    if (pool == nullptr) {
-      pool = std::make_shared<WorkerPool>(
+  // The engine's one morsel pool, sized by serve.threads and created
+  // on the first parallel plan. It lives exactly as long as this state,
+  // which every Engine and PreparedQuery executing a plan co-owns, so
+  // callers borrow it by raw pointer.
+  WorkerPool* GetMorselPool() const {
+    std::call_once(pool_once, [this] {
+      pool = std::make_unique<WorkerPool>(
           WorkerPool::ResolveThreads(options.serve.threads));
-    }
-    return pool;
+    });
+    return pool.get();
   }
 
   Schema schema;
@@ -155,11 +150,9 @@ struct EngineState {
   // Shared plan cache for Execute/Prepare (internally synchronized).
   mutable PlanCache plan_cache;
 
-  // Lazily-created pool behind ExecuteBatch. Guarded by pool_mutex;
-  // held as shared_ptr so a batch in flight keeps its pool alive while
-  // a differently-sized replacement is swapped in.
-  mutable std::shared_ptr<WorkerPool> pool;
-  mutable std::mutex pool_mutex;
+  // Written once, under pool_once (see GetMorselPool).
+  mutable std::unique_ptr<WorkerPool> pool;
+  mutable std::once_flag pool_once;
 
   mutable std::mutex access_mutex;
 
@@ -169,7 +162,6 @@ struct EngineState {
   mutable std::atomic<uint64_t> statements_prepared{0};
   mutable std::atomic<uint64_t> prepared_executions{0};
   mutable std::atomic<uint64_t> contradictions{0};
-  mutable std::atomic<uint64_t> batches_served{0};
   mutable std::atomic<uint64_t> mutation_batches_applied{0};
   mutable std::atomic<uint64_t> mutation_ops_applied{0};
   mutable std::atomic<uint64_t> mutation_batches_rejected{0};
@@ -179,17 +171,12 @@ struct EngineState {
 };
 
 // Execution context for one plan: parallel plans borrow the engine's
-// shared pool, pinned via `pool_holder` for the duration of the call
-// and never resized by a query (see GetMorselPool). Shared by the
-// Engine execute paths and PreparedQuery::Execute.
+// morsel pool (see GetMorselPool). Shared by the Engine execute paths
+// and PreparedQuery::Execute.
 inline ExecContext MakeExecContext(const EngineState& state,
-                                   const Plan& plan,
-                                   std::shared_ptr<WorkerPool>* pool_holder) {
+                                   const Plan& plan) {
   ExecContext ctx;
-  if (plan.parallelism > 1) {
-    *pool_holder = state.GetMorselPool();
-    ctx.pool = pool_holder->get();
-  }
+  if (plan.parallelism > 1) ctx.pool = state.GetMorselPool();
   return ctx;
 }
 

@@ -2,7 +2,6 @@
 
 #include "api/engine.h"
 #include "api/engine_impl.h"
-#include "common/worker_pool.h"
 #include "exec/executor.h"
 
 namespace sqopt {
@@ -52,14 +51,12 @@ Result<QueryOutcome> PreparedQuery::Execute() const {
           "prepared without data: Engine::Load must run before Prepare "
           "for the handle to be executable");
     }
-    // Parallel plans borrow the engine's shared pool; the handle owns
-    // the engine state, so the pool outlives this call even if the
-    // Engine object is gone.
+    // Parallel plans borrow the engine's morsel pool; the handle
+    // co-owns the engine state, so the pool outlives this call even if
+    // the Engine object is gone.
     ExecContext context;
-    std::shared_ptr<WorkerPool> pool_holder;
     if (engine_ != nullptr) {
-      context = detail::MakeExecContext(*engine_, *prepared.plan,
-                                        &pool_holder);
+      context = detail::MakeExecContext(*engine_, *prepared.plan);
     }
     SQOPT_ASSIGN_OR_RETURN(
         out.rows, ExecutePlan(*exec_data->store, *prepared.plan,

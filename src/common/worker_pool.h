@@ -1,12 +1,12 @@
 // A small fixed-size thread pool: a task queue, `threads` workers, FIFO
 // dispatch. Submit() never blocks; callers synchronize completion
-// themselves (batch serving counts finished tasks under its own latch,
-// the parallel executor claims morsels from a shared atomic cursor and
-// always works the queue from the submitting thread too, so a saturated
-// pool degrades to sequential execution instead of deadlocking).
+// themselves (the parallel executor claims morsels from a shared atomic
+// cursor and always works the queue from the submitting thread too, so
+// a saturated pool degrades to sequential execution instead of
+// deadlocking).
 //
-// Lives in common/ so both the api/ serving layer and the exec/
-// morsel-parallel executor can share one pool without a layering cycle.
+// Lives in common/ so the api/ engine can own the pool the exec/
+// morsel-parallel executor borrows, without a layering cycle.
 #ifndef SQOPT_COMMON_WORKER_POOL_H_
 #define SQOPT_COMMON_WORKER_POOL_H_
 

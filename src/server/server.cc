@@ -878,7 +878,6 @@ struct Server::Impl {
     put("engine_statements_prepared", es.statements_prepared);
     put("engine_prepared_executions", es.prepared_executions);
     put("engine_contradictions", es.contradictions);
-    put("engine_batches_served", es.batches_served);
     put("engine_mutation_batches_applied", es.mutation_batches_applied);
     put("engine_mutation_ops_applied", es.mutation_ops_applied);
     put("engine_mutation_batches_rejected", es.mutation_batches_rejected);

@@ -61,7 +61,8 @@ struct ServerOptions {
   // Pool workers executing admitted requests (cache misses, parallel
   // plans, stats, pings, applies, checkpoints). Cached sequential
   // queries run on the I/O thread and are not counted here.
-  // Independent of the engine's internal ExecuteBatch/morsel pool.
+  // Independent of the engine's morsel pool, which only parallel plans
+  // fan their scans across.
   int threads = 4;
 
   // Admission bound: queued-but-not-started requests beyond which new

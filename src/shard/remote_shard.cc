@@ -124,7 +124,6 @@ EngineStats RemoteShard::stats() const {
   s.statements_prepared = ParseMetric(*text, "engine_statements_prepared");
   s.prepared_executions = ParseMetric(*text, "engine_prepared_executions");
   s.contradictions = ParseMetric(*text, "engine_contradictions");
-  s.batches_served = ParseMetric(*text, "engine_batches_served");
   s.mutation_batches_applied =
       ParseMetric(*text, "engine_mutation_batches_applied");
   s.mutation_ops_applied = ParseMetric(*text, "engine_mutation_ops_applied");

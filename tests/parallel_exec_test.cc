@@ -308,19 +308,41 @@ TEST_F(ParallelEngineTest, KnobThreadsThroughToMorselExecution) {
   EXPECT_GT(replay.meter.morsels, 1u);
 }
 
-TEST_F(ParallelEngineTest, SetServeOptionsSwitchesParallelism) {
-  Engine engine = OpenLoaded(ParallelEngineOptions(8));
+// A prepared parallel plan keeps the engine's morsel pool alive: the
+// handle co-owns the engine state, which owns the pool, so executing it
+// after the Engine object is gone still fans out, from any thread.
+TEST_F(ParallelEngineTest, PreparedParallelPlanOutlivesEngine) {
   const std::string text =
       "{cargo.code} {} {cargo.quantity >= 0} {} {cargo}";
-  ASSERT_OK_AND_ASSIGN(QueryOutcome par, engine.Execute(text));
-  EXPECT_GT(par.meter.morsels, 1u);
+  PreparedQuery stmt;
+  std::vector<std::string> expected;
+  {
+    Engine engine = OpenLoaded(ParallelEngineOptions(8));
+    ASSERT_OK_AND_ASSIGN(stmt, engine.Prepare(text));
+    ASSERT_OK_AND_ASSIGN(QueryOutcome first, stmt.Execute());
+    ASSERT_GT(first.meter.morsels, 1u) << "plan did not fan out";
+    expected = RowKeys(first.rows);
+  }
 
-  ServeOptions serve = engine.options().serve;
-  serve.parallelism = 1;
-  engine.SetServeOptions(serve);
-  ASSERT_OK_AND_ASSIGN(QueryOutcome seq, engine.Execute(text));
-  EXPECT_EQ(seq.meter.morsels, 0u);  // re-planned sequential
-  EXPECT_EQ(RowKeys(par.rows), RowKeys(seq.rows));
+  constexpr int kThreads = 2;
+  constexpr int kReps = 3;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kReps; ++r) {
+        Result<QueryOutcome> out = stmt.Execute();
+        if (!out.ok() || out->meter.morsels <= 1 ||
+            RowKeys(out->rows) != expected) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 TEST_F(ParallelEngineTest, ConcurrentParallelExecutes) {

@@ -1,13 +1,11 @@
-// Tests for the concurrent batch-serving layer: ExecuteBatch outcome
-// ordering and equivalence with ad-hoc Execute, per-query error
-// isolation, aggregate stats, worker-pool reuse/resizing, and — run
-// under -fsanitize=thread — a concurrent mix of Execute, ExecuteBatch,
-// and Load reloads against one shared engine.
-#include "api/serve.h"
-
+// Tests for concurrent serving: the worker pool, and — run under
+// -fsanitize=thread — many caller threads running Execute against one
+// shared engine while Load reloads or Apply commits replace its data.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,9 +25,6 @@ const char* kJoinQuery =
     "supplier.region = \"west\"} {supplies} {supplier, cargo}";
 const char* kSingleClassQuery =
     "{cargo.code} {} {cargo.desc = \"frozen food\"} {} {cargo}";
-const char* kContradictionQuery =
-    "{cargo.code} {} {vehicle.desc = \"refrigerated truck\", "
-    "cargo.desc = \"fuel\"} {collects} {cargo, vehicle}";
 
 Engine OpenLoadedEngine(EngineOptions options = {}) {
   auto opened = Engine::Open(SchemaSource::Experiment(),
@@ -40,16 +35,6 @@ Engine OpenLoadedEngine(EngineOptions options = {}) {
   Status s = engine.Load(DataSource::Generated(kSpec, kSeed));
   EXPECT_TRUE(s.ok()) << s.ToString();
   return engine;
-}
-
-std::vector<std::string> MixedBatch(size_t copies) {
-  std::vector<std::string> batch;
-  for (size_t i = 0; i < copies; ++i) {
-    batch.push_back(kJoinQuery);
-    batch.push_back(kSingleClassQuery);
-    batch.push_back(kContradictionQuery);
-  }
-  return batch;
 }
 
 TEST(WorkerPoolTest, ResolveThreadsClampsAndPassesThrough) {
@@ -77,116 +62,12 @@ TEST(WorkerPoolTest, RunsEverySubmittedTask) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ExecuteBatchTest, MatchesIndividualExecutes) {
-  Engine engine = OpenLoadedEngine();
-  ASSERT_OK_AND_ASSIGN(QueryOutcome join, engine.Execute(kJoinQuery));
-  ASSERT_OK_AND_ASSIGN(QueryOutcome single,
-                       engine.Execute(kSingleClassQuery));
-
-  std::vector<std::string> batch = MixedBatch(/*copies=*/4);
-  ASSERT_OK_AND_ASSIGN(BatchOutcome out, engine.ExecuteBatch(batch));
-  ASSERT_EQ(out.results.size(), batch.size());
-  EXPECT_EQ(out.stats.queries, batch.size());
-  EXPECT_EQ(out.stats.succeeded, batch.size());
-  EXPECT_EQ(out.stats.failed, 0u);
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(out.results[i].ok()) << out.results[i].status().ToString();
-    const QueryOutcome& got = *out.results[i];
-    if (batch[i] == kJoinQuery) {
-      EXPECT_TRUE(got.rows.SameRows(join.rows)) << "slot " << i;
-    } else if (batch[i] == kSingleClassQuery) {
-      EXPECT_TRUE(got.rows.SameRows(single.rows)) << "slot " << i;
-    } else {
-      EXPECT_TRUE(got.answered_without_database) << "slot " << i;
-    }
-  }
-  EXPECT_EQ(engine.stats().batches_served, 1u);
-}
-
-TEST(ExecuteBatchTest, WarmCacheServesHits) {
-  Engine engine = OpenLoadedEngine();
-  std::vector<std::string> batch = MixedBatch(/*copies=*/8);
-  // Single-threaded cold pass: with concurrent workers, several could
-  // miss the same key at once and the miss count would be racy.
-  ServeOptions cold_serve;
-  cold_serve.threads = 1;
-  ASSERT_OK_AND_ASSIGN(BatchOutcome cold,
-                       engine.ExecuteBatch(batch, cold_serve));
-  // 3 distinct queries -> exactly 3 misses, everything else hits.
-  EXPECT_EQ(cold.stats.cache_misses, 3u);
-  EXPECT_EQ(cold.stats.cache_hits, batch.size() - 3);
-
-  ASSERT_OK_AND_ASSIGN(BatchOutcome warm, engine.ExecuteBatch(batch));
-  EXPECT_EQ(warm.stats.cache_hits, batch.size());
-  EXPECT_DOUBLE_EQ(warm.stats.cache_hit_rate, 1.0);
-}
-
-TEST(ExecuteBatchTest, BadQueryFailsOnlyItsSlot) {
-  Engine engine = OpenLoadedEngine();
-  std::vector<std::string> batch = {kJoinQuery, "not a query at all",
-                                    kSingleClassQuery};
-  ASSERT_OK_AND_ASSIGN(BatchOutcome out, engine.ExecuteBatch(batch));
-  EXPECT_TRUE(out.results[0].ok());
-  EXPECT_FALSE(out.results[1].ok());
-  EXPECT_TRUE(out.results[2].ok());
-  EXPECT_EQ(out.stats.succeeded, 2u);
-  EXPECT_EQ(out.stats.failed, 1u);
-}
-
-TEST(ExecuteBatchTest, EmptyBatchAndNoDataEdgeCases) {
-  Engine engine = OpenLoadedEngine();
-  ASSERT_OK_AND_ASSIGN(BatchOutcome empty,
-                       engine.ExecuteBatch(std::span<const std::string>{}));
-  EXPECT_TRUE(empty.results.empty());
-  EXPECT_EQ(empty.stats.queries, 0u);
-
-  ASSERT_OK_AND_ASSIGN(
-      Engine unloaded, Engine::Open(SchemaSource::Experiment(),
-                                    ConstraintSource::Experiment()));
-  std::vector<std::string> batch = {kJoinQuery};
-  auto result = unloaded.ExecuteBatch(batch);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ExecuteBatchTest, StatsAreCoherent) {
-  Engine engine = OpenLoadedEngine();
-  std::vector<std::string> batch = MixedBatch(/*copies=*/16);
-  ServeOptions serve;
-  serve.threads = 4;
-  ASSERT_OK_AND_ASSIGN(BatchOutcome out, engine.ExecuteBatch(batch, serve));
-  EXPECT_EQ(out.stats.threads, 4);
-  EXPECT_GT(out.stats.wall_micros, 0u);
-  EXPECT_GT(out.stats.qps, 0.0);
-  EXPECT_LE(out.stats.p50_micros, out.stats.p95_micros);
-}
-
-TEST(ExecuteBatchTest, PoolIsReusedAndResizable) {
-  Engine engine = OpenLoadedEngine();
-  std::vector<std::string> batch = MixedBatch(/*copies=*/2);
-  ServeOptions one;
-  one.threads = 1;
-  ServeOptions four;
-  four.threads = 4;
-  ASSERT_OK_AND_ASSIGN(BatchOutcome a, engine.ExecuteBatch(batch, one));
-  ASSERT_OK_AND_ASSIGN(BatchOutcome b, engine.ExecuteBatch(batch, four));
-  ASSERT_OK_AND_ASSIGN(BatchOutcome c, engine.ExecuteBatch(batch, four));
-  EXPECT_EQ(a.stats.threads, 1);
-  EXPECT_EQ(b.stats.threads, 4);
-  EXPECT_EQ(c.stats.threads, 4);
-  for (const auto& out : {a, b, c}) {
-    EXPECT_EQ(out.stats.succeeded, batch.size());
-  }
-  EXPECT_EQ(engine.stats().batches_served, 3u);
-}
-
-// The end-to-end concurrency claim, checked under TSan in CI: ad-hoc
-// Execute, batch serving, and data reloads all run against one engine
-// at once. Rows must always be internally consistent — every query
-// sees either the old or the new store, never a mix, and never a
+// The end-to-end concurrency claim, checked under TSan in CI: Execute
+// from several caller threads and data reloads all run against one
+// engine at once. Rows must always be internally consistent — every
+// query sees either the old or the new store, never a mix, and never a
 // use-after-free of a dropped store.
-TEST(ServeConcurrencyTest, ExecuteBatchAndReloadRaceFree) {
+TEST(ServeConcurrencyTest, ExecuteAndReloadRaceFree) {
   Engine engine = OpenLoadedEngine();
   // The two stores differ in size, so row counts identify which store
   // served a query.
@@ -220,23 +101,20 @@ TEST(ServeConcurrencyTest, ExecuteBatchAndReloadRaceFree) {
       }
     });
   }
-  // Two batch threads.
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&] {
-      std::vector<std::string> batch(6, kSingleClassQuery);
-      ServeOptions serve;
-      serve.threads = 2;
+  // Two six-query lists, each replayed by two threads that split it in
+  // halves: four concurrent list readers.
+  const std::vector<std::string> queries(6, kSingleClassQuery);
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, half = t % 2] {
+      const size_t begin = half * queries.size() / 2;
+      const size_t end = (half + 1) * queries.size() / 2;
       for (int i = 0; i < kIterations; ++i) {
-        auto out = engine.ExecuteBatch(batch, serve);
-        if (!out.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        for (const auto& result : out->results) {
-          if (!result.ok()) {
+        for (size_t slot = begin; slot < end; ++slot) {
+          auto out = engine.Execute(queries[slot]);
+          if (!out.ok()) {
             failures.fetch_add(1);
           } else {
-            check_rows(result->rows.rows.size());
+            check_rows(out->rows.rows.size());
           }
         }
       }
@@ -263,10 +141,10 @@ TEST(ServeConcurrencyTest, ExecuteBatchAndReloadRaceFree) {
   EXPECT_TRUE(final_warm.rows.SameRows(final_cold.rows));
 }
 
-// The write-path concurrency claim, checked under TSan in CI: ad-hoc
-// Execute, ExecuteBatch, and Apply commits all run against one engine
-// at once, and no reader may EVER observe a half-applied batch. The
-// writer flips one cargo row between two (desc, weight) states with
+// The write-path concurrency claim, checked under TSan in CI: Execute
+// from several caller threads and Apply commits all run against one
+// engine at once, and no reader may EVER observe a half-applied batch.
+// The writer flips one cargo row between two (desc, weight) states with
 // both attributes in a single batch; the torn combinations can only
 // exist if snapshot publication is non-atomic, so the detector queries
 // must return zero rows on every snapshot.
@@ -316,27 +194,25 @@ TEST(ServeConcurrencyTest, ApplyNeverExposesHalfAppliedBatches) {
       }
     });
   }
-  // One batch-serving thread mixing real traffic in.
-  threads.emplace_back([&] {
-    std::vector<std::string> batch = {kSingleClassQuery, kTornA,
-                                      kJoinQuery, kTornB};
-    ServeOptions serve;
-    serve.threads = 2;
-    for (int i = 0; i < kIterations; ++i) {
-      auto out = engine.ExecuteBatch(batch, serve);
-      if (!out.ok()) {
-        failures.fetch_add(1);
-        continue;
-      }
-      for (size_t slot : {size_t{1}, size_t{3}}) {
-        if (!out->results[slot].ok()) {
-          failures.fetch_add(1);
-        } else if (!(*out->results[slot]).rows.rows.empty()) {
-          torn.fetch_add(1);
+  // Real traffic mixed in: the detectors interleaved with a
+  // single-class and a join query, the list split in halves between two
+  // threads so each pairs one real query with one detector.
+  const std::vector<std::string> queries = {kSingleClassQuery, kTornA,
+                                            kJoinQuery, kTornB};
+  for (size_t half = 0; half < 2; ++half) {
+    threads.emplace_back([&, half] {
+      for (int i = 0; i < kIterations; ++i) {
+        for (size_t slot = 2 * half; slot < 2 * half + 2; ++slot) {
+          auto out = engine.Execute(queries[slot]);
+          if (!out.ok()) {
+            failures.fetch_add(1);
+          } else if ((slot == 1 || slot == 3) && !out->rows.rows.empty()) {
+            torn.fetch_add(1);
+          }
         }
       }
-    }
-  });
+    });
+  }
   // One writer thread flipping the two-attribute state.
   threads.emplace_back([&] {
     for (int i = 0; i < kIterations * 2; ++i) {
