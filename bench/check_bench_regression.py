@@ -7,38 +7,44 @@ Two checks per bench file:
      consumers break when fields disappear or change type).
   2. Regression: each gated metric must stay on the right side of its
      baseline. Metrics are "higher is better" by default (the value
-     must not fall below baseline * (1 - tolerance)); metrics with
-     direction "lower" must not rise above baseline * (1 + tolerance);
+     must stay above baseline * (1 - tolerance)); metrics with
+     direction "lower" must stay below baseline * (1 + tolerance);
      metrics with direction "equal" must match the baseline exactly
-     (deterministic correctness counts like result-row totals).
+     (deterministic correctness counts like result-row totals). A
+     value on the bound fails, so tolerance 0.5 on a throughput and
+     1.0 on a latency both fail a 2x regression.
 
-Baselines are intentionally conservative (well below a healthy run on
-any CI runner) so the gate catches real regressions, not runner
-variance.
+The perfbench baselines (BENCH_perf_*.json) are medians of real runs
+with the recording machine's "cores" in the file; the tolerance, not
+the baseline, absorbs run-to-run spread. The other baselines are
+hand-set floors below a healthy run.
 
-Two modes:
-
-Single file (the original interface):
-  check_bench_regression.py --current build/BENCH_mixed.json \
-      --baseline bench/baseline/BENCH_mixed.json \
-      --metric read_qps --max-regression 0.30
-
-Suite (gate every bench named by a config):
+Usage (gate every bench named by a config):
   check_bench_regression.py --suite bench/baseline/gate.json \
       --current-dir build --baseline-dir bench/baseline
 
 The suite config maps bench file names to their gated metrics:
   {
-    "BENCH_mixed.json": {
+    "BENCH_perf_adhoc.json": {
       "metrics": {
-        "read_qps": {"max_regression": 0.30},
-        "p95_us": {"max_regression": 0.50, "direction": "lower"},
-        "speedup_p8": {"max_regression": 0.40, "min_cores": 2}
+        "queries_per_s": {"max_regression": 0.5, "min_cores": 4},
+        "query_p50_us": {"max_regression": 1.0, "direction": "lower"},
+        "ok_ratio": {"direction": "equal"}
       }
     }
   }
 A missing current or baseline file fails the suite: every gated bench
 must actually run.
+
+perfbench (perfbench/run.py) prints one JSON result line rather than a
+BENCH_*.json file. --perfbench flattens such output into an emission
+first: each file's "perfbench workload=W ... trace=T" header names
+BENCH_perf_W.json (BENCH_perf_W_traced.json for a traced run), and
+its result line's metrics become top-level fields beside "cores":
+  python3 perfbench/run.py --workload scan --seed 1 --seconds 2 \
+      --trace 0 > build/perf_scan.txt
+  check_bench_regression.py --perfbench build/perf_scan.txt \
+      --current-dir build
 
 A metric with "min_cores": N is judged only on runners with at least N
 hardware threads (the emission's "cores" field, recorded by every
@@ -147,11 +153,11 @@ def check_metric(name, metric, spec, baseline, current, failures):
         return
     if direction == "lower":
         bound = base * (1.0 + tolerance)
-        ok = value <= bound
+        ok = value < bound
         relation = "ceiling"
     else:
         bound = base * (1.0 - tolerance)
-        ok = value >= bound
+        ok = value > bound
         relation = "floor"
     status = "ok" if ok else "REGRESSION"
     print(
@@ -164,6 +170,35 @@ def check_metric(name, metric, spec, baseline, current, failures):
             f"{relation} {bound:.6g} (baseline {base:.6g}, "
             f"tolerance {tolerance:.0%})"
         )
+
+
+def flatten_perfbench(path, out_dir):
+    """Writes the BENCH_perf_*.json emission for one perfbench output."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    words = lines[0].split() if lines else []
+    if words[:1] != ["perfbench"]:
+        raise ValueError(f"{path}: no 'perfbench workload=...' header line")
+    header = dict(word.split("=", 1) for word in words[1:] if "=" in word)
+    result = json.loads(lines[-1])
+    name = "perf_" + header["workload"]
+    if header.get("trace") == "1":
+        name += "_traced"
+    emission = {
+        "bench": name,
+        "cores": os.cpu_count() or 1,
+        "seed": int(header["seed"]),
+        "seconds": int(header["seconds"]),
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+    }
+    for metric, entry in result["metrics"].items():
+        emission[metric] = entry["value"]
+    out_path = os.path.join(out_dir, f"BENCH_{name}.json")
+    with open(out_path, "w") as f:
+        json.dump(emission, f)
+        f.write("\n")
+    print(f"{path} -> {out_path}")
 
 
 def load_json(path, failures, what):
@@ -186,38 +221,35 @@ def gate_file(name, current_path, baseline_path, metric_specs, failures):
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--current", help="single-file mode: emission path")
-    parser.add_argument("--baseline", help="single-file mode: baseline path")
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--suite", help="gate config JSON (see above)")
     parser.add_argument(
-        "--metric",
-        action="append",
+        "--perfbench",
+        nargs="+",
         default=[],
-        help="single-file mode: numeric field that must not regress "
-        "(repeatable)",
+        metavar="OUTPUT",
+        help="perfbench/run.py outputs to flatten into --current-dir first",
     )
     parser.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.30,
-        help="single-file mode: allowed fractional drop below baseline",
+        "--current-dir", default="build", help="emissions directory"
     )
     parser.add_argument(
-        "--suite", help="suite mode: gate config JSON (see module docstring)"
-    )
-    parser.add_argument(
-        "--current-dir", default="build", help="suite mode: emissions directory"
-    )
-    parser.add_argument(
-        "--baseline-dir",
-        default="bench/baseline",
-        help="suite mode: baselines directory",
+        "--baseline-dir", default="bench/baseline", help="baselines directory"
     )
     args = parser.parse_args()
+    if not args.suite and not args.perfbench:
+        parser.error("pass --suite, --perfbench, or both")
 
     failures = []
+    for path in args.perfbench:
+        try:
+            flatten_perfbench(path, args.current_dir)
+        except (OSError, ValueError, KeyError) as e:
+            failures.append(f"perfbench output {e}")
 
-    if args.suite:
+    if args.suite and not failures:
         suite = load_json(args.suite, failures, "suite config")
         if suite is None:
             for failure in failures:
@@ -253,24 +285,14 @@ def main() -> int:
                     f"{name}: emitted but has no entry in {args.suite}; "
                     f"add a gate (and a baseline) for it"
                 )
-    elif args.current and args.baseline:
-        specs = {m: {"max_regression": args.max_regression} for m in args.metric}
-        gate_file(
-            os.path.basename(args.current),
-            args.current,
-            args.baseline,
-            specs,
-            failures,
-        )
-    else:
-        parser.error("pass either --suite or both --current and --baseline")
 
     if failures:
         print(f"\n{len(failures)} failure(s):", file=sys.stderr)
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("bench gate passed")
+    if args.suite:
+        print("bench gate passed")
     return 0
 
 

@@ -148,8 +148,9 @@ Result<std::unique_ptr<ObjectStore>> DataSource::Build(
 
 namespace {
 
+// Per-class access frequencies feed the kLeastFrequentlyAccessed
+// grouping policy at the next Recompile.
 void RecordAccess(const detail::EngineState& state, const Query& query) {
-  if (!state.options.record_access_stats) return;
   std::lock_guard<std::mutex> lock(state.access_mutex);
   state.access.RecordQuery(query.classes);
 }
@@ -431,17 +432,14 @@ Result<Engine> Engine::Open(const std::string& dir, EngineOptions options) {
   for (const persist::WalRecord& record : log.records) {
     if (record.batches.empty()) continue;
     const uint64_t current = engine.data_version();
-    const uint64_t last = record.first_version + record.batches.size() - 1;
-    // Snapshots only capture group boundaries (a group publishes
-    // atomically), so a record can be wholly behind the snapshot or
-    // wholly ahead — a straddle means the log is not this snapshot's.
-    if (last <= current) continue;
-    if (record.first_version != current + 1) {
+    const persist::RecordPlace place = persist::PlaceRecord(current, record);
+    if (place == persist::RecordPlace::kBehind) continue;
+    if (place == persist::RecordPlace::kGap) {
       return Status::Corruption(
           "WAL version gap: snapshot at " + std::to_string(current) +
           ", next record covers [" +
           std::to_string(record.first_version) + ", " +
-          std::to_string(last) + "]");
+          std::to_string(record.last_version()) + "]");
     }
     // Replay the whole group through the ordinary commit body
     // (constraint validation included) — every batch was validated

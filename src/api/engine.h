@@ -1,8 +1,9 @@
 // The sqopt public API: one entry point from query text to metered
 // results.
 //
-//   Engine engine = *Engine::Open(SchemaSource::Experiment(),
-//                                 ConstraintSource::Experiment());
+//   Engine engine = Engine::Open(SchemaSource::Experiment(),
+//                                ConstraintSource::Experiment())
+//                       .value();
 //   engine.Load(DataSource::Generated({"db", 104, 154}, /*seed=*/42));
 //   QueryOutcome out = *engine.Execute(
 //       "{cargo.code} {} {cargo.desc = \"frozen food\"} {} {cargo}");

@@ -92,10 +92,6 @@ struct EngineOptions {
   // model; statistics require a store.)
   bool use_cost_model = true;
 
-  // Record per-class access frequencies on every query. They feed the
-  // kLeastFrequentlyAccessed grouping policy at the next Recompile.
-  bool record_access_stats = true;
-
   // Serving: the shared plan-cache capacity (cache_capacity = 0 turns
   // the cache off and every Execute pays the full parse/retrieve/plan
   // pipeline), and the intra-query morsel-parallelism knobs (threads,

@@ -168,6 +168,12 @@ Result<MutationBatch> DecodeMutationBatch(std::string_view bytes) {
   return batch;
 }
 
+RecordPlace PlaceRecord(uint64_t current_version, const WalRecord& record) {
+  if (record.last_version() <= current_version) return RecordPlace::kBehind;
+  if (record.first_version == current_version + 1) return RecordPlace::kNext;
+  return RecordPlace::kGap;
+}
+
 Result<WalReadResult> ReadWal(const std::string& path) {
   WalReadResult out;
   std::ifstream in(path, std::ios::binary | std::ios::ate);

@@ -52,7 +52,20 @@ struct WalRecord {
   // first_version + i.
   uint64_t first_version = 0;
   std::vector<MutationBatch> batches;
+
+  // The version the last batch committed as (non-empty records only).
+  uint64_t last_version() const { return first_version + batches.size() - 1; }
 };
+
+// Where a non-empty record falls against a store at `current_version`,
+// the one version rule recovery and replication share. kBehind: its
+// whole range is at or below the current version (a checkpoint already
+// folded it in), so skip it. kNext: it starts at current_version + 1,
+// so apply it. kGap: anything else, a hole or a straddle of the current
+// version; a group publishes atomically, so such a log is not this
+// store's.
+enum class RecordPlace { kBehind, kNext, kGap };
+RecordPlace PlaceRecord(uint64_t current_version, const WalRecord& record);
 
 struct WalReadResult {
   std::vector<WalRecord> records;  // the valid prefix, in file order

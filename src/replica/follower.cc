@@ -156,19 +156,19 @@ bool FollowerApplier::RunSession() {
     }
     if (record->batches.empty()) continue;
 
-    // Recovery's version rules, verbatim (engine.cc Open replay).
+    // Recovery's version rule (persist::PlaceRecord).
     const uint64_t current = engine_->data_version();
-    const uint64_t last =
-        record->first_version + record->batches.size() - 1;
-    if (last <= current) {
+    const persist::RecordPlace place = persist::PlaceRecord(current, *record);
+    if (place == persist::RecordPlace::kBehind) {
       records_skipped_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (record->first_version != current + 1) {
+    if (place == persist::RecordPlace::kGap) {
       Halt(Status::Corruption(
           "replication gap: leader shipped versions [" +
           std::to_string(record->first_version) + ", " +
-          std::to_string(last) + "] but this follower is at version " +
+          std::to_string(record->last_version()) +
+          "] but this follower is at version " +
           std::to_string(current) +
           " — leader and follower have diverged; re-seed the follower"));
       return false;

@@ -167,42 +167,4 @@ Result<LoadReport> RunOpenLoop(const std::string& host, int port,
   return report;
 }
 
-Result<double> MeasureCapacityQps(const std::string& host, int port,
-                                  const std::vector<std::string>& queries,
-                                  int connections, uint64_t duration_ms,
-                                  uint64_t seed) {
-  if (queries.empty() || connections < 1) {
-    return Status::InvalidArgument("capacity probe needs queries + clients");
-  }
-  std::atomic<uint64_t> completed{0};
-  std::atomic<bool> stop{false};
-  const Clock::time_point start = Clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(connections));
-  for (int t = 0; t < connections; ++t) {
-    threads.emplace_back([&, t] {
-      auto client = Client::Connect(host, port);
-      if (!client.ok()) return;
-      Rng rng(seed * 2654435761u + static_cast<uint64_t>(t));
-      while (!stop.load(std::memory_order_relaxed)) {
-        Result<Response> response =
-            client->Query(queries[rng.Index(queries.size())]);
-        if (!response.ok()) return;
-        if (response->ok()) {
-          completed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(duration_ms));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& th : threads) th.join();
-  const double wall =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (wall <= 0.0 || completed.load() == 0) {
-    return Status::Internal("capacity probe completed no requests");
-  }
-  return static_cast<double>(completed.load()) / wall;
-}
-
 }  // namespace sqopt::server

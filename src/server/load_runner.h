@@ -1,12 +1,11 @@
-// The open-loop load engine shared by tools/loadgen and
-// bench/bench_server. Open-loop means arrivals are scheduled on a
-// fixed clock (target QPS), NOT gated on completions: request i is due
-// at start + i/qps whether or not earlier requests have finished, and
-// each request's recorded latency runs from its SCHEDULED arrival to
-// its completion. A server that falls behind therefore shows the
-// backlog in its tail latencies instead of silently slowing the
-// generator down — the closed-loop coordinated-omission trap the
-// in-process serve bench cannot avoid.
+// The open-loop load engine behind tools/loadgen. Open-loop means
+// arrivals are scheduled on a fixed clock (target QPS), NOT gated on
+// completions: request i is due at start + i/qps whether or not
+// earlier requests have finished, and each request's recorded latency
+// runs from its SCHEDULED arrival to its completion. A server that
+// falls behind therefore shows the backlog in its tail latencies
+// instead of silently slowing the generator down — the
+// coordinated-omission trap of a closed loop.
 //
 // The query mix is Zipfian over a fixed pool (few hot templates, long
 // cold tail — the heavy-traffic shape the plan cache exists for),
@@ -65,15 +64,6 @@ struct LoadReport {
 Result<LoadReport> RunOpenLoop(const std::string& host, int port,
                                const std::vector<std::string>& queries,
                                const LoadOptions& options);
-
-// Closed-loop capacity probe: `connections` clients hammer the server
-// back-to-back for `duration_ms` and the achieved throughput estimates
-// the server's saturation capacity (used by the overload bench to pick
-// "2x overload" relative to the machine it runs on).
-Result<double> MeasureCapacityQps(const std::string& host, int port,
-                                  const std::vector<std::string>& queries,
-                                  int connections, uint64_t duration_ms,
-                                  uint64_t seed);
 
 }  // namespace sqopt::server
 

@@ -88,6 +88,9 @@ struct Conn {
 // Post() with no reserved slot: the answer goes behind everything owed.
 constexpr uint64_t kNoSlot = ~uint64_t{0};
 
+// Client-supplied deadlines are clamped to this.
+constexpr uint32_t kMaxDeadlineMs = 60000;
+
 Response ErrorResponse(RequestType type, const Status& status) {
   Response r;
   r.type = type;
@@ -381,8 +384,7 @@ struct Server::Impl {
     }
     uint32_t deadline_ms = request.deadline_ms == 0
                                ? opts.default_deadline_ms
-                               : std::min(request.deadline_ms,
-                                          opts.max_deadline_ms);
+                               : std::min(request.deadline_ms, kMaxDeadlineMs);
     Task task;
     task.conn = conn;
     task.request = std::move(request);

@@ -74,9 +74,8 @@ struct ServerOptions {
   size_t backpressure_watermark = 0;
 
   // Deadline applied to requests that don't carry one; client-supplied
-  // deadlines are clamped to max_deadline_ms.
+  // deadlines are clamped to 60 s.
   uint32_t default_deadline_ms = 5000;
-  uint32_t max_deadline_ms = 60000;
 
   // Connections with no traffic and no pending work for this long are
   // reaped. 0 disables reaping.

@@ -570,6 +570,35 @@ TEST_F(PersistTest, IndexRestoreSortsEqualKeyRunsByRow) {
       << out_of_order.ToString();
 }
 
+// The one version rule recovery (Engine::Open) and replication
+// (FollowerApplier) share: where a record falls against the store.
+TEST(PlaceRecordTest, BehindNextOrGap) {
+  struct Case {
+    uint64_t current;
+    uint64_t first;
+    size_t batches;
+    persist::RecordPlace want;
+  };
+  const Case cases[] = {
+      {5, 3, 3, persist::RecordPlace::kBehind},  // [3, 5]: already in
+      {5, 1, 1, persist::RecordPlace::kBehind},  // [1, 1]
+      {5, 6, 1, persist::RecordPlace::kNext},    // [6, 6]
+      {5, 6, 4, persist::RecordPlace::kNext},    // [6, 9]
+      {0, 1, 2, persist::RecordPlace::kNext},    // [1, 2] on a fresh store
+      {5, 7, 1, persist::RecordPlace::kGap},     // [7, 7]: version 6 lost
+      {5, 4, 3, persist::RecordPlace::kGap},     // [4, 6] straddles 5
+      {5, 5, 2, persist::RecordPlace::kGap},     // [5, 6] straddles 5
+  };
+  for (const Case& c : cases) {
+    persist::WalRecord record;
+    record.first_version = c.first;
+    record.batches.resize(c.batches);
+    EXPECT_EQ(persist::PlaceRecord(c.current, record), c.want)
+        << "current " << c.current << ", record [" << c.first << ", "
+        << c.first + c.batches - 1 << "]";
+  }
+}
+
 TEST_F(PersistTest, PreparedHandlesObserveReplayedCommits) {
   // A prepared statement on a reopened engine follows later commits,
   // exactly as on an in-memory engine (same lineage contract).

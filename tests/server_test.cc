@@ -18,7 +18,6 @@
 #include "api/engine.h"
 #include "persist/serde.h"
 #include "server/client.h"
-#include "server/load_runner.h"
 #include "server/wire.h"
 #include "tests/test_util.h"
 #include "workload/dbgen.h"
