@@ -27,6 +27,7 @@
 #ifndef SQOPT_API_ENGINE_H_
 #define SQOPT_API_ENGINE_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -35,7 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "api/engine_iface.h"
 #include "api/engine_options.h"
 #include "api/mutation.h"
 #include "api/plan_cache.h"
@@ -51,6 +51,7 @@
 #include "query/query_printer.h"
 #include "sqo/report.h"
 #include "storage/object_store.h"
+#include "types/value.h"
 #include "workload/dbgen.h"
 
 namespace sqopt {
@@ -159,14 +160,48 @@ struct QueryOutcome {
   PlanCacheStats plan_cache;
 };
 
-// EngineStats lives in api/engine_iface.h (shared with every
-// EngineInterface backend).
+// Cumulative engine counters; all reads are atomic snapshots.
+struct EngineStats {
+  uint64_t queries_parsed = 0;       // ParseQuery invocations
+  uint64_t queries_executed = 0;     // Execute() completions
+  uint64_t queries_analyzed = 0;     // Analyze() completions
+  uint64_t statements_prepared = 0;  // Prepare() completions
+  uint64_t prepared_executions = 0;  // PreparedQuery::Execute completions
+  uint64_t contradictions = 0;       // queries answered without the DB
+  uint64_t mutation_batches_applied = 0;   // committed Apply() calls
+  uint64_t mutation_ops_applied = 0;       // ops inside committed batches
+  // Apply() batches rejected by constraint validation specifically
+  // (malformed batches — bad rows, duplicate links — are not counted).
+  uint64_t mutation_batches_rejected = 0;
+  // Completed Checkpoint() calls.
+  uint64_t checkpoints = 0;
+  // WAL records replayed by Open(dir) — the committed suffix the last
+  // checkpoint had not folded in yet. One record per commit GROUP (a
+  // group of concurrent Apply calls shares a record; a lone Apply is a
+  // group of one).
+  uint64_t wal_records_replayed = 0;
+  // Full per-attribute or per-class statistics recollections on the
+  // commit path: attributes the incremental patch could not absorb
+  // (no stats yet, a non-finite value, a removal it cannot place) and
+  // classes resynced after a commit drifted past the replan threshold.
+  uint64_t stats_recollections = 0;
+};
+
+// What Engine::ExecuteIfCached answers: the rows and the one
+// flag a server sends back, without the report and queries a full
+// QueryOutcome carries.
+struct CachedAnswer {
+  // False: the text had no cached sequential plan and nothing ran.
+  bool cached = false;
+  bool answered_without_database = false;
+  std::vector<std::vector<Value>> rows;
+};
 
 // ---------------------------------------------------------------------
 // Engine.
 // ---------------------------------------------------------------------
 
-class Engine : public EngineInterface {
+class Engine {
  public:
   // Builds the schema, loads + precompiles the constraints (closure,
   // classification, grouping), and returns a ready engine. Duplicate
@@ -196,7 +231,6 @@ class Engine : public EngineInterface {
   Engine& operator=(Engine&&) noexcept = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-  ~Engine() override = default;
 
   // --- Admin path. Load() is safe to run concurrently with the read
   // path: it publishes a complete new data snapshot and invalidates
@@ -228,7 +262,7 @@ class Engine : public EngineInterface {
   // that sequence recovers to exactly the pre- or post-checkpoint
   // state (WAL replay is version-idempotent). Requires a durable
   // engine (Save or Open(dir)).
-  Status Checkpoint() override;
+  Status Checkpoint();
 
   // Directory this engine persists to; empty when purely in-memory.
   std::string persist_dir() const;
@@ -261,7 +295,7 @@ class Engine : public EngineInterface {
   // leader's outcome. Each batch keeps its own typed status — a
   // follower's kConstraintViolation (or malformed batch) rejects that
   // batch alone and never poisons its group-mates.
-  Result<ApplyOutcome> Apply(const MutationBatch& batch) override;
+  Result<ApplyOutcome> Apply(const MutationBatch& batch);
 
   // Commits `batches` as ONE explicit commit group (the same protocol
   // concurrent Apply callers converge on, minus the queueing): batches
@@ -272,7 +306,7 @@ class Engine : public EngineInterface {
   // is base + (number of surviving batches before it) + 1; a rejected
   // batch consumes no version. An empty span returns an empty vector.
   std::vector<Result<ApplyOutcome>> ApplyGroup(
-      std::span<const MutationBatch> batches) override;
+      std::span<const MutationBatch> batches);
 
   // Observer for committed groups, the leader-side replication tap:
   // called after every published commit with the group's first
@@ -310,10 +344,14 @@ class Engine : public EngineInterface {
   // (canonicalized) query was executed or prepared since the last
   // reload: a hit skips retrieval, transformation, and planning, and
   // the outcome reports plan_cache_hit = true.
-  Result<QueryOutcome> Execute(std::string_view query_text) const override;
-  Result<CachedAnswer> ExecuteIfCached(
-      std::string_view query_text) const override;
+  Result<QueryOutcome> Execute(std::string_view query_text) const;
   Result<QueryOutcome> Execute(const Query& query) const;
+
+  // Serves `query_text` only when it is an exact raw-text plan-cache
+  // hit whose plan runs sequentially; otherwise answers "not cached"
+  // having done nothing else — no parse, no counted miss, no plan.
+  // The server runs such queries on its I/O thread.
+  Result<CachedAnswer> ExecuteIfCached(std::string_view query_text) const;
 
   // Same, skipping semantic optimization (baseline side of A/B runs).
   Result<QueryOutcome> ExecuteUnoptimized(std::string_view query_text) const;
@@ -345,19 +383,19 @@ class Engine : public EngineInterface {
   // re-read them instead (queries in flight are unaffected; they pin
   // their snapshot internally).
   const ObjectStore* store() const;
-  bool has_data() const override { return store() != nullptr; }
+  bool has_data() const { return store() != nullptr; }
   const DatabaseStats* database_stats() const;
   const CostModelInterface* cost_model() const;
   // Version of the current data snapshot: 0 before the first Load, 1
   // after it, +1 per committed Apply (a reload restarts the lineage at
   // 1). Lets callers detect whether a write was published.
-  uint64_t data_version() const override;
+  uint64_t data_version() const;
   const EngineOptions& options() const;
-  EngineStats stats() const override;
+  EngineStats stats() const;
 
   // Cumulative plan-cache counters (hits, misses, evictions,
   // invalidations, live entries). Safe concurrently with the read path.
-  PlanCacheStats plan_cache_stats() const override;
+  PlanCacheStats plan_cache_stats() const;
 
   // Snapshot of the per-class access counters (the read path updates
   // them under a lock; the snapshot is taken under the same lock, so

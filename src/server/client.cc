@@ -22,6 +22,10 @@ Status Errno(const char* what) {
 
 Result<Client> Client::Connect(const std::string& host, int port,
                                int timeout_ms) {
+  if (port < 1 || port > 65535) {
+    return Status::InvalidArgument("port " + std::to_string(port) +
+                                   " is outside [1, 65535]");
+  }
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) return Errno("socket");
 

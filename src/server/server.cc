@@ -106,7 +106,7 @@ Response ErrorResponse(RequestType type, const Status& status) {
 // ---------------------------------------------------------------------
 
 struct Server::Impl {
-  EngineInterface* engine = nullptr;
+  Engine* engine = nullptr;
   ServerOptions opts;
   replica::ReplicationLog* replication = nullptr;
 
@@ -907,7 +907,7 @@ struct Server::Impl {
 Server::Server(std::unique_ptr<Impl> impl) : impl_(std::move(impl)) {}
 
 Result<std::unique_ptr<Server>> Server::Start(
-    EngineInterface* engine, ServerOptions options,
+    Engine* engine, ServerOptions options,
     replica::ReplicationLog* replication) {
   if (engine == nullptr) {
     return Status::InvalidArgument("engine must not be null");
@@ -921,6 +921,18 @@ Result<std::unique_ptr<Server>> Server::Start(
   }
   if (options.max_queue < 1) {
     return Status::InvalidArgument("ServerOptions::max_queue must be >= 1");
+  }
+  if (options.port < 0 || options.port > 65535) {
+    return Status::InvalidArgument("ServerOptions::port " +
+                                   std::to_string(options.port) +
+                                   " is outside [0, 65535]");
+  }
+  if (options.min_protocol < kProtocolVersionMin ||
+      options.min_protocol > kProtocolVersionMax) {
+    return Status::InvalidArgument(
+        "ServerOptions::min_protocol " + std::to_string(options.min_protocol) +
+        " is outside [" + std::to_string(kProtocolVersionMin) + ", " +
+        std::to_string(kProtocolVersionMax) + "]");
   }
 
   auto impl = std::make_unique<Impl>();

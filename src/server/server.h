@@ -123,16 +123,16 @@ struct ServerStats {
 
 class Server {
  public:
-  // Binds, listens, and spawns the I/O thread + workers. `engine` is
-  // any EngineInterface backend — an Engine or a RemoteShard — that
-  // must have data loaded and must
-  // outlive the server. The read path stays const; kApply/kCheckpoint
-  // drive the interface's write surface. A non-null `replication`
+  // Binds, listens, and spawns the I/O thread + workers. `engine` must
+  // have data loaded and must outlive the server. The read path stays
+  // const; kApply/kCheckpoint drive the engine's write path. A port
+  // outside [0, 65535] or a min_protocol outside the versions this
+  // build speaks fails with kInvalidArgument. A non-null `replication`
   // makes this server a replication leader (it must outlive the
   // server; the server installs itself as the log's notifier and
   // detaches on shutdown).
   static Result<std::unique_ptr<Server>> Start(
-      EngineInterface* engine, ServerOptions options,
+      Engine* engine, ServerOptions options,
       replica::ReplicationLog* replication = nullptr);
 
   ~Server();  // implies Shutdown()

@@ -4,9 +4,8 @@
 // loopback sockets, read-only follower endpoints, commit streaming to
 // a live FollowerApplier with bit-identical convergence, catch-up from
 // a stale version, gap detection halting the applier as divergence,
-// the retention-floor re-seed signal, and RemoteShard — the
-// EngineInterface that speaks v2 to a remote server. The process-level
-// SIGKILL legs live in tools/replica_harness.cpp (CI replication-smoke).
+// and the retention-floor re-seed signal. The process-level SIGKILL
+// legs live in tools/replica_harness.cpp (CI replication-smoke).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -21,7 +20,6 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
-#include "shard/remote_shard.h"
 #include "tests/test_util.h"
 #include "workload/mutation_script.h"
 
@@ -56,7 +54,7 @@ std::vector<int64_t> BaseRows(const Engine& engine) {
   return rows;
 }
 
-std::unique_ptr<Server> StartServer(EngineInterface* engine,
+std::unique_ptr<Server> StartServer(Engine* engine,
                                     ServerOptions options = {},
                                     ReplicationLog* log = nullptr) {
   options.port = 0;
@@ -194,6 +192,15 @@ TEST(ReplicaTest, ApplyAndCheckpointOverWire) {
 
   ASSERT_OK(client.Checkpoint());
   EXPECT_GE(engine.stats().checkpoints, 1u);
+
+  // STATS over the wire reports the engine's version and counters
+  // after the wire write and checkpoint.
+  ASSERT_OK_AND_ASSIGN(std::string text, client.Stats());
+  EXPECT_NE(text.find("engine_data_version 2\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("engine_checkpoints 1\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("engine_mutation_batches_applied 1\n"),
+            std::string::npos)
+      << text;
   server->Shutdown();
   EXPECT_EQ(server->stats().applies_ok, 1u);
   EXPECT_EQ(server->stats().protocol_errors, 0u);
@@ -363,46 +370,6 @@ TEST(ReplicaTest, RetentionFloorDemandsReseed) {
   EXPECT_NE(halted.message().find("re-seed"), std::string::npos)
       << halted.ToString();
   EXPECT_EQ(follower.data_version(), 1u);  // nothing applied
-}
-
-// --- RemoteShard ---------------------------------------------------
-
-TEST(ReplicaTest, RemoteShardIsAnEngineInterfaceOverTheWire) {
-  Engine engine = OpenLoadedEngine();
-  ASSERT_OK(engine.Save(::testing::TempDir() + "/replica_remote_shard"));
-  std::unique_ptr<Server> server = StartServer(&engine);
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<shard::RemoteShard> remote,
-                       shard::RemoteShard::Connect("127.0.0.1",
-                                                   server->port()));
-  EXPECT_TRUE(remote->has_data());
-  EXPECT_EQ(remote->data_version(), engine.data_version());
-
-  // Reads through the interface match in-process execution.
-  const std::string query = "{cargo.code} {} {} {} {cargo}";
-  ASSERT_OK_AND_ASSIGN(QueryOutcome local, engine.Execute(query));
-  ASSERT_OK_AND_ASSIGN(QueryOutcome viaRemote, remote->Execute(query));
-  EXPECT_TRUE(viaRemote.rows.SameDistinctRows(local.rows));
-
-  // Writes through the interface reach the remote engine.
-  MutationScript script(&engine.schema(), BaseRows(engine), kSeed);
-  ASSERT_OK_AND_ASSIGN(MutationBatch b1, script.Next());
-  ASSERT_OK_AND_ASSIGN(MutationBatch b2, script.Next());
-  ASSERT_OK_AND_ASSIGN(ApplyOutcome outcome, remote->Apply(b1));
-  EXPECT_EQ(outcome.snapshot_version, 2u);
-  EXPECT_EQ(engine.data_version(), 2u);
-
-  std::vector<MutationBatch> group;
-  group.push_back(std::move(b2));
-  std::vector<Result<ApplyOutcome>> outcomes =
-      remote->ApplyGroup(std::span<const MutationBatch>(group));
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].status().ToString();
-  EXPECT_EQ(remote->data_version(), 3u);
-
-  ASSERT_OK(remote->Checkpoint());
-  EXPECT_EQ(remote->stats().mutation_batches_applied,
-            engine.stats().mutation_batches_applied);
-  EXPECT_GE(remote->stats().checkpoints, 1u);
 }
 
 }  // namespace

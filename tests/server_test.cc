@@ -54,7 +54,7 @@ Request SingleClassQueryRequest(uint32_t deadline_ms) {
   return request;
 }
 
-std::unique_ptr<Server> StartServer(EngineInterface* engine,
+std::unique_ptr<Server> StartServer(Engine* engine,
                                     ServerOptions options = {}) {
   options.port = 0;
   auto started = Server::Start(engine, options);
@@ -611,11 +611,40 @@ TEST(ServerTest, StartValidatesArguments) {
   bad.threads = 0;
   EXPECT_FALSE(Server::Start(&engine, bad).ok());
 
+  // A port outside [0, 65535] is refused instead of wrapping through
+  // uint16_t (70000 would otherwise bind 4464).
+  for (int port : {-1, 65536, 70000}) {
+    ServerOptions out_of_range;
+    out_of_range.port = port;
+    auto started = Server::Start(&engine, out_of_range);
+    ASSERT_FALSE(started.ok()) << port;
+    EXPECT_EQ(started.status().code(), StatusCode::kInvalidArgument) << port;
+  }
+
+  // min_protocol must name a version this build speaks: 0 would accept
+  // v1 silently, 3 would refuse every HELLO.
+  for (uint32_t version : {0u, kProtocolVersionMax + 1}) {
+    ServerOptions unservable;
+    unservable.min_protocol = version;
+    auto started = Server::Start(&engine, unservable);
+    ASSERT_FALSE(started.ok()) << version;
+    EXPECT_EQ(started.status().code(), StatusCode::kInvalidArgument)
+        << version;
+  }
+
   // An engine with no data loaded is refused up front.
   auto empty = Engine::Open(SchemaSource::Experiment(),
                             ConstraintSource::Experiment());
   ASSERT_TRUE(empty.ok());
   EXPECT_FALSE(Server::Start(&*empty, {}).ok());
+
+  // A client needs a concrete port: 0 and out-of-range values fail
+  // before any socket is opened.
+  for (int port : {0, 70000}) {
+    auto client = Client::Connect("127.0.0.1", port);
+    ASSERT_FALSE(client.ok()) << port;
+    EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument) << port;
+  }
 }
 
 }  // namespace
