@@ -170,70 +170,133 @@ PlanningOptions MakePlanningOptions(const detail::EngineState& state) {
   return opts;
 }
 
-Result<OptimizeResult> OptimizeQuery(const detail::EngineState& state,
-                                     const detail::LoadedData* data,
-                                     const Query& query) {
-  SemanticOptimizer optimizer(&state.schema, &state.catalog,
-                              data == nullptr ? nullptr
-                                              : data->cost_model.get(),
-                              state.options.optimizer);
-  return optimizer.Optimize(query);
+Status NoDataLoaded() {
+  return Status::FailedPrecondition(
+      "no data loaded: call Engine::Load before Execute, or use "
+      "Analyze for optimization-only runs");
 }
 
-// The full prepare pipeline: constraint retrieval + semantic
-// transformation + physical planning, against one pinned data
-// snapshot. The result is what both PreparedQuery handles and
-// plan-cache entries hold.
-Result<std::shared_ptr<const detail::PreparedState>> BuildPrepared(
+// The one prepare pipeline: constraint retrieval + semantic
+// transformation (or, with `optimize` false, validation alone) +
+// physical planning, against one pinned data snapshot. It plans when
+// `plan` is set, data is pinned and the result is not provably empty;
+// Analyze alone passes `plan` false, to stay optimization-only. The
+// result is what PreparedQuery handles and plan-cache entries hold.
+Result<std::shared_ptr<detail::PreparedState>> BuildPrepared(
     const detail::EngineState& state,
-    std::shared_ptr<const detail::LoadedData> data, const Query& query) {
+    std::shared_ptr<const detail::LoadedData> data, const Query& query,
+    bool optimize, bool plan = true) {
   auto prepared = std::make_shared<detail::PreparedState>();
   prepared->original = query;
-  SQOPT_ASSIGN_OR_RETURN(OptimizeResult opt,
-                         OptimizeQuery(state, data.get(), query));
-  prepared->transformed = std::move(opt.query);
-  prepared->report = std::move(opt.report);
-  prepared->empty_result = opt.empty_result;
+  if (optimize) {
+    SemanticOptimizer optimizer(
+        &state.schema, &state.catalog,
+        data == nullptr ? nullptr : data->cost_model.get(),
+        state.options.optimizer);
+    SQOPT_ASSIGN_OR_RETURN(OptimizeResult opt, optimizer.Optimize(query));
+    prepared->transformed = std::move(opt.query);
+    prepared->report = std::move(opt.report);
+    prepared->empty_result = opt.empty_result;
+  } else {
+    SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
+    prepared->transformed = query;
+  }
   prepared->data = std::move(data);
-  if (prepared->data != nullptr && !prepared->empty_result) {
-    SQOPT_ASSIGN_OR_RETURN(Plan plan,
+  if (plan && prepared->data != nullptr && !prepared->empty_result) {
+    SQOPT_ASSIGN_OR_RETURN(prepared->plan,
                            BuildPlan(state.schema, prepared->data->db_stats,
                                      prepared->transformed,
                                      MakePlanningOptions(state)));
-    prepared->plan = std::move(plan);
   }
-  return std::shared_ptr<const detail::PreparedState>(std::move(prepared));
+  return prepared;
 }
 
-// Replays a prepared plan with a fresh meter (the Execute fast path).
-// `data` is the caller's pinned CURRENT snapshot: plans are rebound to
-// it so cached entries observe committed mutations; the entry's own
-// creation-time pin is only the fallback (e.g. a PreparedQuery handle
-// outliving the engine's data slot — which Load/Apply never empty).
-// Runs a prepared plan against `data`; a plan the optimizer proved
-// empty counts a contradiction and returns no rows without touching the
-// store.
-Result<ResultSet> RunPrepared(
-    const detail::EngineState& state, const detail::PreparedState& prepared,
-    const std::shared_ptr<const detail::LoadedData>& data,
-    ExecutionMeter* meter) {
+// The one plan-cache path (Execute and Prepare): look the canonical
+// key up and, on a miss, build the entry and publish it under `epoch`.
+// `text` (when the query arrived as text) additionally registers a
+// raw-text alias so the next Execute of the same string skips parsing
+// and canonicalization entirely. With the cache disabled or no data
+// loaded this is a plain BuildPrepared, so data-less handles are never
+// cached — a later Execute must not hit a planless entry.
+Result<std::shared_ptr<const detail::PreparedState>> PrepareCached(
+    const detail::EngineState& state,
+    std::shared_ptr<const detail::LoadedData> data, uint64_t epoch,
+    const Query& query, const std::string* text, bool* hit) {
+  *hit = false;
+  std::shared_ptr<const detail::PreparedState> entry;
+  if (!state.plan_cache.enabled() || data == nullptr) {
+    SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, std::move(data), query,
+                                                /*optimize=*/true));
+    return entry;
+  }
+  // The canonical key prints schema names, so reject malformed queries
+  // before keying (ParseQuery output is always valid; hand-built Query
+  // values may not be).
+  SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
+  const std::string key = CanonicalQueryKey(state.schema, query);
+  entry = state.plan_cache.Lookup(key);
+  *hit = entry != nullptr;
+  if (!*hit) {
+    SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, std::move(data), query,
+                                                /*optimize=*/true));
+    state.plan_cache.Insert(key, entry, epoch);
+  }
+  if (text != nullptr && *text != key) {
+    state.plan_cache.InsertAlias(*text, entry, epoch);
+  }
+  return entry;
+}
+
+// Analyze and Explain: optimize against the current snapshot, outside
+// the plan cache. Nothing runs afterwards, so a contradiction counts
+// here.
+Result<std::shared_ptr<detail::PreparedState>> PrepareForAnalysis(
+    const detail::EngineState& state, const Query& query, bool plan) {
+  RecordAccess(state, query);
+  SQOPT_ASSIGN_OR_RETURN(
+      std::shared_ptr<detail::PreparedState> prepared,
+      BuildPrepared(state, state.data_snapshot(), query, /*optimize=*/true,
+                    plan));
+  if (prepared->empty_result) {
+    state.contradictions.fetch_add(1, std::memory_order_relaxed);
+  }
+  return prepared;
+}
+
+}  // namespace
+
+namespace detail {
+
+Result<ResultSet> RunPrepared(const EngineState& state,
+                              const PreparedState& prepared,
+                              const std::shared_ptr<const LoadedData>& data,
+                              ExecutionMeter* meter) {
   if (prepared.empty_result) {
     state.contradictions.fetch_add(1, std::memory_order_relaxed);
     return ResultSet{};
   }
-  const detail::LoadedData* exec_data =
-      detail::ChooseExecData(data, prepared.data);
-  if (exec_data == nullptr) {
+  if (!prepared.plan.has_value()) {
     return Status::FailedPrecondition(
-        "no data loaded: call Engine::Load before Execute");
+        "prepared without data: Engine::Load must run before Prepare "
+        "for the handle to be executable");
   }
-  return ExecutePlan(*exec_data->store, *prepared.plan, meter,
-                     MakeExecContext(state, *prepared.plan));
+  // A plan implies a pinned snapshot. Run on the CURRENT one when it
+  // descends from the same Load, so cached plans and prepared handles
+  // observe committed Apply() mutations; across a reload (new lineage)
+  // keep the snapshot the plan was built on.
+  const LoadedData& exec_data =
+      data != nullptr && data->lineage == prepared.data->lineage
+          ? *data
+          : *prepared.data;
+  // Parallel plans borrow the engine's morsel pool.
+  ExecContext context;
+  if (prepared.plan->parallelism > 1) context.pool = state.GetMorselPool();
+  return ExecutePlan(*exec_data.store, *prepared.plan, meter, context);
 }
 
-Result<QueryOutcome> ExecutePreparedState(
-    const detail::EngineState& state, const detail::PreparedState& prepared,
-    const std::shared_ptr<const detail::LoadedData>& data) {
+Result<QueryOutcome> ExecutePrepared(
+    const EngineState& state, const PreparedState& prepared,
+    const std::shared_ptr<const LoadedData>& data) {
   QueryOutcome out;
   out.original = prepared.original;
   out.transformed = prepared.transformed;
@@ -245,84 +308,7 @@ Result<QueryOutcome> ExecutePreparedState(
   return out;
 }
 
-// Optimize (optionally) and execute (optionally) one query, bypassing
-// the plan cache (Analyze and ExecuteUnoptimized).
-Result<QueryOutcome> RunQuery(const detail::EngineState& state,
-                              const Query& query, bool optimize,
-                              bool execute) {
-  std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
-  if (execute && data == nullptr) {
-    return Status::FailedPrecondition(
-        "no data loaded: call Engine::Load before Execute, or use "
-        "Analyze for optimization-only runs");
-  }
-  QueryOutcome out;
-  out.original = query;
-  RecordAccess(state, query);
-
-  if (optimize) {
-    SQOPT_ASSIGN_OR_RETURN(OptimizeResult opt,
-                           OptimizeQuery(state, data.get(), query));
-    out.transformed = std::move(opt.query);
-    out.report = std::move(opt.report);
-    if (opt.empty_result) {
-      out.answered_without_database = true;
-      state.contradictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
-    out.transformed = query;
-  }
-
-  if (execute && !out.answered_without_database) {
-    SQOPT_ASSIGN_OR_RETURN(
-        Plan plan, BuildPlan(state.schema, data->db_stats, out.transformed,
-                             MakePlanningOptions(state)));
-    SQOPT_ASSIGN_OR_RETURN(
-        out.rows, ExecutePlan(*data->store, plan, &out.meter,
-                              MakeExecContext(state, plan)));
-    out.executed = true;
-  }
-  return out;
-}
-
-// Execute through the plan cache: look the canonical key up, replay on
-// a hit, run the full prepare pipeline and publish the entry on a
-// miss. `data` is the caller's pinned snapshot (never null here).
-// `text` (when the query arrived as text) additionally registers a
-// raw-text alias so the next Execute of the same string skips parsing
-// and canonicalization entirely.
-Result<QueryOutcome> ExecuteCached(
-    const detail::EngineState& state,
-    std::shared_ptr<const detail::LoadedData> data, uint64_t epoch,
-    const Query& query, const std::string* text) {
-  // The canonical key prints schema names, so reject malformed queries
-  // before keying (ParseQuery output is always valid; hand-built Query
-  // values may not be).
-  SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
-  const std::string key = CanonicalQueryKey(state.schema, query);
-
-  std::shared_ptr<const detail::PreparedState> entry =
-      state.plan_cache.Lookup(key);
-  bool hit = entry != nullptr;
-  if (!hit) {
-    SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, data, query));
-    state.plan_cache.Insert(key, entry, epoch);
-  }
-  if (text != nullptr && *text != key) {
-    state.plan_cache.InsertAlias(*text, entry, epoch);
-  }
-  SQOPT_ASSIGN_OR_RETURN(QueryOutcome out,
-                         ExecutePreparedState(state, *entry, data));
-  // On a hit the entry's `original` is whatever canonically-equal
-  // query first populated it; report the query THIS caller submitted.
-  out.original = query;
-  out.plan_cache_hit = hit;
-  out.plan_cache = state.plan_cache.stats(/*count_entries=*/false);
-  return out;
-}
-
-}  // namespace
+}  // namespace detail
 
 // ---------------------------------------------------------------------
 // Engine: lifecycle + admin path.
@@ -1136,22 +1122,20 @@ Result<Query> Engine::Parse(std::string_view query_text) const {
 }
 
 Result<QueryOutcome> Engine::Execute(std::string_view query_text) const {
-  detail::EngineState& state = *state_;
+  const detail::EngineState& state = *state_;
   // Serving fast path: an exact raw-text repeat resolves straight to
   // its cached plan — no parse, no canonicalization, no lookup of the
   // canonical key.
-  if (state.plan_cache.enabled()) {
-    if (std::shared_ptr<const detail::PreparedState> entry =
-            state.plan_cache.LookupText(query_text)) {
-      RecordAccess(state, entry->original);
-      SQOPT_ASSIGN_OR_RETURN(
-          QueryOutcome out,
-          ExecutePreparedState(state, *entry, state.data_snapshot()));
-      out.plan_cache_hit = true;
-      out.plan_cache = state.plan_cache.stats(/*count_entries=*/false);
-      state.queries_executed.fetch_add(1, std::memory_order_relaxed);
-      return out;
-    }
+  if (std::shared_ptr<const detail::PreparedState> entry =
+          state.plan_cache.LookupText(query_text)) {
+    RecordAccess(state, entry->original);
+    SQOPT_ASSIGN_OR_RETURN(
+        QueryOutcome out,
+        detail::ExecutePrepared(state, *entry, state.data_snapshot()));
+    out.plan_cache_hit = true;
+    out.plan_cache = state.plan_cache.stats(/*count_entries=*/false);
+    state.queries_executed.fetch_add(1, std::memory_order_relaxed);
+    return out;
   }
   SQOPT_ASSIGN_OR_RETURN(Query query, Parse(query_text));
   return ExecuteParsed(query, std::string(query_text));
@@ -1159,7 +1143,7 @@ Result<QueryOutcome> Engine::Execute(std::string_view query_text) const {
 
 Result<CachedAnswer> Engine::ExecuteIfCached(
     std::string_view query_text) const {
-  detail::EngineState& state = *state_;
+  const detail::EngineState& state = *state_;
   CachedAnswer answer;
   std::shared_ptr<const detail::PreparedState> entry =
       state.plan_cache.LookupText(query_text, /*sequential_only=*/true);
@@ -1169,7 +1153,7 @@ Result<CachedAnswer> Engine::ExecuteIfCached(
   ExecutionMeter meter;
   SQOPT_ASSIGN_OR_RETURN(
       ResultSet rows,
-      RunPrepared(state, *entry, state.data_snapshot(), &meter));
+      detail::RunPrepared(state, *entry, state.data_snapshot(), &meter));
   answer.answered_without_database = entry->empty_result;
   answer.rows = std::move(rows.rows);
   state.queries_executed.fetch_add(1, std::memory_order_relaxed);
@@ -1182,29 +1166,28 @@ Result<QueryOutcome> Engine::Execute(const Query& query) const {
 
 Result<QueryOutcome> Engine::ExecuteParsed(
     const Query& query, std::optional<std::string> text) const {
-  detail::EngineState& state = *state_;
-  QueryOutcome out;
-  if (state.plan_cache.enabled()) {
-    // Epoch BEFORE snapshot: Load() publishes the new snapshot first
-    // and bumps the epoch second, so an epoch that is still current at
-    // Insert time proves the snapshot below was not replaced while the
-    // plan was being built. (Snapshot-then-epoch would let a plan
-    // built against the dropped store slip in under the new epoch.)
-    const uint64_t epoch = state.plan_cache.epoch();
-    std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
-    if (data == nullptr) {
-      return Status::FailedPrecondition(
-          "no data loaded: call Engine::Load before Execute, or use "
-          "Analyze for optimization-only runs");
-    }
-    RecordAccess(state, query);
-    SQOPT_ASSIGN_OR_RETURN(
-        out, ExecuteCached(state, std::move(data), epoch, query,
-                           text.has_value() ? &*text : nullptr));
-  } else {
-    SQOPT_ASSIGN_OR_RETURN(
-        out, RunQuery(state, query, /*optimize=*/true, /*execute=*/true));
-  }
+  const detail::EngineState& state = *state_;
+  // Epoch BEFORE snapshot: Load() publishes the new snapshot first and
+  // bumps the epoch second, so an epoch that is still current at Insert
+  // time proves the snapshot below was not replaced while the plan was
+  // being built. (Snapshot-then-epoch would let a plan built against
+  // the dropped store slip in under the new epoch.)
+  const uint64_t epoch = state.plan_cache.epoch();
+  std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
+  if (data == nullptr) return NoDataLoaded();
+  RecordAccess(state, query);
+  bool hit = false;
+  SQOPT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const detail::PreparedState> entry,
+      PrepareCached(state, data, epoch, query,
+                    text.has_value() ? &*text : nullptr, &hit));
+  SQOPT_ASSIGN_OR_RETURN(QueryOutcome out,
+                         detail::ExecutePrepared(state, *entry, data));
+  // On a hit the entry's `original` is whatever canonically-equal
+  // query first populated it; report the query THIS caller submitted.
+  out.original = query;
+  out.plan_cache_hit = hit;
+  out.plan_cache = state.plan_cache.stats(/*count_entries=*/false);
   state.queries_executed.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
@@ -1216,10 +1199,16 @@ Result<QueryOutcome> Engine::ExecuteUnoptimized(
 }
 
 Result<QueryOutcome> Engine::ExecuteUnoptimized(const Query& query) const {
+  const detail::EngineState& state = *state_;
+  std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
+  if (data == nullptr) return NoDataLoaded();
+  RecordAccess(state, query);
   SQOPT_ASSIGN_OR_RETURN(
-      QueryOutcome out,
-      RunQuery(*state_, query, /*optimize=*/false, /*execute=*/true));
-  state_->queries_executed.fetch_add(1, std::memory_order_relaxed);
+      std::shared_ptr<const detail::PreparedState> prepared,
+      BuildPrepared(state, data, query, /*optimize=*/false));
+  SQOPT_ASSIGN_OR_RETURN(QueryOutcome out,
+                         detail::ExecutePrepared(state, *prepared, data));
+  state.queries_executed.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 
@@ -1230,8 +1219,13 @@ Result<QueryOutcome> Engine::Analyze(std::string_view query_text) const {
 
 Result<QueryOutcome> Engine::Analyze(const Query& query) const {
   SQOPT_ASSIGN_OR_RETURN(
-      QueryOutcome out,
-      RunQuery(*state_, query, /*optimize=*/true, /*execute=*/false));
+      std::shared_ptr<detail::PreparedState> prepared,
+      PrepareForAnalysis(*state_, query, /*plan=*/false));
+  QueryOutcome out;
+  out.original = query;
+  out.transformed = std::move(prepared->transformed);
+  out.report = std::move(prepared->report);
+  out.answered_without_database = prepared->empty_result;
   state_->queries_analyzed.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
@@ -1242,32 +1236,19 @@ Result<PreparedQuery> Engine::Prepare(std::string_view query_text) const {
 }
 
 Result<PreparedQuery> Engine::Prepare(const Query& query) const {
-  detail::EngineState& state = *state_;
+  const detail::EngineState& state = *state_;
   RecordAccess(state, query);
-  // Epoch before snapshot — see ExecuteParsed for why this order is
-  // load-bearing against concurrent reloads.
+  // Epoch before snapshot — see ExecuteParsed. Prepare and Execute
+  // share the plan cache: a handle for a recently executed query reuses
+  // its cached plan, and a handle prepared here seeds the cache for
+  // later ad-hoc Executes.
   const uint64_t epoch = state.plan_cache.epoch();
   std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
-
-  // Prepare and Execute share the plan cache: a handle for a recently
-  // executed query reuses its cached plan, and a handle prepared here
-  // seeds the cache for later ad-hoc Executes. Data-less preparations
-  // (analysis-only handles) are never cached — a later Execute must
-  // not hit a planless entry.
-  std::shared_ptr<const detail::PreparedState> prepared;
-  if (state.plan_cache.enabled() && data != nullptr) {
-    SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
-    const std::string key = CanonicalQueryKey(state.schema, query);
-    prepared = state.plan_cache.Lookup(key);
-    if (prepared == nullptr) {
-      SQOPT_ASSIGN_OR_RETURN(prepared,
-                             BuildPrepared(state, std::move(data), query));
-      state.plan_cache.Insert(key, prepared, epoch);
-    }
-  } else {
-    SQOPT_ASSIGN_OR_RETURN(prepared,
-                           BuildPrepared(state, std::move(data), query));
-  }
+  bool hit = false;
+  SQOPT_ASSIGN_OR_RETURN(
+      std::shared_ptr<const detail::PreparedState> prepared,
+      PrepareCached(state, std::move(data), epoch, query, /*text=*/nullptr,
+                    &hit));
   state.statements_prepared.fetch_add(1, std::memory_order_relaxed);
   return PreparedQuery(state_, std::move(prepared));
 }
@@ -1275,19 +1256,14 @@ Result<PreparedQuery> Engine::Prepare(const Query& query) const {
 Result<std::string> Engine::Explain(std::string_view query_text) const {
   SQOPT_ASSIGN_OR_RETURN(Query query, Parse(query_text));
   SQOPT_ASSIGN_OR_RETURN(
-      QueryOutcome out,
-      RunQuery(*state_, query, /*optimize=*/true, /*execute=*/false));
-
-  std::string text = out.report.ToString(state_->schema);
-  text += "transformed: " + PrintQuery(state_->schema, out.transformed);
+      std::shared_ptr<const detail::PreparedState> prepared,
+      PrepareForAnalysis(*state_, query, /*plan=*/true));
+  const Schema& schema = state_->schema;
+  std::string text = prepared->report.ToString(schema);
+  text += "transformed: " + PrintQuery(schema, prepared->transformed);
   text += "\n";
-  std::shared_ptr<const detail::LoadedData> data = state_->data_snapshot();
-  if (data != nullptr && !out.answered_without_database) {
-    auto plan = BuildPlan(state_->schema, data->db_stats, out.transformed,
-                          MakePlanningOptions(*state_));
-    if (plan.ok()) {
-      text += "plan:\n" + plan->ToString(state_->schema);
-    }
+  if (prepared->plan.has_value()) {
+    text += "plan:\n" + prepared->plan->ToString(schema);
   }
   return text;
 }

@@ -17,7 +17,9 @@
 // (Apply) may run concurrently with it — every commit publishes a new
 // immutable snapshot and in-flight readers keep theirs — while the
 // catalog mutations (AddConstraint / Recompile) must be quiesced
-// first. Execute is transparently served from a shared plan
+// first. Every read entry point runs one pipeline: it prepares the
+// query once (optimize or validate, then plan) and runs the prepared
+// plan. Execute is transparently served from a shared plan
 // cache keyed on the canonicalized query text, so repeated execution —
 // the heavy-traffic case — skips parsing, retrieval, transformation,
 // and planning. Concurrency comes from the callers: many threads
@@ -362,13 +364,16 @@ class Engine {
   Result<QueryOutcome> Analyze(const Query& query) const;
 
   // Parse + optimize + plan once; the returned handle re-executes
-  // without re-doing any of it. The handle stays valid after the
+  // without re-doing any of it. Shares the plan cache with Execute.
+  // Without data loaded the handle holds the analysis only and is
+  // never executable. The handle stays valid after the
   // engine object is destroyed (it shares ownership of the internals).
   Result<PreparedQuery> Prepare(std::string_view query_text) const;
   Result<PreparedQuery> Prepare(const Query& query) const;
 
   // Human-readable transformation trace + transformed query (in
-  // re-parseable textual form) + physical plan when data is loaded.
+  // re-parseable textual form) + the physical plan it prepared, when
+  // data is loaded and the query is not provably empty.
   Result<std::string> Explain(std::string_view query_text) const;
 
   // Parses and validates without optimizing or executing.

@@ -1,4 +1,5 @@
-// INTERNAL: shared state behind the Engine pimpl. Included only by
+// INTERNAL: shared state behind the Engine pimpl, and the one run
+// function every read path executes through. Included only by
 // engine.cc, plan_cache.cc and prepared_query.cc (and plan_cache_test)
 // — not part of the public API.
 //
@@ -36,6 +37,10 @@
 #include "persist/wal.h"
 #include "sqo/report.h"
 #include "storage/object_store.h"
+
+namespace sqopt {
+struct QueryOutcome;
+}  // namespace sqopt
 
 namespace sqopt::detail {
 
@@ -170,54 +175,46 @@ struct EngineState {
   mutable std::atomic<uint64_t> stats_recollections{0};
 };
 
-// Execution context for one plan: parallel plans borrow the engine's
-// morsel pool (see GetMorselPool). Shared by the Engine execute paths
-// and PreparedQuery::Execute.
-inline ExecContext MakeExecContext(const EngineState& state,
-                                   const Plan& plan) {
-  ExecContext ctx;
-  if (plan.parallelism > 1) ctx.pool = state.GetMorselPool();
-  return ctx;
-}
-
-// Picks the snapshot a prepared plan should execute against: the
-// CURRENT snapshot when it belongs to the same Load lineage the plan
-// was built on (so cached plans and prepared statements observe
-// committed Apply mutations), else the plan's own pinned snapshot (a
-// reload must not retarget old handles — see PreparedQuery).
-inline const LoadedData* ChooseExecData(
-    const std::shared_ptr<const LoadedData>& current,
-    const std::shared_ptr<const LoadedData>& pinned) {
-  if (current != nullptr &&
-      (pinned == nullptr || current->lineage == pinned->lineage)) {
-    return current.get();
-  }
-  return pinned.get();
-}
-
-// One fully-prepared query: shared by PreparedQuery handles and by
+// One prepared query: built by the engine's one prepare function
+// (BuildPrepared in engine.cc) and shared by PreparedQuery handles and
 // plan-cache entries. Immutable after construction (the execution
 // counter aside), so one instance can serve any number of threads.
 struct PreparedState {
   Query original;
-  Query transformed;
+  Query transformed;  // == original for ExecuteUnoptimized
   OptimizationReport report;
   bool empty_result = false;
 
   // The data snapshot the plan was built against (null when the engine
-  // had no data at Prepare time — the handle then only replays the
-  // analysis). Execution does NOT read through this pin: the Engine
-  // execute paths and PreparedQuery::Execute rebind the plan to the
-  // engine's CURRENT snapshot, so cached plans observe committed
-  // mutations (plans are correct for any snapshot of the same schema —
-  // only their cost choices age, which the replan threshold bounds).
-  // The pin remains as the fallback when the engine state is gone and
-  // to document provenance.
+  // had no data at Prepare time — such a handle only replays the
+  // analysis, and RunPrepared refuses it). Execution rebinds the plan
+  // to the engine's CURRENT snapshot of the same Load lineage, so
+  // cached plans observe committed mutations (plans are correct for any
+  // snapshot of the same schema — only their cost choices age, which
+  // the replan threshold bounds); across a reload the plan runs on
+  // this pin.
   std::shared_ptr<const LoadedData> data;
   std::optional<Plan> plan;  // engaged iff data && !empty_result
 
   mutable std::atomic<uint64_t> executions{0};
 };
+
+// The one run function behind every Engine execute path and
+// PreparedQuery::Execute: runs `prepared`'s plan against `data`, the
+// caller's pinned CURRENT snapshot, with `meter`. A query proven empty
+// counts a contradiction and returns no rows without touching the
+// store; an entry with no plan (prepared before Load) is
+// kFailedPrecondition. Parallel plans borrow the engine's morsel pool.
+Result<ResultSet> RunPrepared(const EngineState& state,
+                              const PreparedState& prepared,
+                              const std::shared_ptr<const LoadedData>& data,
+                              ExecutionMeter* meter);
+
+// RunPrepared wrapped in a QueryOutcome that carries the entry's
+// queries and report.
+Result<QueryOutcome> ExecutePrepared(
+    const EngineState& state, const PreparedState& prepared,
+    const std::shared_ptr<const LoadedData>& data);
 
 }  // namespace sqopt::detail
 

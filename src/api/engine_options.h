@@ -74,7 +74,8 @@ struct ServeOptions {
 struct EngineOptions {
   // Semantic-optimizer knobs (§3–§4): tag_policy, match_mode, queue,
   // transformation_budget, enable_class_elimination,
-  // enable_contradiction_detection, enable_profitability_analysis.
+  // enable_contradiction_detection. Profitability analysis runs
+  // whenever the optimizer has a cost model (see use_cost_model).
   OptimizerOptions optimizer;
 
   // Constraint precompilation (§3): materialize_closure and the

@@ -1,8 +1,10 @@
 // A prepared-query handle: the parsed query, its relevant-constraint
 // retrieval, the semantic transformation, and the physical plan are all
-// computed once at Engine::Prepare; Execute() then replays only the
-// plan against the store. This is the high-throughput path: repeated
-// execution skips parse + retrieval + transformation + planning.
+// computed once at Engine::Prepare, through the same prepare function
+// and plan cache as Engine::Execute; Execute() then replays only the
+// plan against the store, through the engine's one run function. This
+// is the high-throughput path: repeated execution skips parse +
+// retrieval + transformation + planning.
 //
 // Handles are cheap to copy (two shared pointers), safe to execute
 // from any number of threads, and keep the engine internals they were
@@ -38,7 +40,8 @@ class PreparedQuery {
 
   // Replays the cached plan with a fresh meter. No parsing, constraint
   // retrieval, transformation, or planning happens here. Const and
-  // thread-safe.
+  // thread-safe. kFailedPrecondition for an invalid handle and for one
+  // prepared before Engine::Load (it has no plan, even after a Load).
   Result<QueryOutcome> Execute() const;
 
   // The query as parsed at Prepare time.

@@ -1,10 +1,8 @@
 #include "baseline/best_first_optimizer.h"
 
-#include <algorithm>
 #include <queue>
 #include <set>
 
-#include "expr/implication.h"
 #include "query/query_printer.h"
 
 namespace sqopt {
@@ -20,12 +18,6 @@ struct NodeOrder {
     return a.cost > b.cost;  // min-heap on estimated cost
   }
 };
-
-bool ContainsPredicate(const Query& query, const Predicate& p) {
-  const auto& list = p.is_attr_attr() ? query.join_predicates
-                                      : query.selective_predicates;
-  return std::find(list.begin(), list.end(), p) != list.end();
-}
 
 }  // namespace
 
@@ -80,28 +72,14 @@ Result<BestFirstResult> BestFirstOptimizer::Optimize(
     std::vector<Predicate> preds = node.query.AllPredicates();
     for (ConstraintId id : relevant) {
       const HornClause& clause = catalog_->clause(id);
-      bool fireable = true;
-      for (const Predicate& a : clause.antecedents()) {
-        if (!ConjunctionImplies(preds, a)) {
-          fireable = false;
-          break;
-        }
-      }
-      if (!fireable) continue;
+      if (!clause.FiresOn(preds)) continue;
       const Predicate& consequent = clause.consequent();
 
       Query succ = node.query;
-      if (ContainsPredicate(succ, consequent)) {
-        auto& list = consequent.is_attr_attr() ? succ.join_predicates
-                                               : succ.selective_predicates;
-        list.erase(std::remove(list.begin(), list.end(), consequent),
-                   list.end());
+      if (succ.HasPredicate(consequent)) {
+        succ.RemovePredicate(consequent);
       } else {
-        if (consequent.is_attr_attr()) {
-          succ.join_predicates.push_back(consequent);
-        } else {
-          succ.selective_predicates.push_back(consequent);
-        }
+        succ.AddPredicate(consequent);
       }
       std::string key = canonical(succ);
       if (!seen.insert(key).second) continue;

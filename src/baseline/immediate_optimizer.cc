@@ -1,43 +1,8 @@
 #include "baseline/immediate_optimizer.h"
 
-#include <algorithm>
-
 #include "expr/implication.h"
 
 namespace sqopt {
-
-namespace {
-
-bool ContainsPredicate(const Query& query, const Predicate& p) {
-  const auto& list = p.is_attr_attr() ? query.join_predicates
-                                      : query.selective_predicates;
-  return std::find(list.begin(), list.end(), p) != list.end();
-}
-
-void AddPredicate(Query* query, const Predicate& p) {
-  if (p.is_attr_attr()) {
-    query->join_predicates.push_back(p);
-  } else {
-    query->selective_predicates.push_back(p);
-  }
-}
-
-void RemovePredicate(Query* query, const Predicate& p) {
-  auto& list = p.is_attr_attr() ? query->join_predicates
-                                : query->selective_predicates;
-  list.erase(std::remove(list.begin(), list.end(), p), list.end());
-}
-
-// All antecedents implied by the query's current predicate set.
-bool AntecedentsPresent(const HornClause& clause, const Query& query) {
-  std::vector<Predicate> preds = query.AllPredicates();
-  for (const Predicate& a : clause.antecedents()) {
-    if (!ConjunctionImplies(preds, a)) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 Result<ImmediateResult> ImmediateApplyOptimizer::Optimize(
     const Query& query) const {
@@ -65,14 +30,14 @@ Result<ImmediateResult> ImmediateApplyOptimizer::OptimizeWithOrder(
     ++result.passes;
     for (ConstraintId id : order) {
       const HornClause& clause = catalog_->clause(id);
-      if (!AntecedentsPresent(clause, result.query)) continue;
+      if (!clause.FiresOn(result.query.AllPredicates())) continue;
       const Predicate& consequent = clause.consequent();
 
-      if (ContainsPredicate(result.query, consequent)) {
+      if (result.query.HasPredicate(consequent)) {
         // Candidate: restriction elimination.
         ++result.transformations_considered;
         Query after = result.query;
-        RemovePredicate(&after, consequent);
+        after.RemovePredicate(consequent);
         if (cost_model_ == nullptr ||
             cost_model_->QueryCost(after) <=
                 cost_model_->QueryCost(result.query)) {
@@ -88,7 +53,7 @@ Result<ImmediateResult> ImmediateApplyOptimizer::OptimizeWithOrder(
           continue;
         }
         Query after = result.query;
-        AddPredicate(&after, consequent);
+        after.AddPredicate(consequent);
         if (cost_model_ != nullptr &&
             cost_model_->QueryCost(after) <
                 cost_model_->QueryCost(result.query)) {
@@ -115,23 +80,11 @@ Result<ImmediateResult> ImmediateApplyOptimizer::OptimizeWithOrder(
       // baseline (it has no tag information to know better).
       bool has_pred = false;
       for (const Predicate& p : result.query.AllPredicates()) {
-        for (ClassId c : p.ReferencedClasses()) {
-          if (c == id) has_pred = true;
-        }
+        if (p.ReferencesClass(id)) has_pred = true;
       }
       if (has_pred) continue;
       Query after = result.query;
-      after.classes.erase(
-          std::remove(after.classes.begin(), after.classes.end(), id),
-          after.classes.end());
-      after.relationships.erase(
-          std::remove_if(after.relationships.begin(),
-                         after.relationships.end(),
-                         [&](RelId rel_id) {
-                           return schema_->relationship(rel_id).Involves(
-                               id);
-                         }),
-          after.relationships.end());
+      after.RemoveClass(id, *schema_);
       if (cost_model_ == nullptr ||
           cost_model_->QueryCost(after) <=
               cost_model_->QueryCost(result.query)) {

@@ -4,6 +4,8 @@
 #include <set>
 #include <sstream>
 
+#include "expr/implication.h"
+
 namespace sqopt {
 
 const char* ConstraintClassName(ConstraintClass c) {
@@ -22,6 +24,12 @@ std::vector<ClassId> HornClause::ReferencedClasses() const {
 ConstraintClass HornClause::Classify() const {
   return ReferencedClasses().size() <= 1 ? ConstraintClass::kIntra
                                          : ConstraintClass::kInter;
+}
+
+bool HornClause::FiresOn(const std::vector<Predicate>& preds) const {
+  return std::all_of(
+      antecedents_.begin(), antecedents_.end(),
+      [&](const Predicate& a) { return ConjunctionImplies(preds, a); });
 }
 
 bool HornClause::StructurallyEquals(const HornClause& other) const {

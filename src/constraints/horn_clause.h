@@ -46,6 +46,10 @@ class HornClause {
   // Paper §3.2: intra iff exactly one referenced class.
   ConstraintClass Classify() const;
 
+  // True if `preds` implies every antecedent, so the clause fires and
+  // its consequent holds.
+  bool FiresOn(const std::vector<Predicate>& preds) const;
+
   // Derivation provenance: ids of the two constraints this clause was
   // chained from during closure computation, or empty for base clauses.
   const std::vector<ConstraintId>& derived_from() const {

@@ -59,6 +59,9 @@ class Predicate {
   // The object classes this predicate references (1 for attr-const or
   // same-class attr-attr, 2 otherwise). Sorted, deduplicated.
   std::vector<ClassId> ReferencedClasses() const;
+  bool ReferencesClass(ClassId id) const {
+    return lhs_.class_id == id || (rhs_is_attr_ && rhs_attr_.class_id == id);
+  }
 
   // True if the predicate references only one object class. Mirrors the
   // paper's intra-class / inter-class distinction at predicate level.

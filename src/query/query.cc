@@ -32,6 +32,32 @@ bool Query::ProjectsFrom(ClassId id) const {
   return false;
 }
 
+bool Query::HasPredicate(const Predicate& p) const {
+  const std::vector<Predicate>& list =
+      p.is_attr_attr() ? join_predicates : selective_predicates;
+  return std::find(list.begin(), list.end(), p) != list.end();
+}
+
+void Query::AddPredicate(const Predicate& p) {
+  (p.is_attr_attr() ? join_predicates : selective_predicates).push_back(p);
+}
+
+void Query::RemovePredicate(const Predicate& p) {
+  std::vector<Predicate>& list =
+      p.is_attr_attr() ? join_predicates : selective_predicates;
+  list.erase(std::remove(list.begin(), list.end(), p), list.end());
+}
+
+void Query::RemoveClass(ClassId id, const Schema& schema) {
+  std::erase(classes, id);
+  std::erase_if(relationships, [&](RelId rel_id) {
+    return schema.relationship(rel_id).Involves(id);
+  });
+  auto touches = [id](const Predicate& p) { return p.ReferencesClass(id); };
+  std::erase_if(join_predicates, touches);
+  std::erase_if(selective_predicates, touches);
+}
+
 void Query::Normalize() {
   std::sort(projection.begin(), projection.end());
   auto pred_less = [](const Predicate& a, const Predicate& b) {

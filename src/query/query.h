@@ -38,6 +38,15 @@ struct Query {
   // True if any projected attribute belongs to `id`.
   bool ProjectsFrom(ClassId id) const;
 
+  // Predicate edits, each on the list `p`'s form selects (attr-attr
+  // into join_predicates, attr-const into selective_predicates).
+  bool HasPredicate(const Predicate& p) const;
+  void AddPredicate(const Predicate& p);
+  void RemovePredicate(const Predicate& p);  // every copy of `p`
+
+  // Drops class `id` with every relationship and predicate touching it.
+  void RemoveClass(ClassId id, const Schema& schema);
+
   // Structural equality (order-sensitive; use Normalize() before
   // comparing queries built through different paths).
   bool operator==(const Query& other) const = default;

@@ -1,45 +1,11 @@
 #include "sqo/formulation.h"
 
-#include <algorithm>
-
 #include "expr/implication.h"
 #include "expr/interval.h"
 
 namespace sqopt {
 
 namespace {
-
-// True if `p` references class `id` (either side for attr-attr).
-bool PredicateTouchesClass(const Predicate& p, ClassId id) {
-  for (ClassId c : p.ReferencedClasses()) {
-    if (c == id) return true;
-  }
-  return false;
-}
-
-// Removes class `id` from `query` along with its relationships and
-// every predicate touching it.
-void RemoveClass(const Schema& schema, Query* query, ClassId id) {
-  query->classes.erase(
-      std::remove(query->classes.begin(), query->classes.end(), id),
-      query->classes.end());
-  query->relationships.erase(
-      std::remove_if(query->relationships.begin(),
-                     query->relationships.end(),
-                     [&](RelId rel_id) {
-                       return schema.relationship(rel_id).Involves(id);
-                     }),
-      query->relationships.end());
-  auto drop_preds = [&](std::vector<Predicate>* preds) {
-    preds->erase(std::remove_if(preds->begin(), preds->end(),
-                                [&](const Predicate& p) {
-                                  return PredicateTouchesClass(p, id);
-                                }),
-                 preds->end());
-  };
-  drop_preds(&query->join_predicates);
-  drop_preds(&query->selective_predicates);
-}
 
 // Entailment oracle: saturates `preds` by firing every relevant clause
 // whose antecedents are implied by the accumulated set, then answers
@@ -59,14 +25,7 @@ class EntailmentOracle {
       for (size_t i = 0; i < relevant_.size(); ++i) {
         if (fired[i]) continue;
         const HornClause& clause = catalog_.clause(relevant_[i]);
-        bool all_present = true;
-        for (const Predicate& a : clause.antecedents()) {
-          if (!ConjunctionImplies(preds, a)) {
-            all_present = false;
-            break;
-          }
-        }
-        if (!all_present) continue;
+        if (!clause.FiresOn(preds)) continue;
         fired[i] = true;
         preds.push_back(clause.consequent());
         changed = true;
@@ -142,12 +101,7 @@ FormulationResult FormulateQuery(const Schema& schema,
   working.selective_predicates.clear();
   for (const Tagged& t : tagged) {
     if (t.tag == PredicateTag::kRedundant) continue;
-    const Predicate& p = table.pool().Get(t.col);
-    if (p.is_attr_attr()) {
-      working.join_predicates.push_back(p);
-    } else {
-      working.selective_predicates.push_back(p);
-    }
+    working.AddPredicate(table.pool().Get(t.col));
   }
 
   // Original predicates, for the entailment guards.
@@ -181,7 +135,7 @@ FormulationResult FormulateQuery(const Schema& schema,
     auto has_imperative_pred = [&](ClassId id) {
       for (const Tagged& t : tagged) {
         if (t.tag != PredicateTag::kImperative) continue;
-        if (PredicateTouchesClass(table.pool().Get(t.col), id)) return true;
+        if (table.pool().Get(t.col).ReferencesClass(id)) return true;
       }
       return false;
     };
@@ -193,7 +147,7 @@ FormulationResult FormulateQuery(const Schema& schema,
         if (working.RelationshipDegree(id, schema) != 1) continue;
         if (has_imperative_pred(id)) continue;
         Query without = working;
-        RemoveClass(schema, &without, id);
+        without.RemoveClass(id, schema);
 
         if (!absent_classes_entailed(
                 without, oracle.Saturate(without.AllPredicates()))) {
@@ -201,7 +155,6 @@ FormulationResult FormulateQuery(const Schema& schema,
         }
 
         if (cost_model != nullptr &&
-            options.enable_profitability_analysis &&
             !EliminationIsProfitable(*cost_model, working, without)) {
           continue;
         }
@@ -218,25 +171,14 @@ FormulationResult FormulateQuery(const Schema& schema,
   // on eliminated classes are already gone. A drop must keep the
   // invariant above, and an original-query optional must stay entailed
   // by the remaining predicates.
-  auto still_in_working = [&](const Predicate& p) {
-    const auto& list =
-        p.is_attr_attr() ? working.join_predicates
-                         : working.selective_predicates;
-    return std::find(list.begin(), list.end(), p) != list.end();
-  };
   for (Tagged& t : tagged) {
     if (t.tag != PredicateTag::kOptional) continue;
     const Predicate& p = table.pool().Get(t.col);
-    if (!still_in_working(p)) continue;
-    if (cost_model == nullptr || !options.enable_profitability_analysis) {
-      continue;
-    }
+    if (!working.HasPredicate(p)) continue;
+    if (cost_model == nullptr) continue;
     if (RetainIsProfitable(*cost_model, working, p)) continue;
     Query without = working;
-    auto& wlist = without.join_predicates;
-    auto& slist = without.selective_predicates;
-    wlist.erase(std::remove(wlist.begin(), wlist.end(), p), wlist.end());
-    slist.erase(std::remove(slist.begin(), slist.end(), p), slist.end());
+    without.RemovePredicate(p);
     std::vector<Predicate> saturated =
         oracle.Saturate(without.AllPredicates());
     if (t.in_query && !EntailmentOracle::Entails(saturated, p)) continue;
@@ -267,15 +209,11 @@ FormulationResult FormulateQuery(const Schema& schema,
           if (!working.ReferencesClass(c)) on_surviving = false;
         }
         if (!on_surviving) continue;
-        if (still_in_working(p)) continue;
+        if (working.HasPredicate(p)) continue;
         if (EntailmentOracle::Entails(saturated, p)) continue;
         // Not entailed: the drop was unsound — retain as optional.
         t.tag = PredicateTag::kOptional;
-        if (p.is_attr_attr()) {
-          working.join_predicates.push_back(p);
-        } else {
-          working.selective_predicates.push_back(p);
-        }
+        working.AddPredicate(p);
         readded = true;
       }
     }
@@ -286,13 +224,7 @@ FormulationResult FormulateQuery(const Schema& schema,
   for (const Tagged& t : tagged) {
     const Predicate& p = table.pool().Get(t.col);
     bool retained =
-        t.tag != PredicateTag::kRedundant &&
-        [&] {
-          const auto& list = p.is_attr_attr()
-                                 ? result.query.join_predicates
-                                 : result.query.selective_predicates;
-          return std::find(list.begin(), list.end(), p) != list.end();
-        }();
+        t.tag != PredicateTag::kRedundant && result.query.HasPredicate(p);
     result.final_predicates.push_back(
         FinalPredicate{p, t.tag, t.in_query, retained});
   }

@@ -86,7 +86,6 @@ Result<OptimizeResult> SemanticOptimizer::Optimize(const Query& query) const {
       if (row.removed || queue.Contains(r)) continue;
 
       bool any_lowerable = false;
-      bool any_possible_later = false;
       TransformPriority priority =
           TransformPriority::kRestrictionIntroduction;
       for (PredId col : row.fire_targets) {
@@ -117,8 +116,6 @@ Result<OptimizeResult> SemanticOptimizer::Optimize(const Query& query) const {
         row.removed = true;
         continue;
       }
-      any_possible_later = true;
-      (void)any_possible_later;
       if (table.AllAntecedentsPresent(r)) {
         queue.Push(r, priority);
         ++enqueued;

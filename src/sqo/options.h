@@ -53,10 +53,6 @@ struct OptimizerOptions {
   // Extension (§4 hint): detect unsatisfiable retained predicate sets
   // and answer the query without touching the database.
   bool enable_contradiction_detection = true;
-
-  // When false, every optional predicate is retained (used by tests that
-  // check tag mechanics without a cost model).
-  bool enable_profitability_analysis = true;
 };
 
 }  // namespace sqopt

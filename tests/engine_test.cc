@@ -219,6 +219,23 @@ TEST(PreparedQueryTest, HandleSurvivesDataReload) {
   EXPECT_NE(fresh_out.rows.rows.size(), before.rows.rows.size());
 }
 
+// A handle prepared with no data holds no plan. Loading data later does
+// not give it one: executing it must fail the documented precondition
+// instead of running a plan that was never built.
+TEST(PreparedQueryTest, PreparedBeforeLoadFailsPreconditionAfterLoad) {
+  ASSERT_OK_AND_ASSIGN(
+      Engine engine, Engine::Open(SchemaSource::Experiment(),
+                                  ConstraintSource::Experiment()));
+  ASSERT_OK_AND_ASSIGN(PreparedQuery prepared,
+                       engine.Prepare(kSingleClassQuery));
+  ASSERT_OK(engine.Load(DataSource::Generated(kSpec, kSeed)));
+  auto outcome = prepared.Execute();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(prepared.executions(), 0u);
+  EXPECT_EQ(engine.stats().prepared_executions, 0u);
+}
+
 TEST(PreparedQueryTest, InvalidHandleFailsCleanly) {
   PreparedQuery empty;
   EXPECT_FALSE(empty.valid());

@@ -13,6 +13,7 @@
 #include "api/engine.h"
 #include "api/engine_impl.h"
 #include "tests/test_util.h"
+#include "workload/query_pool.h"
 
 namespace sqopt {
 namespace {
@@ -247,6 +248,23 @@ TEST(PlanCacheEngineTest, CapacityZeroDisablesCaching) {
   EXPECT_FALSE(second.plan_cache_hit);
   PlanCacheStats stats = engine.plan_cache_stats();
   EXPECT_EQ(stats.hits + stats.misses + stats.entries, 0u);
+
+  // Both settings run the same pipeline: every pool query answers the
+  // same with the cache off as with it on.
+  Engine cached = OpenLoadedEngine();
+  for (const std::string& text : ExperimentQueryPool()) {
+    ASSERT_OK_AND_ASSIGN(QueryOutcome off, engine.Execute(text));
+    ASSERT_OK_AND_ASSIGN(QueryOutcome on, cached.Execute(text));
+    EXPECT_TRUE(off.rows.SameRows(on.rows)) << text;
+    Query off_query = off.transformed;
+    Query on_query = on.transformed;
+    off_query.Normalize();
+    on_query.Normalize();
+    EXPECT_EQ(off_query, on_query) << text;
+    EXPECT_EQ(off.answered_without_database, on.answered_without_database)
+        << text;
+  }
+  EXPECT_EQ(engine.plan_cache_stats().entries, 0u);
 }
 
 TEST(PlanCacheEngineTest, EvictionUnderTinyCapacity) {

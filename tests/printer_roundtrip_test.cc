@@ -126,6 +126,33 @@ TEST(PrinterRoundTripTest, ExplainOutputReParses) {
   ASSERT_TRUE(reparsed.ok())
       << "'" << transformed_text
       << "': " << reparsed.status().ToString();
+  // No data, no plan.
+  EXPECT_EQ(out.find("plan:"), std::string::npos) << out;
+}
+
+// With data loaded Explain prints the plan it prepared; a query proven
+// empty has none to print.
+TEST(PrinterRoundTripTest, ExplainPrintsPlanOnlyForLoadedSatisfiableQueries) {
+  auto opened = Engine::Open(SchemaSource::Experiment(),
+                             ConstraintSource::Experiment());
+  ASSERT_TRUE(opened.ok());
+  Engine engine = std::move(opened).value();
+  ASSERT_TRUE(engine.Load(DataSource::Generated(
+                              DbSpec{"explain", 104, 154}, 7)).ok());
+
+  auto planned = engine.Explain(
+      "{cargo.code} {} {cargo.desc = \"frozen food\", "
+      "supplier.region = \"west\"} {supplies} {supplier, cargo}");
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  EXPECT_NE(planned->find("\nplan:\n"), std::string::npos) << *planned;
+
+  auto contradiction = engine.Explain(
+      "{cargo.code} {} {vehicle.desc = \"refrigerated truck\", "
+      "cargo.desc = \"fuel\"} {collects} {cargo, vehicle}");
+  ASSERT_TRUE(contradiction.ok()) << contradiction.status().ToString();
+  EXPECT_EQ(contradiction->find("plan:"), std::string::npos)
+      << *contradiction;
+  EXPECT_EQ(engine.stats().contradictions, 1u);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 // rejected read-only.
 //
 // Usage:
-//   sqopt_server --dir FIXTURE_DIR [flags]     serve a persisted engine
-//   sqopt_server --gen ROWS [flags]            serve a generated DB
+//   sqopt_server --dir=FIXTURE_DIR [flags]     serve a persisted engine
+//   sqopt_server --gen=ROWS [flags]            serve a generated DB
 //                                              (ROWS per class, expt schema)
 // Flags:
 //   --port=N            TCP port (default 7411; 0 = ephemeral)
@@ -30,11 +30,17 @@
 //                       (implies --read-only)
 //   --read-only         reject kApply with a typed error
 //   --min-protocol=N    refuse connections below wire protocol N
+// A numeric flag takes a whole decimal number within its range; any
+// other value (a sign, trailing text, a number out of range) exits 2
+// naming the flag, so nothing wraps.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 
 #include "api/engine.h"
 #include "persist/snapshot.h"
@@ -54,6 +60,21 @@ void HandleTermination(int) {
 [[noreturn]] void Die(const std::string& msg) {
   std::fprintf(stderr, "sqopt_server: %s\n", msg.c_str());
   std::exit(2);
+}
+
+// The one parser of numeric flags: `text` whole, as a T in [lo, hi].
+template <typename T>
+T ParseNumber(const char* flag, std::string_view text,
+              T lo = std::numeric_limits<T>::min(),
+              T hi = std::numeric_limits<T>::max()) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || value < lo || value > hi) {
+    Die(std::string(flag) + " needs an integer in [" + std::to_string(lo) +
+        ", " + std::to_string(hi) + "], got '" + std::string(text) + "'");
+  }
+  return value;
 }
 
 }  // namespace
@@ -78,30 +99,30 @@ int main(int argc, char** argv) {
     if (const char* v = value("--dir=")) {
       dir = v;
     } else if (const char* v = value("--gen=")) {
-      gen_rows = std::atoll(v);
+      gen_rows = ParseNumber<int64_t>("--gen", v, 1);
     } else if (const char* v = value("--port=")) {
-      options.port = std::atoi(v);
+      options.port = ParseNumber<int>("--port", v, 0, 65535);
     } else if (const char* v = value("--port-file=")) {
       port_file = v;
     } else if (const char* v = value("--threads=")) {
-      options.threads = std::atoi(v);
+      options.threads = ParseNumber<int>("--threads", v, 1);
     } else if (const char* v = value("--queue=")) {
-      options.max_queue = static_cast<size_t>(std::atoll(v));
+      options.max_queue = ParseNumber<size_t>("--queue", v, 1);
     } else if (const char* v = value("--watermark=")) {
-      options.backpressure_watermark = static_cast<size_t>(std::atoll(v));
+      options.backpressure_watermark = ParseNumber<size_t>("--watermark", v);
     } else if (const char* v = value("--deadline-ms=")) {
-      options.default_deadline_ms = static_cast<uint32_t>(std::atoll(v));
+      options.default_deadline_ms = ParseNumber<uint32_t>("--deadline-ms", v);
     } else if (const char* v = value("--idle-timeout-ms=")) {
-      options.idle_timeout_ms = static_cast<uint32_t>(std::atoll(v));
+      options.idle_timeout_ms = ParseNumber<uint32_t>("--idle-timeout-ms", v);
     } else if (const char* v = value("--seed=")) {
-      seed = std::strtoull(v, nullptr, 10);
+      seed = ParseNumber<uint64_t>("--seed", v);
     } else if (const char* v = value("--follow=")) {
       follow = v;
       options.read_only = true;
     } else if (std::strcmp(arg, "--read-only") == 0) {
       options.read_only = true;
     } else if (const char* v = value("--min-protocol=")) {
-      options.min_protocol = static_cast<uint32_t>(std::atoi(v));
+      options.min_protocol = ParseNumber<uint32_t>("--min-protocol", v);
     } else {
       Die(std::string("unknown flag ") + arg);
     }
@@ -157,7 +178,8 @@ int main(int argc, char** argv) {
     if (colon == std::string::npos) Die("--follow needs HOST:PORT");
     replica::FollowerOptions fopts;
     fopts.leader_host = follow.substr(0, colon);
-    fopts.leader_port = std::atoi(follow.c_str() + colon + 1);
+    fopts.leader_port = ParseNumber<int>(
+        "--follow", std::string_view(follow).substr(colon + 1), 1, 65535);
     auto follower = replica::FollowerApplier::Start(&engine, fopts);
     if (!follower.ok()) Die("follow: " + follower.status().ToString());
     applier = std::move(follower).value();
