@@ -352,7 +352,8 @@ class Engine {
   // Serves `query_text` only when it is an exact raw-text plan-cache
   // hit whose plan runs sequentially; otherwise answers "not cached"
   // having done nothing else — no parse, no counted miss, no plan.
-  // The server runs such queries on its I/O thread.
+  // The server runs such queries on the event loop that owns the
+  // connection.
   Result<CachedAnswer> ExecuteIfCached(std::string_view query_text) const;
 
   // Same, skipping semantic optimization (baseline side of A/B runs).

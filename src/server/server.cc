@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/worker_pool.h"
 #include "replica/replication_log.h"
 #include "server/wire.h"
 
@@ -42,19 +44,57 @@ uint64_t MicrosSince(Clock::time_point t0) {
           .count());
 }
 
-// One TCP connection. The I/O thread owns the fd and the FrameReader.
-// The output side is shared with workers and replication pushes, which
-// may also send() on the fd, all under `mu`; `closed` tells a late
-// worker the fd is already gone.
+struct Conn;
+
+// One event loop: a thread that polls its own connections (loop 0 also
+// the listen fd) and runs their cached queries to completion.
+struct Loop {
+  int index = 0;
+  int wake_rd = -1;  // self-pipe: workers, pushes and drain nudge poll()
+  int wake_wr = -1;
+  std::thread thread;
+
+  // --- This loop's thread only. ---
+  std::unordered_map<int, std::shared_ptr<Conn>> conns;
+
+  // Connections this loop owns, counting handed-over ones it has not
+  // adopted yet; the acceptor gives each new connection to the loop
+  // with the fewest.
+  std::atomic<size_t> owned{0};
+
+  // Accepted connections handed over by loop 0, adopted at the top of
+  // this loop's next pass. `exited` (set once the loop has drained)
+  // makes a late hand-over close the connection instead.
+  std::mutex handoff_mu;
+  std::vector<std::shared_ptr<Conn>> handoff;
+  bool exited = false;
+
+  ~Loop() {
+    if (wake_rd >= 0) ::close(wake_rd);
+    if (wake_wr >= 0) ::close(wake_wr);
+  }
+
+  void Wake() const {
+    const char b = 'w';
+    // Best effort: a full pipe already guarantees a pending wakeup.
+    [[maybe_unused]] ssize_t n = ::write(wake_wr, &b, 1);
+  }
+};
+
+// One TCP connection. The loop that owns it owns the fd and the
+// FrameReader. The output side is shared with workers and replication
+// pushes, which may also send() on the fd, all under `mu`; `closed`
+// tells a late worker the fd is already gone.
 struct Conn {
   int fd = -1;
+  Loop* loop = nullptr;  // the owner; set before the hand-over
 
-  // --- I/O-thread-only state. ---
+  // --- Owning-loop-only state. ---
   FrameReader reader;
   // Wire protocol this connection negotiated (HELLO upgrades it).
   uint32_t protocol = kProtocolVersionMin;
 
-  // Steady-clock ticks of the last traffic; stamped by the I/O thread
+  // Steady-clock ticks of the last traffic; stamped by the owning loop
   // and by any thread that sends on the fd.
   std::atomic<Clock::rep> last_activity{0};
 
@@ -91,6 +131,11 @@ constexpr uint64_t kNoSlot = ~uint64_t{0};
 // Client-supplied deadlines are clamped to this.
 constexpr uint32_t kMaxDeadlineMs = 60000;
 
+// Every loop's poll(2) timeout: the longest a loop goes without
+// reaping idle connections, and how long the acceptor leaves the listen
+// fd out of its poll set after an accept error.
+constexpr int kPollTimeoutMs = 50;
+
 Response ErrorResponse(RequestType type, const Status& status) {
   Response r;
   r.type = type;
@@ -110,15 +155,15 @@ struct Server::Impl {
   ServerOptions opts;
   replica::ReplicationLog* replication = nullptr;
 
-  int listen_fd = -1;
+  int listen_fd = -1;  // polled and closed by loop 0
   int bound_port = 0;
-  int wake_rd = -1;  // self-pipe: workers and RequestDrain nudge poll()
-  int wake_wr = -1;
 
-  std::thread io_thread;
+  // Fixed at Start: one per hardware thread, capped at 16.
+  std::vector<std::unique_ptr<Loop>> loops;
+  std::atomic<size_t> loops_running{0};
   std::vector<std::thread> workers;
 
-  // Admission queue (I/O thread pushes, workers pop).
+  // Admission queue (loops push, workers pop).
   struct Task {
     std::shared_ptr<Conn> conn;
     Request request;
@@ -130,11 +175,8 @@ struct Server::Impl {
   std::deque<Task> queue;
   bool stop_workers = false;
 
-  // Connection registry; I/O thread only.
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;
-
-  // Replication subscribers. Pumped from the I/O thread (at subscribe
-  // time) AND from committing threads (the log's notifier), so the
+  // Replication subscribers. Pumped from the loops (at subscribe time)
+  // AND from committing threads (the log's notifier), so the
   // registry has its own lock. `version` is the subscriber's current
   // applied version; the next record shipped starts at version + 1.
   struct Subscriber {
@@ -144,23 +186,12 @@ struct Server::Impl {
   std::mutex sub_mu;
   std::vector<Subscriber> subscribers;
 
-  // Whether the connection being read may have a query run inline:
-  // only the last readable connection of a poll pass. The queries of
-  // the others are admitted to the pool first, so they never wait
-  // behind an inline run; and under overload the I/O thread runs one
-  // query per pass while the rest fill the admission queue and shed,
-  // instead of running the whole backlog itself behind an empty queue.
-  // I/O thread only.
-  bool inline_allowed = false;
-
   std::atomic<bool> draining{false};
-  // Backpressure: the I/O thread stops reading at `watermark` queued
+  // Backpressure: every loop stops reading at `watermark` queued
   // requests and resumes at half of it. Workers read `reads_paused` to
-  // wake it when their progress crosses the resume line.
+  // wake the loops when their progress crosses the resume line.
   size_t watermark = 0;
   std::atomic<bool> reads_paused{false};
-  // Admitted requests not yet answered (queued + executing).
-  std::atomic<uint64_t> inflight{0};
 
   // Counters (see ServerStats).
   std::atomic<uint64_t> accepted{0}, active{0}, reaped_idle{0};
@@ -171,7 +202,7 @@ struct Server::Impl {
   std::atomic<uint64_t> queue_depth{0}, queue_depth_hwm{0};
   std::atomic<uint64_t> applies_ok{0}, applies_rejected{0};
   std::atomic<uint64_t> records_replicated{0}, subscribers_active{0};
-  std::atomic<uint64_t> unsupported_version{0};
+  std::atomic<uint64_t> unsupported_version{0}, accept_errors{0};
 
   // Await/join latch.
   std::mutex join_mu;
@@ -179,24 +210,21 @@ struct Server::Impl {
 
   ~Impl() {
     if (listen_fd >= 0) ::close(listen_fd);
-    if (wake_rd >= 0) ::close(wake_rd);
-    if (wake_wr >= 0) ::close(wake_wr);
   }
 
-  void Wake() {
-    const char b = 'w';
-    // Best effort: a full pipe already guarantees a pending wakeup.
-    [[maybe_unused]] ssize_t n = ::write(wake_wr, &b, 1);
+  // Async-signal-safe: `loops` does not change after Start.
+  void WakeAll() const {
+    for (const auto& loop : loops) loop->Wake();
   }
 
   // Places `frame` in the connection's answer order — in the slot a
   // pooled request reserved, or behind everything owed when `slot` is
   // kNoSlot — and moves every ready answer at the front into outbuf.
-  // With `direct` (any thread but the I/O thread, which flushes after
+  // With `direct` (any thread but the owning loop, which flushes after
   // each read pass), a connection that had nothing waiting for POLLOUT
-  // is sent to right here. Returns whether the poller must be woken:
-  // bytes are left unsent that it does not know about yet, or the
-  // connection is waiting to close after its last answer.
+  // is sent to right here. Returns whether the owning loop must be
+  // woken: bytes are left unsent that it does not know about yet, or
+  // the connection is waiting to close after its last answer.
   bool Post(Conn& conn, std::string frame, uint64_t slot, bool direct) {
     std::lock_guard<std::mutex> lock(conn.mu);
     if (conn.closed) return false;
@@ -221,7 +249,7 @@ struct Server::Impl {
     return !conn.outbuf.empty() || conn.close_after_flush;
   }
 
-  // Answers from the I/O thread itself: they go out in the same pass's
+  // Answers from the owning loop itself: they go out in the same pass's
   // FlushConn, so no wake-up.
   void Respond(const std::shared_ptr<Conn>& conn, const Response& response) {
     Post(*conn, EncodeResponse(response), kNoSlot, /*direct=*/false);
@@ -307,7 +335,7 @@ struct Server::Impl {
         break;
       }
       default:
-        // kHello/kSubscribe are handled inline on the I/O thread and
+        // kHello/kSubscribe are handled inline on the owning loop and
         // kReplicate is never admitted; an entry here is a bug.
         response->code = StatusCode::kInternal;
         response->message = "request type cannot be executed by a worker";
@@ -343,26 +371,30 @@ struct Server::Impl {
         }
         Execute(task.request, &response);
       }
-      // The worker sends its own answer when it can, and wakes the
-      // poller at most once: for bytes the socket did not take, so
-      // paused reads resume once the queue has drained to half the
-      // watermark, or so a drain rechecks its exit condition. Counters
-      // drop first, so the woken poller sees this request finished.
-      const bool unsent = Post(*task.conn, EncodeResponse(response),
-                               task.slot, /*direct=*/true);
-      task.conn->inflight.fetch_sub(1, std::memory_order_relaxed);
-      inflight.fetch_sub(1, std::memory_order_relaxed);
+      // The worker sends its own answer when it can, and wakes at most
+      // once: every loop, so paused reads resume once the queue has
+      // drained to half the watermark; otherwise the connection's own
+      // loop, for bytes the socket did not take or so a drain rechecks
+      // its exit condition. The count drops first, so the woken loop
+      // sees this request finished.
+      Conn& conn = *task.conn;
+      const bool unsent =
+          Post(conn, EncodeResponse(response), task.slot, /*direct=*/true);
+      conn.inflight.fetch_sub(1, std::memory_order_release);
       const bool resume =
           reads_paused.load(std::memory_order_relaxed) &&
           queue_depth.load(std::memory_order_relaxed) <= watermark / 2;
-      if (unsent || resume || draining.load(std::memory_order_relaxed)) {
-        Wake();
+      if (resume) {
+        WakeAll();
+      } else if (unsent || draining.load(std::memory_order_relaxed)) {
+        conn.loop->Wake();
       }
     }
   }
 
   // ------------------------------------------------------------------
-  // I/O side (single thread).
+  // Loop side: each connection is read, framed and answered inline only
+  // by the loop that owns it.
   // ------------------------------------------------------------------
 
   void Admit(const std::shared_ptr<Conn>& conn, Request request) {
@@ -372,19 +404,10 @@ struct Server::Impl {
                                   Status::Overloaded("server is draining")));
       return;
     }
-    if (queue_depth.load(std::memory_order_relaxed) >= opts.max_queue) {
-      rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
-      Respond(conn,
-              ErrorResponse(
-                  request.type,
-                  Status::Overloaded(
-                      "admission queue full (" +
-                      std::to_string(opts.max_queue) + " requests)")));
-      return;
-    }
     uint32_t deadline_ms = request.deadline_ms == 0
                                ? opts.default_deadline_ms
                                : std::min(request.deadline_ms, kMaxDeadlineMs);
+    const RequestType type = request.type;
     Task task;
     task.conn = conn;
     task.request = std::move(request);
@@ -394,28 +417,53 @@ struct Server::Impl {
       task.slot = conn->owed_base + conn->owed.size();
       conn->owed.emplace_back();
     }
-    conn->inflight.fetch_add(1, std::memory_order_relaxed);
-    inflight.fetch_add(1, std::memory_order_relaxed);
+    const uint64_t slot = task.slot;
+    bool admitted = false;
     {
+      // The bound is checked under the queue lock: every loop admits,
+      // and it holds for all of them together.
       std::lock_guard<std::mutex> lock(queue_mu);
-      queue.push_back(std::move(task));
-      const uint64_t depth = queue.size();
-      queue_depth.store(depth, std::memory_order_relaxed);
-      if (depth > queue_depth_hwm.load(std::memory_order_relaxed)) {
-        queue_depth_hwm.store(depth, std::memory_order_relaxed);
+      if (queue.size() < opts.max_queue) {
+        admitted = true;
+        conn->inflight.fetch_add(1, std::memory_order_relaxed);
+        queue.push_back(std::move(task));
+        const uint64_t depth = queue.size();
+        queue_depth.store(depth, std::memory_order_relaxed);
+        if (depth > queue_depth_hwm.load(std::memory_order_relaxed)) {
+          queue_depth_hwm.store(depth, std::memory_order_relaxed);
+        }
       }
+    }
+    if (!admitted) {
+      // Refused in the slot it reserved, so later answers stay behind it.
+      rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
+      Post(*conn,
+           EncodeResponse(ErrorResponse(
+               type, Status::Overloaded("admission queue full (" +
+                                        std::to_string(opts.max_queue) +
+                                        " requests)"))),
+           slot, /*direct=*/false);
+      return;
     }
     queue_cv.notify_one();
   }
 
-  // Runs a query on the I/O thread when the engine holds a cached,
+  // Runs a query on the owning loop when the engine holds a cached,
   // sequential plan for its text and nothing can be ahead of it: this
-  // is the last readable connection of the poll pass, the admission
-  // queue is empty, this connection has no request in the pool, the
-  // server is not draining, and no execute delay is set (a delay models
-  // a slow engine, so it routes every query through the pool). Returns
-  // false, having done nothing, otherwise.
-  bool ServeInline(const std::shared_ptr<Conn>& conn, std::string_view text) {
+  // is the last readable connection of the loop's poll pass
+  // (`inline_allowed`), the admission queue is empty, this connection
+  // has no request in the pool, the server is not draining, and no
+  // execute delay is set (a delay models a slow engine, so it routes
+  // every query through the pool). Returns false, having done nothing,
+  // otherwise.
+  //
+  // The last-readable rule: the queries of the loop's other readable
+  // connections are admitted to the pool first, so they never wait
+  // behind an inline run; and under overload each loop runs one query
+  // per pass while the rest fill the admission queue and shed, instead
+  // of running the whole backlog itself behind an empty queue.
+  bool ServeInline(const std::shared_ptr<Conn>& conn, std::string_view text,
+                   bool inline_allowed) {
     if (!inline_allowed || opts.execute_delay_ms > 0 ||
         draining.load(std::memory_order_relaxed) ||
         queue_depth.load(std::memory_order_relaxed) != 0 ||
@@ -449,7 +497,7 @@ struct Server::Impl {
   }
 
   void HandleFrame(const std::shared_ptr<Conn>& conn,
-                   std::string_view payload) {
+                   std::string_view payload, bool inline_allowed) {
     requests_received.fetch_add(1, std::memory_order_relaxed);
     Result<Request> request = DecodeRequest(payload, conn->protocol);
     if (!request.ok()) {
@@ -518,7 +566,7 @@ struct Server::Impl {
     }
 
     if (request->type == RequestType::kSubscribe) {
-      // Connection state, so handled inline by the I/O thread: ack
+      // Connection state, so handled inline by the owning loop: ack
       // with the leader's version, register, then pump — the ack
       // always precedes the first kReplicate frame in the outbuf.
       if (replication == nullptr) {
@@ -549,14 +597,14 @@ struct Server::Impl {
     // goes through admission, so backpressure, overload rejection,
     // and the dequeue-time deadline check apply uniformly.
     if (request->type == RequestType::kQuery &&
-        ServeInline(conn, request->query_text)) {
+        ServeInline(conn, request->query_text, inline_allowed)) {
       return;
     }
     Admit(conn, std::move(*request));
   }
 
   // Ships every retained record past each subscriber's version.
-  // Called from the I/O thread (subscribe) and from committing
+  // Called from a loop (subscribe) and from committing
   // threads (the replication log's notifier); sub_mu serializes them,
   // so each subscriber's stream stays in order and gap-free. Frames
   // queue behind the connection's owed answers and are sent directly.
@@ -603,13 +651,13 @@ struct Server::Impl {
 
   void Push(Conn& conn, const Response& response) {
     if (Post(conn, EncodeResponse(response), kNoSlot, /*direct=*/true)) {
-      Wake();
+      conn.loop->Wake();
     }
   }
 
   // Reads everything available; returns false when the connection is
   // finished and should be closed by the caller.
-  bool ReadConn(const std::shared_ptr<Conn>& conn) {
+  bool ReadConn(const std::shared_ptr<Conn>& conn, bool inline_allowed) {
     char buf[16384];
     for (;;) {
       const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
@@ -621,7 +669,7 @@ struct Server::Impl {
           const FrameReader::Outcome outcome = conn->reader.Next(&payload);
           if (outcome == FrameReader::Outcome::kNeedMore) break;
           if (outcome == FrameReader::Outcome::kFrame) {
-            HandleFrame(conn, payload);
+            HandleFrame(conn, payload, inline_allowed);
           } else if (outcome == FrameReader::Outcome::kBadCrc) {
             // Recoverable: the frame boundary is known, so the stream
             // is still in sync — answer with a typed error and keep
@@ -688,48 +736,86 @@ struct Server::Impl {
       subscribers_active.store(subscribers.size(),
                                std::memory_order_relaxed);
     }
+    conn->loop->conns.erase(conn->fd);
+    conn->loop->owned.fetch_sub(1, std::memory_order_relaxed);
     ::close(conn->fd);
-    conns.erase(conn->fd);
     active.fetch_sub(1, std::memory_order_relaxed);
   }
 
-  void AcceptAll() {
+  // Gives a freshly accepted connection to the loop with the fewest
+  // (ties go to the lowest index, so loop 0 takes the first).
+  void Place(Loop& acceptor, std::shared_ptr<Conn> conn) {
+    Loop* owner = loops.front().get();
+    for (const auto& loop : loops) {
+      if (loop->owned.load(std::memory_order_relaxed) <
+          owner->owned.load(std::memory_order_relaxed)) {
+        owner = loop.get();
+      }
+    }
+    owner->owned.fetch_add(1, std::memory_order_relaxed);
+    conn->loop = owner;
+    if (owner == &acceptor) {
+      acceptor.conns.emplace(conn->fd, std::move(conn));
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(owner->handoff_mu);
+      if (!owner->exited) {
+        owner->handoff.push_back(std::move(conn));
+        owner->Wake();
+        return;
+      }
+    }
+    // The owner drained while this connection was being accepted.
+    owner->owned.fetch_sub(1, std::memory_order_relaxed);
+    ::close(conn->fd);
+    active.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  // Accepts every pending connection. Returns false after an accept
+  // error other than an empty backlog (EMFILE, ENFILE, ENOBUFS...): the
+  // listen fd stays readable while the backlog waits, so the caller
+  // leaves it out of its poll set for a while instead of spinning on it.
+  bool AcceptAll(Loop& acceptor) {
     for (;;) {
       const int fd = ::accept4(listen_fd, nullptr, nullptr,
                                SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-          return;
-        }
-        return;  // transient accept failure; retry on the next wakeup
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+        if (errno == EINTR || errno == ECONNABORTED) continue;
+        accept_errors.fetch_add(1, std::memory_order_relaxed);
+        return false;
       }
       const int one = 1;
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
       conn->Touch();
-      conns.emplace(fd, std::move(conn));
       accepted.fetch_add(1, std::memory_order_relaxed);
       active.fetch_add(1, std::memory_order_relaxed);
+      Place(acceptor, std::move(conn));
     }
   }
 
-  bool AllFlushed() {
-    for (auto& [fd, conn] : conns) {
+  // The drain exit condition over one loop's connections: none has an
+  // admitted request unanswered, and every output buffer is flushed.
+  static bool Drained(const Loop& loop) {
+    for (const auto& [fd, conn] : loop.conns) {
+      if (conn->inflight.load(std::memory_order_acquire) != 0) return false;
       std::lock_guard<std::mutex> lock(conn->mu);
       if (!conn->outbuf.empty()) return false;
     }
     return true;
   }
 
-  void ReapIdle() {
+  void ReapIdle(Loop& loop) {
     if (opts.idle_timeout_ms == 0) return;
     const Clock::rep cutoff =
         (Clock::now() - std::chrono::milliseconds(opts.idle_timeout_ms))
             .time_since_epoch()
             .count();
     std::vector<std::shared_ptr<Conn>> victims;
-    for (auto& [fd, conn] : conns) {
+    for (auto& [fd, conn] : loop.conns) {
       if (conn->last_activity.load(std::memory_order_relaxed) > cutoff) {
         continue;
       }
@@ -748,15 +834,32 @@ struct Server::Impl {
     }
   }
 
-  void IoLoop() {
-    std::vector<pollfd> pfds;
-    std::vector<std::shared_ptr<Conn>> polled;
-    for (;;) {
-      const bool drain = draining.load(std::memory_order_relaxed);
-      if (drain && queue_depth.load(std::memory_order_relaxed) == 0 &&
-          inflight.load(std::memory_order_relaxed) == 0 && AllFlushed()) {
-        break;
+  void RunLoop(Loop& loop) {
+    // Named so a profiler (or a test) can tell the loops apart.
+    const std::string name = "sqopt-io" + std::to_string(loop.index);
+    ::pthread_setname_np(::pthread_self(), name.c_str());
+    const bool acceptor = loop.index == 0;
+    if (acceptor) {
+      // Await joins loop 0 before the others, so it sees these threads.
+      for (size_t i = 1; i < loops.size(); ++i) {
+        Loop* other = loops[i].get();
+        other->thread = std::thread([this, other] { RunLoop(*other); });
       }
+    }
+    // The acceptor polls the listen fd again from this point on.
+    Clock::time_point accept_resume{};
+    std::vector<pollfd> pfds;
+    std::vector<std::shared_ptr<Conn>> polled, adopted, dead;
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(loop.handoff_mu);
+        adopted.swap(loop.handoff);
+      }
+      for (auto& conn : adopted) loop.conns.emplace(conn->fd, std::move(conn));
+      adopted.clear();
+
+      const bool drain = draining.load(std::memory_order_relaxed);
+      if (drain && Drained(loop)) break;
 
       // Backpressure hysteresis: stop reading at the watermark, resume
       // once the workers have drained half of it.
@@ -771,10 +874,11 @@ struct Server::Impl {
 
       pfds.clear();
       polled.clear();
-      pfds.push_back({wake_rd, POLLIN, 0});
-      const bool poll_listen = !drain;
+      pfds.push_back({loop.wake_rd, POLLIN, 0});
+      const bool poll_listen =
+          acceptor && !drain && Clock::now() >= accept_resume;
       if (poll_listen) pfds.push_back({listen_fd, POLLIN, 0});
-      for (auto& [fd, conn] : conns) {
+      for (auto& [fd, conn] : loop.conns) {
         short events = 0;
         if (!drain && !reads_paused.load(std::memory_order_relaxed)) {
           events |= POLLIN;
@@ -792,7 +896,8 @@ struct Server::Impl {
         polled.push_back(conn);
       }
 
-      if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 50) < 0 &&
+      if (::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                 kPollTimeoutMs) < 0 &&
           errno != EINTR) {
         break;  // unrecoverable poll failure
       }
@@ -800,27 +905,29 @@ struct Server::Impl {
       size_t idx = 0;
       if (pfds[idx].revents & POLLIN) {
         char sink[256];
-        while (::read(wake_rd, sink, sizeof(sink)) > 0) {
+        while (::read(loop.wake_rd, sink, sizeof(sink)) > 0) {
         }
       }
       ++idx;
       if (poll_listen) {
-        if (pfds[idx].revents & POLLIN) AcceptAll();
+        if ((pfds[idx].revents & POLLIN) && !AcceptAll(loop)) {
+          accept_resume =
+              Clock::now() + std::chrono::milliseconds(kPollTimeoutMs);
+        }
         ++idx;
       }
       size_t last_readable = polled.size();
       for (size_t i = 0; i < polled.size(); ++i) {
         if (pfds[idx + i].revents & POLLIN) last_readable = i;
       }
-      std::vector<std::shared_ptr<Conn>> dead;
+      dead.clear();
       for (size_t i = 0; i < polled.size(); ++i) {
         const short revents = pfds[idx + i].revents;
         const std::shared_ptr<Conn>& conn = polled[i];
         bool alive = true;
-        inline_allowed = i == last_readable;
         if (revents & POLLOUT) alive = FlushConn(conn);
         if (alive && (revents & (POLLIN | POLLERR | POLLHUP))) {
-          alive = ReadConn(conn);
+          alive = ReadConn(conn, /*inline_allowed=*/i == last_readable);
           // Frames handled above may have produced inline responses
           // (stats, ping, errors); try to push them out right away
           // instead of waiting one poll round-trip.
@@ -829,22 +936,34 @@ struct Server::Impl {
         if (!alive) dead.push_back(conn);
       }
       for (const auto& conn : dead) CloseConn(conn);
-      ReapIdle();
+      ReapIdle(loop);
     }
 
-    // Drained: every admitted request was answered and flushed. Stop
-    // the workers and close what's left.
+    // Drained: every request admitted for this loop's connections was
+    // answered and flushed. Close what's left, including connections
+    // handed over too late to be adopted; the last loop out stops the
+    // workers.
     {
-      std::lock_guard<std::mutex> lock(queue_mu);
-      stop_workers = true;
+      std::lock_guard<std::mutex> lock(loop.handoff_mu);
+      loop.exited = true;
+      adopted.swap(loop.handoff);
     }
-    queue_cv.notify_all();
+    for (auto& conn : adopted) loop.conns.emplace(conn->fd, std::move(conn));
     std::vector<std::shared_ptr<Conn>> leftover;
-    leftover.reserve(conns.size());
-    for (auto& [fd, conn] : conns) leftover.push_back(conn);
+    leftover.reserve(loop.conns.size());
+    for (auto& [fd, conn] : loop.conns) leftover.push_back(conn);
     for (const auto& conn : leftover) CloseConn(conn);
-    ::close(listen_fd);
-    listen_fd = -1;
+    if (acceptor) {
+      ::close(listen_fd);
+      listen_fd = -1;
+    }
+    if (loops_running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      {
+        std::lock_guard<std::mutex> lock(queue_mu);
+        stop_workers = true;
+      }
+      queue_cv.notify_all();
+    }
   }
 
   std::string MetricsText() const {
@@ -873,6 +992,8 @@ struct Server::Impl {
     put("server_records_replicated", records_replicated.load());
     put("server_subscribers_active", subscribers_active.load());
     put("server_unsupported_version", unsupported_version.load());
+    put("server_accept_errors", accept_errors.load());
+    put("server_io_loops", loops.size());
     const EngineStats es = engine->stats();
     put("engine_queries_parsed", es.queries_parsed);
     put("engine_queries_executed", es.queries_executed);
@@ -970,10 +1091,18 @@ Result<std::unique_ptr<Server>> Server::Start(
   }
   impl->bound_port = ntohs(bound.sin_port);
 
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) return Errno("pipe2");
-  impl->wake_rd = pipe_fds[0];
-  impl->wake_wr = pipe_fds[1];
+  // One loop per hardware thread, whatever `threads` is: the loops run
+  // the cached queries, the workers only what is admitted.
+  const int loop_count = WorkerPool::ResolveThreads(0);
+  for (int i = 0; i < loop_count; ++i) {
+    auto loop = std::make_unique<Loop>();
+    loop->index = i;
+    int pipe_fds[2];
+    if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) return Errno("pipe2");
+    loop->wake_rd = pipe_fds[0];
+    loop->wake_wr = pipe_fds[1];
+    impl->loops.push_back(std::move(loop));
+  }
 
   Impl* raw = impl.get();
   if (replication != nullptr) {
@@ -985,7 +1114,12 @@ Result<std::unique_ptr<Server>> Server::Start(
   for (int i = 0; i < options.threads; ++i) {
     impl->workers.emplace_back([raw] { raw->WorkerLoop(); });
   }
-  impl->io_thread = std::thread([raw] { raw->IoLoop(); });
+  impl->loops_running.store(impl->loops.size());
+  // Loop 0 starts the others, off the caller's path: Start costs the
+  // same thread creations whatever the loop count, and a connection
+  // handed to a loop that is not running yet waits in its hand-over.
+  Loop* acceptor = impl->loops.front().get();
+  acceptor->thread = std::thread([raw, acceptor] { raw->RunLoop(*acceptor); });
 
   return std::unique_ptr<Server>(new Server(std::move(impl)));
 }
@@ -998,14 +1132,17 @@ int Server::port() const { return impl_->bound_port; }
 
 void Server::RequestDrain() {
   impl_->draining.store(true, std::memory_order_relaxed);
-  impl_->Wake();
+  impl_->WakeAll();
 }
 
 void Server::Await() {
   std::lock_guard<std::mutex> lock(impl_->join_mu);
   if (impl_->joined) return;
   impl_->joined = true;
-  if (impl_->io_thread.joinable()) impl_->io_thread.join();
+  // Index order: loop 0 started the others.
+  for (const auto& loop : impl_->loops) {
+    if (loop->thread.joinable()) loop->thread.join();
+  }
   for (std::thread& w : impl_->workers) {
     if (w.joinable()) w.join();
   }
@@ -1038,6 +1175,8 @@ ServerStats Server::stats() const {
   s.records_replicated = impl_->records_replicated.load();
   s.subscribers_active = impl_->subscribers_active.load();
   s.unsupported_version = impl_->unsupported_version.load();
+  s.accept_errors = impl_->accept_errors.load();
+  s.io_loops = impl_->loops.size();
   return s;
 }
 

@@ -1,10 +1,12 @@
 // The network serving layer: an async TCP front end over the const,
-// thread-safe Engine read path. One I/O thread multiplexes every
-// connection over non-blocking sockets + poll(2) (accept, per-
-// connection read/write state machines, idle reaping). A query whose
-// text has a cached sequential plan runs to completion on that thread
-// when nothing is queued ahead of it (at most one connection's per
-// poll pass, so a backlog still reaches the pool); a fixed worker pool
+// thread-safe Engine read path. One event loop per hardware thread
+// (capped at 16) multiplexes its own connections over non-blocking
+// sockets + poll(2) (per-connection read/write state machines, idle
+// reaping); loop 0 also accepts, handing each new connection to the
+// loop with the fewest. A query whose text has a cached sequential plan
+// runs to completion on the loop that owns its connection when nothing
+// is queued ahead of it (at most one connection's per poll pass of that
+// loop, so a backlog still reaches the pool); a fixed worker pool
 // executes everything else that is admitted, against the same engine
 // and therefore the same plan cache. Workers send their own answers when
 // the connection has nothing else waiting to go out, and every
@@ -13,7 +15,7 @@
 // Admission control: decoded query requests enter a bounded queue.
 // A full queue rejects the request immediately with a typed
 // kOverloaded response (the request is never executed, memory stays
-// bounded); at the configurable backpressure watermark the I/O thread
+// bounded); at the configurable backpressure watermark every loop
 // additionally stops reading request bytes until the queue drains,
 // so a firehose client is throttled by TCP flow control instead of
 // ballooning the input buffers.
@@ -60,7 +62,8 @@ struct ServerOptions {
 
   // Pool workers executing admitted requests (cache misses, parallel
   // plans, stats, pings, applies, checkpoints). Cached sequential
-  // queries run on the I/O thread and are not counted here.
+  // queries run on the event loops, whose count follows the hardware
+  // (ServerStats::io_loops), not this field.
   // Independent of the engine's morsel pool, which only parallel plans
   // fan their scans across.
   int threads = 4;
@@ -84,7 +87,7 @@ struct ServerOptions {
   // Fault injection: sleep this long inside each worker before
   // executing a request. A delay models a slow engine, so a non-zero
   // value also routes every query through the pool (none runs inline
-  // on the I/O thread). Lets tests and the overload bench pin the
+  // on an event loop). Lets tests and the overload bench pin the
   // server's capacity deterministically. 0 in production.
   uint32_t execute_delay_ms = 0;
 
@@ -108,7 +111,7 @@ struct ServerStats {
   uint64_t responses_sent = 0;      // responses written back to connections
   uint64_t queries_ok = 0;          // query responses with code kOk
   uint64_t queries_failed = 0;      // typed engine errors (parse etc.)
-  uint64_t queries_inline = 0;      // queries run on the I/O thread
+  uint64_t queries_inline = 0;      // queries run on an event loop
   uint64_t rejected_overloaded = 0; // admission-queue rejections
   uint64_t timed_out = 0;           // deadline expiries
   uint64_t protocol_errors = 0;     // bad CRC, bad payload, oversized frame
@@ -119,11 +122,13 @@ struct ServerStats {
   uint64_t records_replicated = 0;  // kReplicate frames pushed to followers
   uint64_t subscribers_active = 0;  // registered replication subscribers
   uint64_t unsupported_version = 0; // version-gap rejections
+  uint64_t accept_errors = 0;       // accept(2) failures (EMFILE, ENFILE...)
+  uint64_t io_loops = 0;            // event loops, fixed at Start
 };
 
 class Server {
  public:
-  // Binds, listens, and spawns the I/O thread + workers. `engine` must
+  // Binds, listens, and spawns the event loops + workers. `engine` must
   // have data loaded and must outlive the server. The read path stays
   // const; kApply/kCheckpoint drive the engine's write path. A port
   // outside [0, 65535] or a min_protocol outside the versions this
@@ -145,8 +150,8 @@ class Server {
 
   // Begins graceful drain: stop accepting, stop reading, finish queued
   // + in-flight requests, flush responses, close. Async-signal-safe
-  // (an atomic store and a pipe write) — call it from a SIGTERM
-  // handler.
+  // (an atomic store and one pipe write per loop) — call it from a
+  // SIGTERM handler.
   void RequestDrain();
 
   // Blocks until the drain completes and every thread has been joined.

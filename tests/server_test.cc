@@ -3,19 +3,34 @@
 // handling (bad CRC recoverable, oversized length fatal), per-request
 // deadlines producing typed kTimeout, admission-control shedding with
 // typed kOverloaded under saturation, graceful drain completing
-// in-flight work, idle-connection reaping, and concurrent clients
-// sharing one engine plan cache. Runs under -fsanitize=thread in CI.
+// in-flight work, idle-connection reaping, concurrent clients sharing
+// one engine plan cache, connections spread over the event loops, and
+// accept backing off on a full fd table. Runs under -fsanitize=thread
+// in CI.
 #include "server/server.h"
 
+#include <arpa/inet.h>
+#include <dirent.h>
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/engine.h"
+#include "common/worker_pool.h"
 #include "persist/serde.h"
 #include "server/client.h"
 #include "server/wire.h"
@@ -60,6 +75,55 @@ std::unique_ptr<Server> StartServer(Engine* engine,
   auto started = Server::Start(engine, options);
   EXPECT_TRUE(started.ok()) << started.status().ToString();
   return std::move(started).value();
+}
+
+// The entries of a /proc/self directory ("task" or "fd"), without the
+// dot entries.
+std::vector<std::string> ProcEntries(const char* dir_name) {
+  std::vector<std::string> names;
+  DIR* dir = ::opendir((std::string("/proc/self/") + dir_name).c_str());
+  if (dir == nullptr) return names;
+  while (dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') names.emplace_back(entry->d_name);
+  }
+  ::closedir(dir);
+  return names;
+}
+
+// An open /proc/self/task/<tid>/stat of the thread named `name`, or -1.
+int OpenThreadStat(const std::string& name) {
+  for (const std::string& tid : ProcEntries("task")) {
+    const std::string base = "/proc/self/task/" + tid;
+    const int comm_fd = ::open((base + "/comm").c_str(), O_RDONLY | O_CLOEXEC);
+    if (comm_fd < 0) continue;
+    char comm[32] = {};
+    const ssize_t n = ::read(comm_fd, comm, sizeof(comm) - 1);
+    ::close(comm_fd);
+    if (n > 0 && std::string(comm, static_cast<size_t>(n)) == name + "\n") {
+      return ::open((base + "/stat").c_str(), O_RDONLY | O_CLOEXEC);
+    }
+  }
+  return -1;
+}
+
+// User plus system CPU seconds of the thread whose stat file is open as
+// `fd`; re-read from offset 0, so it opens no file.
+double ThreadCpuSeconds(int fd) {
+  char buf[1024];
+  const ssize_t n = ::pread(fd, buf, sizeof(buf) - 1, 0);
+  if (n <= 0) return -1;
+  buf[n] = '\0';
+  // Fields count from 1; the name (field 2) may hold spaces, so parse
+  // from its closing parenthesis: state is field 3, utime 14, stime 15.
+  const char* after_name = std::strrchr(buf, ')');
+  if (after_name == nullptr) return -1;
+  std::istringstream in(after_name + 1);
+  std::string skipped;
+  for (int field = 3; field < 14; ++field) in >> skipped;
+  unsigned long long utime = 0, stime = 0;
+  in >> utime >> stime;
+  return static_cast<double>(utime + stime) /
+         static_cast<double>(::sysconf(_SC_CLK_TCK));
 }
 
 // --- Wire-level units (no sockets) ---------------------------------
@@ -253,6 +317,15 @@ TEST(ServerTest, StatsEndpointServesMetricsText) {
   EXPECT_NE(text.find("server_queries_ok 1"), std::string::npos);
   EXPECT_NE(text.find("engine_queries_executed "), std::string::npos);
   EXPECT_NE(text.find("plan_cache_"), std::string::npos);
+  EXPECT_NE(text.find("server_accept_errors 0\n"), std::string::npos);
+
+  // One event loop per hardware thread (capped at 16), whatever
+  // ServerOptions::threads says.
+  const uint64_t loops = static_cast<uint64_t>(WorkerPool::ResolveThreads(0));
+  EXPECT_EQ(server->stats().io_loops, loops);
+  EXPECT_NE(text.find("server_io_loops " + std::to_string(loops) + "\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ServerTest, StatsReportEngineCounterValues) {
@@ -273,8 +346,8 @@ TEST(ServerTest, StatsReportEngineCounterValues) {
   batch.Insert(supplier, std::move(fresh3));
   ASSERT_OK(engine.Apply(batch).status());
   // Cached before the server starts, so the first query over the wire
-  // is a hit the I/O thread serves itself; the contradiction is a miss
-  // and goes through the pool.
+  // is a hit the connection's event loop serves itself; the
+  // contradiction is a miss and goes through the pool.
   ASSERT_OK(engine.Execute(kSingleClassQuery).status());
 
   std::unique_ptr<Server> server = StartServer(&engine);
@@ -512,6 +585,223 @@ TEST(ServerTest, GracefulDrainFinishesInFlightWork) {
   // No new connections once drained: the listen socket is closed.
   auto refused = Client::Connect("127.0.0.1", server->port(), 500);
   EXPECT_FALSE(refused.ok() && refused->Ping().ok());
+}
+
+TEST(ServerTest, GracefulDrainAnswersPooledWorkOnEveryLoop) {
+  // One connection per event loop (the acceptor gives each new
+  // connection to the loop with the fewest), each with pooled requests
+  // in flight when the drain starts: every loop waits for its own
+  // connections' answers, and the last one out stops the workers.
+  Engine engine = OpenLoadedEngine();
+  const size_t threads_before = ProcEntries("task").size();
+  ServerOptions options;
+  options.threads = 2;
+  options.execute_delay_ms = 50;  // keeps every query in the pool
+  std::unique_ptr<Server> server = StartServer(&engine, options);
+  const size_t loops = server->stats().io_loops;
+  ASSERT_GE(loops, 1u);
+
+  constexpr int kPerClient = 2;
+  const uint64_t total = loops * kPerClient;
+  std::vector<Client> clients;
+  for (size_t i = 0; i < loops; ++i) {
+    ASSERT_OK_AND_ASSIGN(Client client,
+                         Client::Connect("127.0.0.1", server->port(),
+                                         /*timeout_ms=*/30000));
+    clients.push_back(std::move(client));
+  }
+  const std::string frame = EncodeRequest(SingleClassQueryRequest(0));
+  for (Client& client : clients) {
+    std::string pipelined;
+    for (int i = 0; i < kPerClient; ++i) pipelined += frame;
+    ASSERT_OK(client.SendRaw(pipelined));
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server->stats().requests_received < total &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(server->stats().requests_received, total);
+  server->RequestDrain();
+
+  // A request that raced the drain is refused with kOverloaded; every
+  // admitted one is answered before its connection closes.
+  uint64_t ok = 0;
+  for (Client& client : clients) {
+    for (int i = 0; i < kPerClient; ++i) {
+      ASSERT_OK_AND_ASSIGN(Response response, client.ReceiveResponse());
+      if (response.ok()) {
+        ++ok;
+      } else {
+        EXPECT_EQ(response.code, StatusCode::kOverloaded) << response.message;
+      }
+    }
+  }
+  server->Await();
+
+  const ServerStats stats = server->stats();
+  EXPECT_GE(ok, 1u);
+  EXPECT_EQ(stats.queries_ok, ok);
+  EXPECT_EQ(stats.queries_ok + stats.rejected_overloaded, total);
+  EXPECT_EQ(stats.responses_sent, total);
+  EXPECT_EQ(stats.queue_depth, 0u);
+  EXPECT_EQ(stats.connections_active, 0u);
+  // Every loop and worker thread has been joined.
+  EXPECT_EQ(ProcEntries("task").size(), threads_before);
+}
+
+TEST(ServerTest, ConnectionsSpreadAcrossLoopsAnswerInRequestOrder) {
+  // Twice as many connections as event loops, each from its own
+  // thread, pipelining cached hits around a miss that goes to the pool:
+  // on every loop, each connection's answers leave in request order.
+  Engine engine = OpenLoadedEngine();
+  const std::vector<std::string> pool = ExperimentQueryPool();
+  const std::string& slow = pool.back();
+  ASSERT_OK_AND_ASSIGN(QueryOutcome slow_direct, engine.Execute(slow));
+  ASSERT_OK_AND_ASSIGN(QueryOutcome hit_direct,
+                       engine.Execute(kSingleClassQuery));
+  const size_t slow_rows = slow_direct.rows.rows.size();
+  const size_t hit_rows = hit_direct.rows.rows.size();
+  ASSERT_NE(slow_rows, hit_rows);
+  std::unique_ptr<Server> server = StartServer(&engine);
+  const int connections = 2 * static_cast<int>(server->stats().io_loops);
+
+  constexpr int kRounds = 8;
+  const std::string hit = EncodeRequest(SingleClassQueryRequest(0));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < connections; ++t) {
+    threads.emplace_back([&, t] {
+      auto client = Client::Connect("127.0.0.1", server->port(),
+                                    /*timeout_ms=*/30000);
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      for (int round = 0; round < kRounds; ++round) {
+        // Trailing blanks make a text no connection has sent yet, so it
+        // cannot be served inline.
+        Request miss;
+        miss.query_text =
+            slow + std::string(static_cast<size_t>(t * kRounds + round) + 1,
+                               ' ');
+        ASSERT_TRUE(client->SendRaw(hit + EncodeRequest(miss) + hit).ok());
+        for (size_t want : {hit_rows, slow_rows, hit_rows}) {
+          auto response = client->ReceiveResponse();
+          ASSERT_TRUE(response.ok()) << response.status().ToString();
+          ASSERT_TRUE(response->ok()) << response->message;
+          EXPECT_EQ(response->rows.size(), want)
+              << "connection " << t << " round " << round;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  server->Shutdown();
+
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.connections_accepted, static_cast<uint64_t>(connections));
+  EXPECT_EQ(stats.queries_ok, static_cast<uint64_t>(connections) * kRounds * 3);
+  EXPECT_GT(stats.queries_inline, 0u);
+  EXPECT_EQ(stats.connections_active, 0u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+}
+
+// Lowers this process's soft RLIMIT_NOFILE to just above its highest
+// open fd and opens /dev/null until the table is full; the destructor
+// frees the fds and restores the limit.
+class FullFdTable {
+ public:
+  FullFdTable() {
+    ::getrlimit(RLIMIT_NOFILE, &saved_);
+    int highest = 0;
+    for (const std::string& fd : ProcEntries("fd")) {
+      highest = std::max(highest, std::atoi(fd.c_str()));
+    }
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(highest) + 16;
+    lowered_ = ::setrlimit(RLIMIT_NOFILE, &lowered) == 0;
+    if (!lowered_) return;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        full_ = errno == EMFILE;
+        break;
+      }
+      filler_.push_back(fd);
+    }
+  }
+  ~FullFdTable() {
+    for (int fd : filler_) ::close(fd);
+    if (lowered_) ::setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  FullFdTable(const FullFdTable&) = delete;
+  FullFdTable& operator=(const FullFdTable&) = delete;
+
+  bool full() const { return full_; }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+  bool full_ = false;
+  std::vector<int> filler_;
+};
+
+TEST(ServerTest, FullFdTableBacksOffAcceptInsteadOfSpinning) {
+  // With the fd table full, accept4 fails (EMFILE) while connections
+  // wait in the backlog, so the level-triggered listen fd stays
+  // readable. The acceptor must count the error and leave the listen fd
+  // out of its poll set for a while, not retry it in a hot loop.
+  Engine engine = OpenLoadedEngine();
+  std::unique_ptr<Server> server = StartServer(&engine);
+  // The loop names itself once it runs.
+  int stat_fd = -1;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((stat_fd = OpenThreadStat("sqopt-io0")) < 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_GE(stat_fd, 0);
+
+  // Sockets made now and connected once the table is full: their
+  // handshakes complete into the listen backlog.
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server->port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  std::vector<int> backlog;
+  for (int i = 0; i < 2; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    backlog.push_back(fd);
+  }
+
+  double cpu_seconds = 0;
+  uint64_t accept_errors = 0;
+  {
+    FullFdTable table;
+    ASSERT_TRUE(table.full());
+    for (int fd : backlog) {
+      ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                          sizeof(addr)),
+                0)
+          << std::strerror(errno);
+    }
+    const double before = ThreadCpuSeconds(stat_fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    cpu_seconds = ThreadCpuSeconds(stat_fd) - before;
+    ASSERT_GE(before, 0);
+    accept_errors = server->stats().accept_errors;
+  }
+  ::close(stat_fd);
+  EXPECT_GT(accept_errors, 0u);
+  EXPECT_LT(cpu_seconds, 0.3);
+
+  // With fds free again, the next pass accepts and serves.
+  ASSERT_OK_AND_ASSIGN(Client fresh,
+                       Client::Connect("127.0.0.1", server->port()));
+  EXPECT_OK(fresh.Ping());
+  for (int fd : backlog) ::close(fd);
+  server->Shutdown();
+  EXPECT_EQ(server->stats().connections_active, 0u);
 }
 
 TEST(ServerTest, IdleConnectionsAreReaped) {
