@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -211,40 +212,40 @@ Result<std::shared_ptr<detail::PreparedState>> BuildPrepared(
   return prepared;
 }
 
-// The one plan-cache path (Execute and Prepare): look the canonical
-// key up and, on a miss, build the entry and publish it under `epoch`.
-// `text` (when the query arrived as text) additionally registers a
-// raw-text alias so the next Execute of the same string skips parsing
-// and canonicalization entirely. With the cache disabled or no data
-// loaded this is a plain BuildPrepared, so data-less handles are never
-// cached — a later Execute must not hit a planless entry.
+// The one plan-cache path (Execute and Prepare). `key` is the query
+// text as the caller sent it, or the printed form of a caller's Query,
+// which then arrives as `query`. The key is looked up once; on a miss
+// `query` (or, when it is null, the parse of `key`) is built and
+// published under `key` and `epoch`. With no data loaded nothing is
+// looked up or cached, so data-less handles are never cached: a later
+// Execute must not hit a planless entry.
 Result<std::shared_ptr<const detail::PreparedState>> PrepareCached(
     const detail::EngineState& state,
     std::shared_ptr<const detail::LoadedData> data, uint64_t epoch,
-    const Query& query, const std::string* text, bool* hit) {
-  *hit = false;
+    std::string_view key, const Query* query, bool* hit) {
+  const bool cacheable = data != nullptr;
   std::shared_ptr<const detail::PreparedState> entry;
-  if (!state.plan_cache.enabled() || data == nullptr) {
-    SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, std::move(data), query,
-                                                /*optimize=*/true));
-    return entry;
-  }
-  // The canonical key prints schema names, so reject malformed queries
-  // before keying (ParseQuery output is always valid; hand-built Query
-  // values may not be).
-  SQOPT_RETURN_IF_ERROR(ValidateQuery(state.schema, query));
-  const std::string key = CanonicalQueryKey(state.schema, query);
-  entry = state.plan_cache.Lookup(key);
+  if (cacheable) entry = state.plan_cache.Lookup(key);
   *hit = entry != nullptr;
-  if (!*hit) {
-    SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, std::move(data), query,
-                                                /*optimize=*/true));
-    state.plan_cache.Insert(key, entry, epoch);
+  if (*hit) return entry;
+  std::optional<Query> parsed;
+  if (query == nullptr) {
+    state.queries_parsed.fetch_add(1, std::memory_order_relaxed);
+    SQOPT_ASSIGN_OR_RETURN(parsed, ParseQuery(state.schema, key));
+    query = &*parsed;
   }
-  if (text != nullptr && *text != key) {
-    state.plan_cache.InsertAlias(*text, entry, epoch);
-  }
+  SQOPT_ASSIGN_OR_RETURN(entry, BuildPrepared(state, std::move(data), *query,
+                                              /*optimize=*/true));
+  if (cacheable) state.plan_cache.Insert(std::string(key), entry, epoch);
   return entry;
+}
+
+// The cache key of a caller's Query: its printed form. The printer
+// resolves schema ids, so a malformed hand-built Query is rejected
+// first (ParseQuery output is always valid).
+Result<std::string> PrintedKey(const Schema& schema, const Query& query) {
+  SQOPT_RETURN_IF_ERROR(ValidateQuery(schema, query));
+  return PrintQuery(schema, query);
 }
 
 // Analyze and Explain: optimize against the current snapshot, outside
@@ -427,28 +428,19 @@ Result<Engine> Engine::Open(const std::string& dir, EngineOptions options) {
           std::to_string(record.first_version) + ", " +
           std::to_string(record.last_version()) + "]");
     }
-    // Replay the whole group through the ordinary commit body
+    // Replay the whole group through the ordinary commit path
     // (constraint validation included) — every batch was validated
-    // when it was logged, so each must commit again.
-    std::vector<detail::CommitRequest> requests(record.batches.size());
-    std::vector<detail::CommitRequest*> group;
-    group.reserve(requests.size());
-    for (size_t i = 0; i < record.batches.size(); ++i) {
-      requests[i].batch = &record.batches[i];
-      group.push_back(&requests[i]);
-    }
-    {
-      std::lock_guard<std::mutex> commit_lock(
-          engine.state_->commit_mutex);
-      engine.CommitGroupLocked(group, /*log_to_wal=*/false);
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const Result<ApplyOutcome>& replayed = *requests[i].result;
-      if (!replayed.ok()) {
-        return Status(replayed.status().code(),
+    // when it was logged, so each must commit again. The WAL is
+    // attached only below and no commit listener can be set yet, so
+    // the replayed group is neither logged again nor shipped.
+    std::vector<Result<ApplyOutcome>> replayed =
+        engine.ApplyGroup(record.batches);
+    for (size_t i = 0; i < replayed.size(); ++i) {
+      if (!replayed[i].ok()) {
+        return Status(replayed[i].status().code(),
                       "WAL replay of version " +
                           std::to_string(record.first_version + i) +
-                          " failed: " + replayed.status().message());
+                          " failed: " + replayed[i].status().message());
       }
     }
     engine.state_->wal_records_replayed.fetch_add(
@@ -702,7 +694,7 @@ std::vector<Result<ApplyOutcome>> Engine::CommitThroughGroup(
     lock.unlock();
     {
       std::lock_guard<std::mutex> commit_lock(state.commit_mutex);
-      CommitGroupLocked(group, /*log_to_wal=*/true);
+      CommitGroupLocked(group);
     }
     lock.lock();
     state.group_leader_active = false;
@@ -722,7 +714,7 @@ std::vector<Result<ApplyOutcome>> Engine::CommitThroughGroup(
 }
 
 void Engine::CommitGroupLocked(
-    const std::vector<detail::CommitRequest*>& group, bool log_to_wal) {
+    const std::vector<detail::CommitRequest*>& group) {
   detail::EngineState& state = *state_;
   std::shared_ptr<const detail::LoadedData> base = state.data_snapshot();
   if (base == nullptr) {
@@ -884,7 +876,7 @@ void Engine::CommitGroupLocked(
   // identical state, whole group or none (one CRC frame).
   uint64_t wal_micros = 0;
   uint64_t fsync_micros = 0;
-  if (log_to_wal && state.wal != nullptr) {
+  if (state.wal != nullptr) {
     std::vector<MutationBatch> logged;
     logged.reserve(survivors.size());
     for (PendingCommit* pc : survivors) logged.push_back(*pc->req->batch);
@@ -1122,31 +1114,20 @@ Result<Query> Engine::Parse(std::string_view query_text) const {
 }
 
 Result<QueryOutcome> Engine::Execute(std::string_view query_text) const {
-  const detail::EngineState& state = *state_;
-  // Serving fast path: an exact raw-text repeat resolves straight to
-  // its cached plan — no parse, no canonicalization, no lookup of the
-  // canonical key.
-  if (std::shared_ptr<const detail::PreparedState> entry =
-          state.plan_cache.LookupText(query_text)) {
-    RecordAccess(state, entry->original);
-    SQOPT_ASSIGN_OR_RETURN(
-        QueryOutcome out,
-        detail::ExecutePrepared(state, *entry, state.data_snapshot()));
-    out.plan_cache_hit = true;
-    out.plan_cache = state.plan_cache.stats(/*count_entries=*/false);
-    state.queries_executed.fetch_add(1, std::memory_order_relaxed);
-    return out;
-  }
-  SQOPT_ASSIGN_OR_RETURN(Query query, Parse(query_text));
-  return ExecuteParsed(query, std::string(query_text));
+  return ExecuteKeyed(query_text, /*query=*/nullptr);
+}
+
+Result<QueryOutcome> Engine::Execute(const Query& query) const {
+  SQOPT_ASSIGN_OR_RETURN(std::string key, PrintedKey(state_->schema, query));
+  return ExecuteKeyed(key, &query);
 }
 
 Result<CachedAnswer> Engine::ExecuteIfCached(
     std::string_view query_text) const {
   const detail::EngineState& state = *state_;
   CachedAnswer answer;
-  std::shared_ptr<const detail::PreparedState> entry =
-      state.plan_cache.LookupText(query_text, /*sequential_only=*/true);
+  std::shared_ptr<const detail::PreparedState> entry = state.plan_cache.Lookup(
+      query_text, /*count_miss=*/false, /*sequential_only=*/true);
   if (entry == nullptr) return answer;
   answer.cached = true;
   RecordAccess(state, entry->original);
@@ -1160,12 +1141,8 @@ Result<CachedAnswer> Engine::ExecuteIfCached(
   return answer;
 }
 
-Result<QueryOutcome> Engine::Execute(const Query& query) const {
-  return ExecuteParsed(query, std::nullopt);
-}
-
-Result<QueryOutcome> Engine::ExecuteParsed(
-    const Query& query, std::optional<std::string> text) const {
+Result<QueryOutcome> Engine::ExecuteKeyed(std::string_view key,
+                                          const Query* query) const {
   const detail::EngineState& state = *state_;
   // Epoch BEFORE snapshot: Load() publishes the new snapshot first and
   // bumps the epoch second, so an epoch that is still current at Insert
@@ -1175,17 +1152,16 @@ Result<QueryOutcome> Engine::ExecuteParsed(
   const uint64_t epoch = state.plan_cache.epoch();
   std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
   if (data == nullptr) return NoDataLoaded();
-  RecordAccess(state, query);
   bool hit = false;
   SQOPT_ASSIGN_OR_RETURN(
       std::shared_ptr<const detail::PreparedState> entry,
-      PrepareCached(state, data, epoch, query,
-                    text.has_value() ? &*text : nullptr, &hit));
+      PrepareCached(state, data, epoch, key, query, &hit));
+  RecordAccess(state, entry->original);
   SQOPT_ASSIGN_OR_RETURN(QueryOutcome out,
                          detail::ExecutePrepared(state, *entry, data));
-  // On a hit the entry's `original` is whatever canonically-equal
-  // query first populated it; report the query THIS caller submitted.
-  out.original = query;
+  // On a hit the entry's `original` is whatever query with the same
+  // printed form populated it; report the Query THIS caller submitted.
+  if (query != nullptr) out.original = *query;
   out.plan_cache_hit = hit;
   out.plan_cache = state.plan_cache.stats(/*count_entries=*/false);
   state.queries_executed.fetch_add(1, std::memory_order_relaxed);
@@ -1231,24 +1207,27 @@ Result<QueryOutcome> Engine::Analyze(const Query& query) const {
 }
 
 Result<PreparedQuery> Engine::Prepare(std::string_view query_text) const {
-  SQOPT_ASSIGN_OR_RETURN(Query query, Parse(query_text));
-  return Prepare(query);
+  return PrepareKeyed(query_text, /*query=*/nullptr);
 }
 
 Result<PreparedQuery> Engine::Prepare(const Query& query) const {
+  SQOPT_ASSIGN_OR_RETURN(std::string key, PrintedKey(state_->schema, query));
+  return PrepareKeyed(key, &query);
+}
+
+Result<PreparedQuery> Engine::PrepareKeyed(std::string_view key,
+                                           const Query* query) const {
   const detail::EngineState& state = *state_;
-  RecordAccess(state, query);
-  // Epoch before snapshot — see ExecuteParsed. Prepare and Execute
+  // Epoch before snapshot — see ExecuteKeyed. Prepare and Execute
   // share the plan cache: a handle for a recently executed query reuses
   // its cached plan, and a handle prepared here seeds the cache for
   // later ad-hoc Executes.
   const uint64_t epoch = state.plan_cache.epoch();
-  std::shared_ptr<const detail::LoadedData> data = state.data_snapshot();
   bool hit = false;
   SQOPT_ASSIGN_OR_RETURN(
       std::shared_ptr<const detail::PreparedState> prepared,
-      PrepareCached(state, std::move(data), epoch, query, /*text=*/nullptr,
-                    &hit));
+      PrepareCached(state, state.data_snapshot(), epoch, key, query, &hit));
+  RecordAccess(state, prepared->original);
   state.statements_prepared.fetch_add(1, std::memory_order_relaxed);
   return PreparedQuery(state_, std::move(prepared));
 }

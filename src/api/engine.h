@@ -20,7 +20,7 @@
 // first. Every read entry point runs one pipeline: it prepares the
 // query once (optimize or validate, then plan) and runs the prepared
 // plan. Execute is transparently served from a shared plan
-// cache keyed on the canonicalized query text, so repeated execution —
+// cache keyed on the query text as sent, so repeated execution —
 // the heavy-traffic case — skips parsing, retrieval, transformation,
 // and planning. Concurrency comes from the callers: many threads
 // calling Execute share the one cache. Prepare() returns a
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -342,15 +341,18 @@ class Engine {
   // --- Read path: const, thread-safe. ---
 
   // Parse -> optimize -> plan -> execute -> meter. Requires Load().
-  // Transparently served from the shared plan cache when an identical
-  // (canonicalized) query was executed or prepared since the last
-  // reload: a hit skips retrieval, transformation, and planning, and
-  // the outcome reports plan_cache_hit = true.
+  // Transparently served from the shared plan cache when the same text
+  // was executed or prepared since the last reload: a hit skips
+  // parsing, retrieval, transformation, and planning, and the outcome
+  // reports plan_cache_hit = true. The key is the text exactly as sent,
+  // so a textual variant (other whitespace, reordered predicates) is a
+  // separate entry with the same answer. A Query is keyed on its
+  // PrintQuery form.
   Result<QueryOutcome> Execute(std::string_view query_text) const;
   Result<QueryOutcome> Execute(const Query& query) const;
 
-  // Serves `query_text` only when it is an exact raw-text plan-cache
-  // hit whose plan runs sequentially; otherwise answers "not cached"
+  // Serves `query_text` only when it is a plan-cache hit whose plan
+  // runs sequentially; otherwise answers "not cached"
   // having done nothing else — no parse, no counted miss, no plan.
   // The server runs such queries on the event loop that owns the
   // connection.
@@ -416,10 +418,13 @@ class Engine {
   explicit Engine(std::shared_ptr<detail::EngineState> state)
       : state_(std::move(state)) {}
 
-  // Shared tail of the two Execute overloads; `text` (when the query
-  // arrived as text) registers the raw-text cache alias.
-  Result<QueryOutcome> ExecuteParsed(const Query& query,
-                                     std::optional<std::string> text) const;
+  // Shared tails of the two Execute and the two Prepare overloads:
+  // look `key` up in the plan cache and, on a miss, build `query` (or,
+  // when it is null, the parse of `key`) and cache it under `key`.
+  Result<QueryOutcome> ExecuteKeyed(std::string_view key,
+                                    const Query* query) const;
+  Result<PreparedQuery> PrepareKeyed(std::string_view key,
+                                     const Query* query) const;
 
   // Queues `batches` as one contiguous run of commit requests, rides
   // the leader/follower group-commit protocol (becoming leader if the
@@ -430,12 +435,10 @@ class Engine {
 
   // The commit body: applies + validates every batch of `group` in
   // order against the current snapshot, appends the survivors as one
-  // WAL group record (when `log_to_wal` and attached), publishes one
-  // combined snapshot, and engages every request's `result`. WAL
-  // replay at Open(dir) runs it with log_to_wal=false (the record
-  // being replayed IS the log). Caller holds commit_mutex.
-  void CommitGroupLocked(const std::vector<detail::CommitRequest*>& group,
-                         bool log_to_wal);
+  // WAL group record (when a WAL is attached), publishes one combined
+  // snapshot, and engages every request's `result`. Caller holds
+  // commit_mutex.
+  void CommitGroupLocked(const std::vector<detail::CommitRequest*>& group);
 
   std::shared_ptr<detail::EngineState> state_;
 };

@@ -15,61 +15,41 @@ PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
   num_shards_ = capacity_ < kMaxShards ? capacity_ : kMaxShards;
   per_shard_capacity_ = (capacity_ + num_shards_ - 1) / num_shards_;
   shards_.reserve(num_shards_);
-  alias_shards_.reserve(num_shards_);
   for (size_t i = 0; i < num_shards_; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    alias_shards_.push_back(std::make_unique<Shard>());
   }
 }
 
-PlanCache::Shard& PlanCache::ShardFor(
-    std::vector<std::unique_ptr<Shard>>& shards, std::string_view key) {
-  return *shards[std::hash<std::string_view>{}(key) % num_shards_];
+PlanCache::Shard& PlanCache::ShardFor(std::string_view key) {
+  return *shards_[std::hash<std::string_view>{}(key) % num_shards_];
 }
 
-std::shared_ptr<const PreparedState> PlanCache::LookupIn(
-    std::vector<std::unique_ptr<Shard>>& shards, std::string_view key,
-    bool sequential_only) {
-  Shard& shard = ShardFor(shards, key);
+std::shared_ptr<const PreparedState> PlanCache::Lookup(std::string_view key,
+                                                       bool count_miss,
+                                                       bool sequential_only) {
+  if (!enabled()) return nullptr;
+  Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) return nullptr;
+  if (it == shard.index.end()) {
+    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
+  }
   const PreparedState& entry = *it->second->second;
   if (sequential_only && entry.plan.has_value() &&
       entry.plan->parallelism > 1) {
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  hits_.fetch_add(1, std::memory_order_relaxed);
   return it->second->second;
 }
 
-std::shared_ptr<const PreparedState> PlanCache::Lookup(std::string_view key) {
-  if (!enabled()) return nullptr;
-  std::shared_ptr<const PreparedState> entry = LookupIn(shards_, key);
-  if (entry == nullptr) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return entry;
-}
-
-std::shared_ptr<const PreparedState> PlanCache::LookupText(
-    std::string_view text, bool sequential_only) {
-  if (!enabled()) return nullptr;
-  std::shared_ptr<const PreparedState> entry =
-      LookupIn(alias_shards_, text, sequential_only);
-  // Only a hit is counted: on null the caller parses and falls through
-  // to the canonical Lookup, which scores this query exactly once.
-  if (entry != nullptr) hits_.fetch_add(1, std::memory_order_relaxed);
-  return entry;
-}
-
-void PlanCache::InsertIn(std::vector<std::unique_ptr<Shard>>& shards,
-                         const std::string& key,
-                         std::shared_ptr<const PreparedState> entry,
-                         uint64_t epoch_at_lookup, bool count_evictions) {
-  Shard& shard = ShardFor(shards, key);
+void PlanCache::Insert(const std::string& key,
+                       std::shared_ptr<const PreparedState> entry,
+                       uint64_t epoch_at_lookup) {
+  if (!enabled() || entry == nullptr) return;
+  Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   // A reload/recompile invalidated the cache while this plan was being
   // built: it may reference the dropped store, so never cache it. The
@@ -85,26 +65,10 @@ void PlanCache::InsertIn(std::vector<std::unique_ptr<Shard>>& shards,
   if (shard.lru.size() >= per_shard_capacity_) {
     shard.index.erase(shard.lru.back().first);
     shard.lru.pop_back();
-    if (count_evictions) evictions_.fetch_add(1, std::memory_order_relaxed);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   shard.lru.emplace_front(key, std::move(entry));
   shard.index.emplace(shard.lru.front().first, shard.lru.begin());
-}
-
-void PlanCache::Insert(const std::string& key,
-                       std::shared_ptr<const PreparedState> entry,
-                       uint64_t epoch_at_lookup) {
-  if (!enabled() || entry == nullptr) return;
-  InsertIn(shards_, key, std::move(entry), epoch_at_lookup,
-           /*count_evictions=*/true);
-}
-
-void PlanCache::InsertAlias(const std::string& text,
-                            std::shared_ptr<const PreparedState> entry,
-                            uint64_t epoch_at_lookup) {
-  if (!enabled() || entry == nullptr) return;
-  InsertIn(alias_shards_, text, std::move(entry), epoch_at_lookup,
-           /*count_evictions=*/false);
 }
 
 void PlanCache::Invalidate() {
@@ -113,15 +77,10 @@ void PlanCache::Invalidate() {
   // (which checks the epoch under its shard lock) can slip a
   // stale-epoch entry in after its shard was cleared.
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(num_shards_ * 2);
+  locks.reserve(num_shards_);
   for (auto& shard : shards_) locks.emplace_back(shard->mu);
-  for (auto& shard : alias_shards_) locks.emplace_back(shard->mu);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
   for (auto& shard : shards_) {
-    shard->index.clear();
-    shard->lru.clear();
-  }
-  for (auto& shard : alias_shards_) {
     shard->index.clear();
     shard->lru.clear();
   }
@@ -140,10 +99,6 @@ PlanCacheStats PlanCache::stats(bool count_entries) const {
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     out.entries += shard->lru.size();
-  }
-  for (const auto& shard : alias_shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.aliases += shard->lru.size();
   }
   return out;
 }

@@ -2,9 +2,12 @@
 // Engine::Execute call and by Engine::Prepare. Entries are the same
 // detail::PreparedState a PreparedQuery handle wraps: the parsed query,
 // its constraint retrieval + semantic transformation, and the physical
-// plan, pinned to the data snapshot they were planned against. Keys are
-// the canonicalized query text (CanonicalQueryKey), so textual variants
-// of one query coalesce onto one entry.
+// plan, pinned to the data snapshot they were planned against. The key
+// is the query text exactly as the caller sent it (a Query value is
+// keyed on its PrintQuery form), so a key needs no parse to compute and
+// no argument that two texts mean the same query: textual variants of
+// one query (other whitespace, reordered predicates) are separate
+// entries that return the same rows.
 //
 // Concurrency: every shard is guarded by its own mutex; the counters
 // are atomics. Lookup/Insert/Invalidate are safe from any number of
@@ -35,8 +38,7 @@ struct PlanCacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;      // LRU displacements (capacity pressure)
   uint64_t invalidations = 0;  // whole-cache clears (reloads, recompiles)
-  size_t entries = 0;          // currently cached plans (canonical keys)
-  size_t aliases = 0;          // raw-text aliases onto those plans
+  size_t entries = 0;          // currently cached plans
   size_t capacity = 0;         // 0 = caching disabled
   size_t shards = 0;
 };
@@ -61,20 +63,14 @@ class PlanCache {
   // the cache in between, the insert is dropped.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  // Returns the cached entry (refreshing its LRU position) or null.
-  // Counts a hit or a miss; on a disabled cache returns null without
-  // counting.
-  std::shared_ptr<const PreparedState> Lookup(std::string_view key);
-
-  // The serving fast path: an exact raw-text match skips parsing AND
-  // canonicalization. Counts a hit when found; a miss is NOT counted
-  // here (the caller falls through to the canonical Lookup, which
-  // counts exactly once per query).
-  // With `sequential_only`, an entry whose plan fans out across the
-  // morsel pool is treated as absent: not returned, not counted, and
-  // its LRU position left alone.
-  std::shared_ptr<const PreparedState> LookupText(
-      std::string_view text, bool sequential_only = false);
+  // Returns the cached entry (refreshing its LRU position) or null. A
+  // hit is always counted, a miss only with `count_miss`; on a disabled
+  // cache returns null without counting. With `sequential_only`, an
+  // entry whose plan fans out across the morsel pool is treated as
+  // absent: not returned, not counted, and its LRU position left alone.
+  std::shared_ptr<const PreparedState> Lookup(std::string_view key,
+                                              bool count_miss = true,
+                                              bool sequential_only = false);
 
   // Caches `entry` under `key` unless the epoch moved since
   // `epoch_at_lookup` (a concurrent invalidation) or the cache is
@@ -84,21 +80,13 @@ class PlanCache {
               std::shared_ptr<const PreparedState> entry,
               uint64_t epoch_at_lookup);
 
-  // Registers `text` as a raw-text alias resolving to `entry` (same
-  // epoch discipline as Insert). Aliases live in their own LRU shards
-  // with the same per-shard budget, so alias churn never evicts
-  // canonical plans.
-  void InsertAlias(const std::string& text,
-                   std::shared_ptr<const PreparedState> entry,
-                   uint64_t epoch_at_lookup);
-
   // Drops every entry and bumps the epoch. Called on Load (data
   // reload), AddConstraint/Recompile (catalog change), and
   // SetOptimizerOptions (plans depend on the optimizer knobs).
   void Invalidate();
 
   // `count_entries` walks every shard under its lock to count live
-  // entries/aliases; the per-query outcome snapshot passes false and
+  // entries; the per-query outcome snapshot passes false and
   // reports the atomic counters only.
   PlanCacheStats stats(bool count_entries = true) const;
 
@@ -116,21 +104,12 @@ class PlanCache {
         index;
   };
 
-  Shard& ShardFor(std::vector<std::unique_ptr<Shard>>& shards,
-                  std::string_view key);
-  std::shared_ptr<const PreparedState> LookupIn(
-      std::vector<std::unique_ptr<Shard>>& shards, std::string_view key,
-      bool sequential_only = false);
-  void InsertIn(std::vector<std::unique_ptr<Shard>>& shards,
-                const std::string& key,
-                std::shared_ptr<const PreparedState> entry,
-                uint64_t epoch_at_lookup, bool count_evictions);
+  Shard& ShardFor(std::string_view key);
 
   size_t capacity_ = 0;
   size_t num_shards_ = 0;
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Shard>> alias_shards_;
 
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> hits_{0};

@@ -66,13 +66,4 @@ std::string PrintQueryPretty(const Schema& schema, const Query& query) {
   return os.str();
 }
 
-std::string CanonicalQueryKey(const Schema& schema, const Query& query) {
-  Query normalized = query;
-  normalized.Normalize();
-  // Normalize() sorts the projection, but its order is the result's
-  // column order: {a, b} and {b, a} must not share a cached plan.
-  normalized.projection = query.projection;
-  return PrintQuery(schema, normalized);
-}
-
 }  // namespace sqopt

@@ -1014,7 +1014,6 @@ struct Server::Impl {
     put("plan_cache_evictions", pc.evictions);
     put("plan_cache_invalidations", pc.invalidations);
     put("plan_cache_entries", pc.entries);
-    put("plan_cache_aliases", pc.aliases);
     put("plan_cache_capacity", pc.capacity);
     put("plan_cache_shards", pc.shards);
     return out;

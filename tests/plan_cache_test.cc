@@ -1,5 +1,6 @@
-// Tests for the shared plan cache: transparent Execute hits, canonical
-// keying across textual variants, LRU eviction, counters in
+// Tests for the shared plan cache: transparent Execute hits, keying
+// on the text as sent (textual variants are separate entries with the
+// same answer, printed-form texts hit too), LRU eviction, counters in
 // QueryOutcome, and — most load-bearing — invalidation on data
 // reloads: a reload between two identical Executes must miss the cache
 // and never serve rows from the dropped store.
@@ -12,6 +13,7 @@
 
 #include "api/engine.h"
 #include "api/engine_impl.h"
+#include "query/query_printer.h"
 #include "tests/test_util.h"
 #include "workload/query_pool.h"
 
@@ -26,9 +28,11 @@ const char* kJoinQuery =
     "supplier.region = \"west\"} {supplies} {supplier, cargo}";
 const char* kSingleClassQuery =
     "{cargo.code} {} {cargo.desc = \"frozen food\"} {} {cargo}";
-// kSingleClassQuery with gratuitous whitespace: same canonical key.
+// kSingleClassQuery with gratuitous whitespace: another key, same rows.
 const char* kSingleClassQueryVariant =
     "{ cargo.code }  {} { cargo.desc = \"frozen food\" } {}  { cargo }";
+const char* kRatingQuery =
+    "{supplier.name} {} {supplier.rating >= 8} {} {supplier}";
 const char* kContradictionQuery =
     "{cargo.code} {} {vehicle.desc = \"refrigerated truck\", "
     "cargo.desc = \"fuel\"} {collects} {cargo, vehicle}";
@@ -99,19 +103,26 @@ TEST(PlanCacheUnitTest, DisabledCacheIsInert) {
   EXPECT_EQ(stats.capacity, 0u);
 }
 
-TEST(PlanCacheUnitTest, SequentialOnlyTextLookupSkipsParallelPlans) {
+TEST(PlanCacheUnitTest, SequentialOnlyLookupSkipsParallelPlans) {
   detail::PlanCache cache(/*capacity=*/8);
   auto parallel = std::make_shared<detail::PreparedState>();
   parallel->plan.emplace();
   parallel->plan->parallelism = 4;
-  cache.InsertAlias("wide", parallel, cache.epoch());
-  cache.InsertAlias("narrow", MakeEntry(), cache.epoch());
+  cache.Insert("wide", parallel, cache.epoch());
+  cache.Insert("narrow", MakeEntry(), cache.epoch());
 
-  EXPECT_EQ(cache.LookupText("wide", /*sequential_only=*/true), nullptr);
+  EXPECT_EQ(cache.Lookup("wide", /*count_miss=*/false,
+                         /*sequential_only=*/true),
+            nullptr);
   EXPECT_EQ(cache.stats().hits, 0u);  // skipped, not counted
-  EXPECT_NE(cache.LookupText("narrow", /*sequential_only=*/true), nullptr);
-  EXPECT_NE(cache.LookupText("wide"), nullptr);
+  EXPECT_NE(cache.Lookup("narrow", /*count_miss=*/false,
+                         /*sequential_only=*/true),
+            nullptr);
+  EXPECT_NE(cache.Lookup("wide"), nullptr);
   EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  // Without `count_miss` an absent key is not counted either.
+  EXPECT_EQ(cache.Lookup("absent", /*count_miss=*/false), nullptr);
   EXPECT_EQ(cache.stats().misses, 0u);
 }
 
@@ -137,8 +148,7 @@ TEST(PlanCacheEngineTest, ExecuteIfCachedServesOnlyRawTextHits) {
   EXPECT_EQ(warm.rows, direct.rows.rows);
   EXPECT_EQ(engine.plan_cache_stats().hits, hits + 1);
 
-  // The canonical entry alone is not enough: a textual variant has no
-  // raw-text alias yet.
+  // A textual variant is another key, not cached yet.
   ASSERT_OK(engine.Execute(kSingleClassQuery).status());
   ASSERT_OK_AND_ASSIGN(CachedAnswer variant,
                        engine.ExecuteIfCached(kSingleClassQueryVariant));
@@ -172,20 +182,53 @@ TEST(PlanCacheEngineTest, RawTextRepeatSkipsReparsing) {
   uint64_t parses_before = engine.stats().queries_parsed;
   ASSERT_OK_AND_ASSIGN(QueryOutcome repeat, engine.Execute(kJoinQuery));
   EXPECT_TRUE(repeat.plan_cache_hit);
-  // The exact-text fast path serves the repeat without re-parsing.
+  // The text is the key: the repeat is served without re-parsing.
   EXPECT_EQ(engine.stats().queries_parsed, parses_before);
-  EXPECT_EQ(engine.plan_cache_stats().aliases, 1u);
+  EXPECT_EQ(engine.plan_cache_stats().entries, 1u);
 }
 
-TEST(PlanCacheEngineTest, CanonicalKeyCoalescesTextualVariants) {
+// A text already in printed form (what PrintQuery and Explain's
+// `transformed:` line emit) is cached under itself like any other text:
+// its repeats skip parsing, and ExecuteIfCached serves it.
+TEST(PlanCacheEngineTest, PrintedFormTextIsCachedLikeAnyOther) {
+  Engine engine = OpenLoadedEngine();
+  ASSERT_OK_AND_ASSIGN(Query parsed, engine.Parse(kRatingQuery));
+  const std::string printed = PrintQuery(engine.schema(), parsed);
+  ASSERT_EQ(printed,
+            "(SELECT {supplier.name} {} {supplier.rating >= 8} {} "
+            "{supplier})");
+  const uint64_t parses_before = engine.stats().queries_parsed;
+  for (int call = 0; call < 3; ++call) {
+    ASSERT_OK_AND_ASSIGN(QueryOutcome out, engine.Execute(printed));
+    EXPECT_EQ(out.plan_cache_hit, call > 0) << "call " << call;
+    EXPECT_EQ(engine.stats().queries_parsed, parses_before + 1)
+        << "call " << call;
+  }
+  ASSERT_OK_AND_ASSIGN(CachedAnswer served, engine.ExecuteIfCached(printed));
+  EXPECT_TRUE(served.cached);
+  EXPECT_FALSE(served.rows.empty());
+  // A Query is keyed on its printed form, so it shares the entry.
+  ASSERT_OK_AND_ASSIGN(QueryOutcome as_query, engine.Execute(parsed));
+  EXPECT_TRUE(as_query.plan_cache_hit);
+  EXPECT_EQ(as_query.original, parsed);
+  EXPECT_EQ(engine.plan_cache_stats().entries, 1u);
+  // A malformed hand-built Query is refused before it is printed.
+  Query bad = parsed;
+  bad.classes.push_back(static_cast<ClassId>(engine.schema().num_classes()));
+  EXPECT_EQ(engine.Execute(bad).status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(engine.Prepare(bad).status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(PlanCacheEngineTest, TextualVariantsAreSeparateEntriesWithOneAnswer) {
   Engine engine = OpenLoadedEngine();
   ASSERT_OK_AND_ASSIGN(QueryOutcome first,
                        engine.Execute(kSingleClassQuery));
   ASSERT_OK_AND_ASSIGN(QueryOutcome variant,
                        engine.Execute(kSingleClassQueryVariant));
-  EXPECT_TRUE(variant.plan_cache_hit);
+  EXPECT_FALSE(variant.plan_cache_hit);
+  EXPECT_EQ(engine.plan_cache_stats().misses, 2u);
+  EXPECT_EQ(engine.plan_cache_stats().entries, 2u);
   EXPECT_TRUE(variant.rows.SameRows(first.rows));
-  EXPECT_EQ(engine.plan_cache_stats().entries, 1u);
 }
 
 // The projection's order is the result's column order, so a query and
@@ -311,9 +354,6 @@ TEST(PlanCacheEngineTest, ReloadInvalidatesAndNeverServesDroppedStore) {
 // --- Write-path epoching: Apply invalidates only when the commit's
 // statistics drift crosses ServeOptions::replan_threshold, and cached
 // plans that survive must serve the NEW snapshot's rows. ---
-
-const char* kRatingQuery =
-    "{supplier.name} {} {supplier.rating >= 8} {} {supplier}";
 
 TEST(PlanCacheEngineTest, ApplyBelowThresholdKeepsCacheAndRebindsData) {
   Engine engine = OpenLoadedEngine();

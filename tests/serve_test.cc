@@ -63,8 +63,8 @@ TEST(WorkerPoolTest, RunsEverySubmittedTask) {
 }
 
 // The end-to-end concurrency claim, checked under TSan in CI: Execute
-// from several caller threads and data reloads all run against one
-// engine at once. Rows must always be internally consistent — every
+// and ExecuteIfCached from several caller threads and data reloads all
+// run against one engine at once. Rows must always be internally consistent — every
 // query sees either the old or the new store, never a mix, and never a
 // use-after-free of a dropped store.
 TEST(ServeConcurrencyTest, ExecuteAndReloadRaceFree) {
@@ -116,6 +116,20 @@ TEST(ServeConcurrencyTest, ExecuteAndReloadRaceFree) {
           } else {
             check_rows(out->rows.rows.size());
           }
+        }
+      }
+    });
+  }
+  // Two threads taking the server's inline path on the same cache
+  // entry: each answer is "not cached" or a whole answer from one store.
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIterations * 3; ++i) {
+        auto answer = engine.ExecuteIfCached(kSingleClassQuery);
+        if (!answer.ok()) {
+          failures.fetch_add(1);
+        } else if (answer->cached) {
+          check_rows(answer->rows.size());
         }
       }
     });
