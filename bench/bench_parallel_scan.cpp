@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
     options.serve.threads = threads;
     options.serve.parallelism = parallelism;
     options.serve.morsel_size = morsel_size;
-    options.cost_params.morsel_rows = static_cast<double>(morsel_size);
     Engine engine = Unwrap(Engine::Open(SchemaSource::Experiment(),
                                         ConstraintSource::None(), options));
     Check(engine.Load(DataSource::Generated(spec, kSeed)));

@@ -874,17 +874,23 @@ void Engine::CommitGroupLocked(
   // publish is recovered by replay — the record carries the version
   // range this group will publish as, so recovery lands on the
   // identical state, whole group or none (one CRC frame).
+  //
+  // The record body is encoded once, and only when something takes it:
+  // the WAL frames these bytes and the replication tap ships them.
   uint64_t wal_micros = 0;
   uint64_t fsync_micros = 0;
+  const auto wal_start = Clock::now();
+  std::shared_ptr<const std::string> record;
+  if (state.wal != nullptr || state.commit_listener) {
+    std::vector<const MutationBatch*> batches;
+    batches.reserve(survivors.size());
+    for (PendingCommit* pc : survivors) batches.push_back(pc->req->batch);
+    record = std::make_shared<const std::string>(
+        persist::EncodeWalRecordPayload(base->version + 1, batches));
+  }
   if (state.wal != nullptr) {
-    std::vector<MutationBatch> logged;
-    logged.reserve(survivors.size());
-    for (PendingCommit* pc : survivors) logged.push_back(*pc->req->batch);
-    const auto wal_start = Clock::now();
-    Status appended =
-        state.wal->Append(base->version + 1, logged,
-                          state.options.serve.durability.fsync,
-                          &fsync_micros);
+    Status appended = state.wal->Append(
+        *record, state.options.serve.durability.fsync, &fsync_micros);
     wal_micros = micros(wal_start, Clock::now());
     if (!appended.ok()) {
       for (PendingCommit* pc : survivors) pc->req->result = appended;
@@ -1053,11 +1059,9 @@ void Engine::CommitGroupLocked(
   // Replication tap: the published group, in commit order, gap-free
   // (we still hold commit_mutex). Independent of WAL attachment so
   // in-memory leaders replicate too.
-  if (state.commit_listener && !survivors.empty()) {
-    std::vector<MutationBatch> committed;
-    committed.reserve(survivors.size());
-    for (PendingCommit* pc : survivors) committed.push_back(*pc->req->batch);
-    state.commit_listener(base_version + 1, committed);
+  if (state.commit_listener) {
+    state.commit_listener(base_version + 1, base_version + survivors.size(),
+                          std::move(record));
   }
 
   for (PendingCommit* pc : survivors) {

@@ -310,15 +310,18 @@ class Engine {
       std::span<const MutationBatch> batches);
 
   // Observer for committed groups, the leader-side replication tap:
-  // called after every published commit with the group's first
-  // snapshot version and its surviving batches, in commit order, while
-  // the commit lock is still held (so invocations are totally ordered
-  // and gap-free). Fires for every commit — durable or in-memory —
-  // but never during Open(dir) replay, so attaching after Open sees
-  // exactly the post-recovery suffix. Pass nullptr to detach. The
-  // callback must not re-enter Apply.
+  // called after every published commit with the group's snapshot
+  // versions [first_version, last_version] and its record, the WAL
+  // record body (persist::EncodeWalRecordPayload) the commit encoded
+  // once and, on a durable engine, also appended to its log. Calls
+  // come in commit order while the commit lock is still held (so they
+  // are totally ordered and gap-free). Fires for every commit —
+  // durable or in-memory — but never during Open(dir) replay, so
+  // attaching after Open sees exactly the post-recovery suffix. Pass
+  // nullptr to detach. The callback must not re-enter Apply.
   using CommitListener = std::function<void(
-      uint64_t first_version, const std::vector<MutationBatch>& batches)>;
+      uint64_t first_version, uint64_t last_version,
+      std::shared_ptr<const std::string> record)>;
   void SetCommitListener(CommitListener listener);
 
   // Adds one constraint and re-precompiles the catalog (closure +

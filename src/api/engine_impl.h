@@ -147,9 +147,9 @@ struct EngineState {
   std::string persist_dir;
 
   // Replication tap (Engine::SetCommitListener): invoked under
-  // commit_mutex after every published commit group with
-  // (first_version, surviving batches) — total order, no gaps.
-  std::function<void(uint64_t, const std::vector<MutationBatch>&)>
+  // commit_mutex after every published commit group with the group's
+  // version range and its encoded record — total order, no gaps.
+  std::function<void(uint64_t, uint64_t, std::shared_ptr<const std::string>)>
       commit_listener;
 
   // Shared plan cache for Execute/Prepare (internally synchronized).

@@ -6,7 +6,8 @@
 // deadlocking).
 //
 // Lives in common/ so the api/ engine can own the pool the exec/
-// morsel-parallel executor borrows, without a layering cycle.
+// morsel-parallel executor borrows, without a layering cycle. The
+// server runs its admitted requests on one too.
 #ifndef SQOPT_COMMON_WORKER_POOL_H_
 #define SQOPT_COMMON_WORKER_POOL_H_
 

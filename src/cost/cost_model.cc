@@ -5,6 +5,7 @@
 #include <set>
 
 #include "expr/implication.h"
+#include "storage/morsel.h"
 
 namespace sqopt {
 
@@ -258,15 +259,12 @@ double ParallelScanCost(double instances, int workers,
 }
 
 int ChooseScanParallelism(double instances, int max_parallelism,
-                          const CostModelParams& params,
-                          int64_t morsel_size) {
-  const double cap_rows = morsel_size > 0
-                              ? static_cast<double>(morsel_size)
-                              : params.morsel_rows;
-  if (max_parallelism <= 1 || instances <= 0 || cap_rows <= 0) {
-    return 1;
-  }
-  const double morsels = std::ceil(instances / cap_rows);
+                          const CostModelParams& params, int64_t morsel_size) {
+  if (max_parallelism <= 1 || instances <= 0) return 1;
+  // The executor cuts non-positive sizes at the default (MakeMorsels).
+  if (morsel_size <= 0) morsel_size = kDefaultMorselSize;
+  const double morsels =
+      std::ceil(instances / static_cast<double>(morsel_size));
   int cap = max_parallelism;
   if (morsels < static_cast<double>(cap)) cap = static_cast<int>(morsels);
   int best = 1;

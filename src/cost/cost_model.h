@@ -27,12 +27,6 @@ struct CostModelParams {
   double optimization_overhead = 0.0;
 
   // --- Morsel-parallel scan (exec/ fan-out of the driving step) ---
-  // Driving candidates per morsel when judging whether a scan is large
-  // enough to fan out. Deliberately its own knob (seeded from the
-  // executor default, kDefaultMorselSize) rather than tied to the
-  // ServeOptions morsel size: this one only gates the planner's
-  // decision.
-  double morsel_rows = 2048;
   // Cost units charged per additional scan worker (thread wake-up,
   // per-morsel scheduling, and the merge of its row batch).
   double parallel_fanout_overhead = 0.25;
@@ -103,12 +97,10 @@ double ParallelScanCost(double instances, int workers,
 // The degree of parallelism in [1, max_parallelism] minimizing
 // ParallelScanCost, additionally capped at one worker per morsel
 // (fewer morsels than workers would leave workers idle). `morsel_size`
-// is the executor's ACTUAL morsel size for the cap; non-positive falls
-// back to params.morsel_rows. Returns 1 (sequential) for small scans
-// or max_parallelism <= 1.
+// is the executor's morsel size for the cap. Returns 1 (sequential)
+// for small scans or max_parallelism <= 1.
 int ChooseScanParallelism(double instances, int max_parallelism,
-                          const CostModelParams& params,
-                          int64_t morsel_size = 0);
+                          const CostModelParams& params, int64_t morsel_size);
 
 }  // namespace sqopt
 

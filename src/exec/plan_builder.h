@@ -26,8 +26,8 @@ struct PlanningOptions {
   // Driving candidates per morsel, stamped into the plan for the
   // executor. Non-positive falls back to the default.
   int64_t morsel_size = kDefaultMorselSize;
-  // Supplies morsel_rows and parallel_fanout_overhead for the parallel
-  // decision (and keeps it consistent with the engine's cost model).
+  // Supplies parallel_fanout_overhead for the parallel decision (and
+  // keeps it consistent with the engine's cost model).
   CostModelParams cost_params;
 };
 

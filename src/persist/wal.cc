@@ -99,19 +99,28 @@ Status ReadMutationInto(ByteReader* r, MutationBatch* batch) {
                             std::to_string(static_cast<int>(kind)));
 }
 
-std::string EncodeRecordPayload(uint64_t first_version,
-                                const std::vector<MutationBatch>& batches) {
+std::string HeaderBytes() {
+  ByteWriter w;
+  for (char c : kMagic) w.PutU8(static_cast<uint8_t>(c));
+  w.PutU32(kWalFormatVersion);
+  return w.Take();
+}
+
+}  // namespace
+
+std::string EncodeWalRecordPayload(
+    uint64_t first_version, std::span<const MutationBatch* const> batches) {
   ByteWriter w;
   w.PutU64(first_version);
   w.PutU32(static_cast<uint32_t>(batches.size()));
-  for (const MutationBatch& batch : batches) {
-    w.PutU32(static_cast<uint32_t>(batch.ops().size()));
-    for (const Mutation& op : batch.ops()) PutMutation(&w, op);
+  for (const MutationBatch* batch : batches) {
+    w.PutU32(static_cast<uint32_t>(batch->ops().size()));
+    for (const Mutation& op : batch->ops()) PutMutation(&w, op);
   }
   return w.Take();
 }
 
-Result<WalRecord> DecodeRecordPayload(std::string_view payload) {
+Result<WalRecord> DecodeWalRecordPayload(std::string_view payload) {
   ByteReader r(payload);
   WalRecord record;
   SQOPT_ASSIGN_OR_RETURN(record.first_version, r.U64());
@@ -129,23 +138,6 @@ Result<WalRecord> DecodeRecordPayload(std::string_view payload) {
     return Status::Corruption("WAL record has trailing bytes");
   }
   return record;
-}
-
-std::string HeaderBytes() {
-  ByteWriter w;
-  for (char c : kMagic) w.PutU8(static_cast<uint8_t>(c));
-  w.PutU32(kWalFormatVersion);
-  return w.Take();
-}
-
-}  // namespace
-
-std::string EncodeWalRecordPayload(const WalRecord& record) {
-  return EncodeRecordPayload(record.first_version, record.batches);
-}
-
-Result<WalRecord> DecodeWalRecordPayload(std::string_view payload) {
-  return DecodeRecordPayload(payload);
 }
 
 std::string EncodeMutationBatch(const MutationBatch& batch) {
@@ -226,7 +218,7 @@ Result<WalReadResult> ReadWal(const std::string& path) {
     auto payload = r.Raw(*len);
     if (!payload.ok()) break;  // torn tail: record cut short
     if (Crc32(payload->data(), payload->size()) != *crc) break;
-    auto record = DecodeRecordPayload(*payload);
+    auto record = DecodeWalRecordPayload(*payload);
     if (!record.ok()) break;
     out.records.push_back(std::move(*record));
     out.valid_bytes =
@@ -289,11 +281,9 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(const std::string& path,
       new WalWriter(fd, path, size));
 }
 
-Status WalWriter::Append(uint64_t first_version,
-                         const std::vector<MutationBatch>& batches,
-                         bool fsync, uint64_t* fsync_micros) {
+Status WalWriter::Append(std::string_view payload, bool fsync,
+                         uint64_t* fsync_micros) {
   if (fsync_micros != nullptr) *fsync_micros = 0;
-  const std::string payload = EncodeRecordPayload(first_version, batches);
   ByteWriter w;
   w.PutU32(kRecordSentinel);
   w.PutU32(static_cast<uint32_t>(payload.size()));

@@ -12,7 +12,10 @@
 // a record spans the version range [first_version,
 // first_version + batches.size() - 1]. The single CRC frame makes the
 // group all-or-nothing on recovery: either every batch of the group
-// replays or none does (whole-group atomicity).
+// replays or none does (whole-group atomicity). The commit encodes a
+// group's payload once (EncodeWalRecordPayload): WalWriter::Append
+// frames those bytes, and the replication tap ships the same bytes
+// (replica/replication_log.h).
 //
 // Versioning keeps replay idempotent: recovery skips records whose
 // whole range is at or below the snapshot's version (a checkpoint
@@ -27,6 +30,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,12 +84,14 @@ struct WalReadResult {
 // both end the log there.
 Result<WalReadResult> ReadWal(const std::string& path);
 
-// The record payload codec, exposed for replication: the leader ships
-// exactly these bytes over the wire (inside a kReplicate response) and
-// the follower decodes them with the same rules recovery uses, so the
-// wire payload and the on-disk record body are byte-identical.
-// Decoding a truncated or mangled payload returns kCorruption.
-std::string EncodeWalRecordPayload(const WalRecord& record);
+// The record payload codec (batch i commits as first_version + i). The
+// leader ships exactly these bytes over the wire (inside a kReplicate
+// response) and the follower decodes them with the rules recovery
+// uses, so the wire payload and the on-disk record body are
+// byte-identical. Decoding a truncated or mangled payload returns
+// kCorruption.
+std::string EncodeWalRecordPayload(
+    uint64_t first_version, std::span<const MutationBatch* const> batches);
 Result<WalRecord> DecodeWalRecordPayload(std::string_view payload);
 
 // One batch's ops on the same codec record bodies use (u32 op count +
@@ -111,16 +117,15 @@ class WalWriter {
   static Result<std::unique_ptr<WalWriter>> Open(const std::string& path,
                                                  int64_t truncate_to = -1);
 
-  // Appends one CRC-framed group record covering `batches` (batch i
-  // commits as version `first_version + i`); flushes to the OS always,
+  // Appends one CRC-framed group record whose body is `payload` (an
+  // EncodeWalRecordPayload result); flushes to the OS always,
   // fsyncs when `fsync` (DurabilityOptions::fsync). On any error the
   // file is truncated back to its pre-append length, so a failed
   // append never leaves a half-record for recovery to trip on. When
   // `fsync_micros` is non-null it receives the wall-clock microseconds
   // the fsync call took (0 with fsync off) — the bench's bottleneck
   // attribution hook.
-  Status Append(uint64_t first_version,
-                const std::vector<MutationBatch>& batches, bool fsync,
+  Status Append(std::string_view payload, bool fsync,
                 uint64_t* fsync_micros = nullptr);
 
   // Cuts the log back to just its header — the checkpoint's final act,

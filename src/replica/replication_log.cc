@@ -1,5 +1,7 @@
 #include "replica/replication_log.h"
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "persist/wal.h"
@@ -9,27 +11,18 @@ namespace sqopt::replica {
 ReplicationLog::ReplicationLog(size_t max_records)
     : max_records_(max_records == 0 ? 1 : max_records) {}
 
-void ReplicationLog::Append(uint64_t first_version,
-                            const std::vector<MutationBatch>& batches) {
-  if (batches.empty()) return;
-  persist::WalRecord record;
-  record.first_version = first_version;
-  record.batches = batches;
-
-  EncodedRecord encoded;
-  encoded.first_version = first_version;
-  encoded.last_version = first_version + batches.size() - 1;
-  encoded.payload = persist::EncodeWalRecordPayload(record);
-
+void ReplicationLog::Append(EncodedRecord record) {
   std::function<void()> notify;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // The very first record pins the retention floor: a WAL primed
     // after a checkpoint starts mid-history, and a subscriber below
     // that point needs a re-seed, not a bogus "divergence" gap.
-    if (last_ == 0 && first_version > 0) floor_ = first_version - 1;
-    records_.push_back(std::move(encoded));
-    last_ = records_.back().last_version;
+    if (last_ == 0 && record.first_version > 0) {
+      floor_ = record.first_version - 1;
+    }
+    last_ = record.last_version;
+    records_.push_back(std::move(record));
     while (records_.size() > max_records_) {
       floor_ = records_.front().last_version;
       records_.pop_front();
@@ -43,16 +36,21 @@ Status ReplicationLog::PrimeFromWal(const std::string& path) {
   SQOPT_ASSIGN_OR_RETURN(persist::WalReadResult wal, persist::ReadWal(path));
   for (const persist::WalRecord& record : wal.records) {
     if (record.batches.empty()) continue;
-    Append(record.first_version, record.batches);
+    std::vector<const MutationBatch*> batches;
+    batches.reserve(record.batches.size());
+    for (const MutationBatch& batch : record.batches) batches.push_back(&batch);
+    Append({record.first_version, record.last_version(),
+            std::make_shared<const std::string>(persist::EncodeWalRecordPayload(
+                record.first_version, batches))});
   }
   return Status::OK();
 }
 
 void ReplicationLog::AttachTo(Engine* engine) {
   engine->SetCommitListener(
-      [this](uint64_t first_version,
-             const std::vector<MutationBatch>& batches) {
-        Append(first_version, batches);
+      [this](uint64_t first_version, uint64_t last_version,
+             std::shared_ptr<const std::string> record) {
+        Append({first_version, last_version, std::move(record)});
       });
 }
 
@@ -66,12 +64,11 @@ Result<std::vector<EncodedRecord>> ReplicationLog::ReadFrom(
         std::to_string(floor_) +
         "): re-seed the follower from a leader snapshot");
   }
-  std::vector<EncodedRecord> out;
-  for (const EncodedRecord& record : records_) {
-    if (record.last_version <= from_version) continue;
-    out.push_back(record);
-  }
-  return out;
+  const auto first = std::partition_point(
+      records_.begin(), records_.end(), [from_version](const EncodedRecord& r) {
+        return r.last_version <= from_version;
+      });
+  return std::vector<EncodedRecord>(first, records_.end());
 }
 
 uint64_t ReplicationLog::last_version() const {

@@ -1,18 +1,21 @@
 // The leader side of WAL-shipping replication: an in-memory tail of
-// committed commit-group records, encoded exactly as the on-disk WAL
-// frames them (persist::EncodeWalRecordPayload), so what a follower
-// receives over the wire is byte-identical to what crash recovery
-// would read from the leader's log.
+// committed commit-group records, each the WAL record body the commit
+// encoded once (persist::EncodeWalRecordPayload) and shared, not
+// copied, with the log and every subscriber. What a follower receives
+// over the wire is byte-identical to what crash recovery would read
+// from the leader's log.
 //
 // Feed it two ways, both totally ordered:
 //   - AttachTo(engine): taps Engine::SetCommitListener, so every
-//     published commit group appends one record (under the engine's
-//     commit lock — gap-free by construction).
+//     published commit group appends its record (under the engine's
+//     commit lock — gap-free by construction; nothing is encoded here).
 //   - PrimeFromWal(path): loads the committed suffix a restarted
 //     leader still has on disk, so followers that were mid-stream can
 //     resume without a re-seed as long as the leader hasn't
 //     checkpointed past them.
 //
+// Records are held in version order, so ReadFrom finds a subscriber's
+// first needed record by binary search and hands out shared payloads.
 // Retention is bounded (max_records): the log drops its oldest records
 // and advances floor_version. A subscriber whose version is below the
 // floor gets a typed kOutOfRange — it must re-seed from a snapshot
@@ -24,12 +27,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "api/engine.h"
-#include "api/mutation.h"
 #include "common/status.h"
 
 namespace sqopt::replica {
@@ -39,18 +42,17 @@ namespace sqopt::replica {
 struct EncodedRecord {
   uint64_t first_version = 0;
   uint64_t last_version = 0;
-  std::string payload;
+  std::shared_ptr<const std::string> payload;
 };
 
 class ReplicationLog {
  public:
   explicit ReplicationLog(size_t max_records = 65536);
 
-  // Appends one committed group (batch i committed as
-  // first_version + i). Thread-safe; calls the notifier (outside the
-  // lock) after the record is readable.
-  void Append(uint64_t first_version,
-              const std::vector<MutationBatch>& batches);
+  // Appends one committed group, which must continue the retained
+  // versions. Thread-safe; calls the notifier (outside the lock) after
+  // the record is readable.
+  void Append(EncodedRecord record);
 
   // Loads the valid record prefix of the WAL at `path` (a restarted
   // leader's committed suffix). Must be called before subscribers
@@ -64,7 +66,7 @@ class ReplicationLog {
   void AttachTo(Engine* engine);
 
   // Every retained record covering versions past `from_version`, in
-  // order. A subscriber below the retention floor gets kOutOfRange
+  // order, sharing the log's payloads. A subscriber below the retention floor gets kOutOfRange
   // (re-seed from snapshot); a subscriber at or past the tip gets an
   // empty vector (nothing to ship yet).
   Result<std::vector<EncodedRecord>> ReadFrom(uint64_t from_version) const;

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -160,20 +159,9 @@ struct Server::Impl {
 
   // Fixed at Start: one per hardware thread, capped at 16.
   std::vector<std::unique_ptr<Loop>> loops;
-  std::atomic<size_t> loops_running{0};
-  std::vector<std::thread> workers;
-
-  // Admission queue (loops push, workers pop).
-  struct Task {
-    std::shared_ptr<Conn> conn;
-    Request request;
-    Clock::time_point deadline;
-    uint64_t slot = kNoSlot;  // the answer's place in conn->owed
-  };
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<Task> queue;
-  bool stop_workers = false;
+  // Runs admitted requests; `threads` workers. Destroyed in Await after
+  // the loops, which exit only once every admitted request is answered.
+  std::unique_ptr<WorkerPool> pool;
 
   // Replication subscribers. Pumped from the loops (at subscribe time)
   // AND from committing threads (the log's notifier), so the
@@ -343,52 +331,42 @@ struct Server::Impl {
     }
   }
 
-  void WorkerLoop() {
-    for (;;) {
-      Task task;
-      {
-        std::unique_lock<std::mutex> lock(queue_mu);
-        queue_cv.wait(lock, [&] { return stop_workers || !queue.empty(); });
-        if (queue.empty()) return;  // only reachable when stopping
-        task = std::move(queue.front());
-        queue.pop_front();
-        queue_depth.store(queue.size(), std::memory_order_relaxed);
+  // One admitted request, on a pool worker.
+  void RunAdmitted(const std::shared_ptr<Conn>& conn, const Request& request,
+                   Clock::time_point deadline, uint64_t slot) {
+    queue_depth.fetch_sub(1, std::memory_order_relaxed);
+    // The deadline covers queue wait for EVERY request type, not
+    // just queries: a saturated server answers an expired kStats or
+    // kApply with kTimeout instead of executing it late.
+    Response response;
+    response.type = request.type;
+    if (Clock::now() > deadline) {
+      timed_out.fetch_add(1, std::memory_order_relaxed);
+      response.code = StatusCode::kTimeout;
+      response.message = "deadline expired before execution started";
+    } else {
+      if (opts.execute_delay_ms > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(opts.execute_delay_ms));
       }
-
-      // The deadline covers queue wait for EVERY request type, not
-      // just queries: a saturated server answers an expired kStats or
-      // kApply with kTimeout instead of executing it late.
-      Response response;
-      response.type = task.request.type;
-      if (Clock::now() > task.deadline) {
-        timed_out.fetch_add(1, std::memory_order_relaxed);
-        response.code = StatusCode::kTimeout;
-        response.message = "deadline expired before execution started";
-      } else {
-        if (opts.execute_delay_ms > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(opts.execute_delay_ms));
-        }
-        Execute(task.request, &response);
-      }
-      // The worker sends its own answer when it can, and wakes at most
-      // once: every loop, so paused reads resume once the queue has
-      // drained to half the watermark; otherwise the connection's own
-      // loop, for bytes the socket did not take or so a drain rechecks
-      // its exit condition. The count drops first, so the woken loop
-      // sees this request finished.
-      Conn& conn = *task.conn;
-      const bool unsent =
-          Post(conn, EncodeResponse(response), task.slot, /*direct=*/true);
-      conn.inflight.fetch_sub(1, std::memory_order_release);
-      const bool resume =
-          reads_paused.load(std::memory_order_relaxed) &&
-          queue_depth.load(std::memory_order_relaxed) <= watermark / 2;
-      if (resume) {
-        WakeAll();
-      } else if (unsent || draining.load(std::memory_order_relaxed)) {
-        conn.loop->Wake();
-      }
+      Execute(request, &response);
+    }
+    // The worker sends its own answer when it can, and wakes at most
+    // once: every loop, so paused reads resume once the queue has
+    // drained to half the watermark; otherwise the connection's own
+    // loop, for bytes the socket did not take or so a drain rechecks
+    // its exit condition. The count drops first, so the woken loop
+    // sees this request finished.
+    const bool unsent =
+        Post(*conn, EncodeResponse(response), slot, /*direct=*/true);
+    conn->inflight.fetch_sub(1, std::memory_order_release);
+    const bool resume =
+        reads_paused.load(std::memory_order_relaxed) &&
+        queue_depth.load(std::memory_order_relaxed) <= watermark / 2;
+    if (resume) {
+      WakeAll();
+    } else if (unsent || draining.load(std::memory_order_relaxed)) {
+      conn->loop->Wake();
     }
   }
 
@@ -407,45 +385,41 @@ struct Server::Impl {
     uint32_t deadline_ms = request.deadline_ms == 0
                                ? opts.default_deadline_ms
                                : std::min(request.deadline_ms, kMaxDeadlineMs);
-    const RequestType type = request.type;
-    Task task;
-    task.conn = conn;
-    task.request = std::move(request);
-    task.deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(deadline_ms);
+    uint64_t slot = 0;
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      task.slot = conn->owed_base + conn->owed.size();
+      slot = conn->owed_base + conn->owed.size();
       conn->owed.emplace_back();
     }
-    const uint64_t slot = task.slot;
-    bool admitted = false;
-    {
-      // The bound is checked under the queue lock: every loop admits,
-      // and it holds for all of them together.
-      std::lock_guard<std::mutex> lock(queue_mu);
-      if (queue.size() < opts.max_queue) {
-        admitted = true;
-        conn->inflight.fetch_add(1, std::memory_order_relaxed);
-        queue.push_back(std::move(task));
-        const uint64_t depth = queue.size();
-        queue_depth.store(depth, std::memory_order_relaxed);
-        if (depth > queue_depth_hwm.load(std::memory_order_relaxed)) {
-          queue_depth_hwm.store(depth, std::memory_order_relaxed);
-        }
+    // Every loop admits, so the bound holds for all of them together:
+    // a slot in the queue is taken only while the count is below it.
+    uint64_t depth = queue_depth.load(std::memory_order_relaxed);
+    do {
+      if (depth >= opts.max_queue) {
+        // Refused in the slot it reserved, so later answers stay behind
+        // it.
+        rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
+        Post(*conn,
+             EncodeResponse(ErrorResponse(
+                 request.type,
+                 Status::Overloaded("admission queue full (" +
+                                    std::to_string(opts.max_queue) +
+                                    " requests)"))),
+             slot, /*direct=*/false);
+        return;
       }
+    } while (!queue_depth.compare_exchange_weak(depth, depth + 1,
+                                                std::memory_order_relaxed));
+    uint64_t hwm = queue_depth_hwm.load(std::memory_order_relaxed);
+    while (depth + 1 > hwm && !queue_depth_hwm.compare_exchange_weak(
+                                  hwm, depth + 1, std::memory_order_relaxed)) {
     }
-    if (!admitted) {
-      // Refused in the slot it reserved, so later answers stay behind it.
-      rejected_overloaded.fetch_add(1, std::memory_order_relaxed);
-      Post(*conn,
-           EncodeResponse(ErrorResponse(
-               type, Status::Overloaded("admission queue full (" +
-                                        std::to_string(opts.max_queue) +
-                                        " requests)"))),
-           slot, /*direct=*/false);
-      return;
-    }
-    queue_cv.notify_one();
+    conn->inflight.fetch_add(1, std::memory_order_relaxed);
+    pool->Submit([this, conn, request = std::move(request), deadline, slot] {
+      RunAdmitted(conn, request, deadline, slot);
+    });
   }
 
   // Runs a query on the owning loop when the engine holds a cached,
@@ -595,7 +569,7 @@ struct Server::Impl {
     // A cached, sequential query runs to completion right here.
     // Everything else — misses, stats, pings, applies, checkpoints —
     // goes through admission, so backpressure, overload rejection,
-    // and the dequeue-time deadline check apply uniformly.
+    // and the start-time deadline check apply uniformly.
     if (request->type == RequestType::kQuery &&
         ServeInline(conn, request->query_text, inline_allowed)) {
       return;
@@ -636,7 +610,7 @@ struct Server::Impl {
         Response r;
         r.type = RequestType::kReplicate;
         r.first_version = record.first_version;
-        r.wal_record = record.payload;
+        r.wal_record = *record.payload;
         Push(*it->conn, r);
         it->version = record.last_version;
         records_replicated.fetch_add(1, std::memory_order_relaxed);
@@ -941,8 +915,7 @@ struct Server::Impl {
 
     // Drained: every request admitted for this loop's connections was
     // answered and flushed. Close what's left, including connections
-    // handed over too late to be adopted; the last loop out stops the
-    // workers.
+    // handed over too late to be adopted.
     {
       std::lock_guard<std::mutex> lock(loop.handoff_mu);
       loop.exited = true;
@@ -956,13 +929,6 @@ struct Server::Impl {
     if (acceptor) {
       ::close(listen_fd);
       listen_fd = -1;
-    }
-    if (loops_running.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      {
-        std::lock_guard<std::mutex> lock(queue_mu);
-        stop_workers = true;
-      }
-      queue_cv.notify_all();
     }
   }
 
@@ -1109,11 +1075,7 @@ Result<std::unique_ptr<Server>> Server::Start(
     // Await() once the threads are joined.
     replication->SetNotifier([raw] { raw->PumpReplication(); });
   }
-  impl->workers.reserve(static_cast<size_t>(options.threads));
-  for (int i = 0; i < options.threads; ++i) {
-    impl->workers.emplace_back([raw] { raw->WorkerLoop(); });
-  }
-  impl->loops_running.store(impl->loops.size());
+  impl->pool = std::make_unique<WorkerPool>(options.threads);
   // Loop 0 starts the others, off the caller's path: Start costs the
   // same thread creations whatever the loop count, and a connection
   // handed to a loop that is not running yet waits in its hand-over.
@@ -1142,9 +1104,7 @@ void Server::Await() {
   for (const auto& loop : impl_->loops) {
     if (loop->thread.joinable()) loop->thread.join();
   }
-  for (std::thread& w : impl_->workers) {
-    if (w.joinable()) w.join();
-  }
+  impl_->pool.reset();
   // Commits after shutdown must not pump a dead server.
   if (impl_->replication != nullptr) impl_->replication->SetNotifier(nullptr);
 }

@@ -6,14 +6,15 @@
 // loop with the fewest. A query whose text has a cached sequential plan
 // runs to completion on the loop that owns its connection when nothing
 // is queued ahead of it (at most one connection's per poll pass of that
-// loop, so a backlog still reaches the pool); a fixed worker pool
-// executes everything else that is admitted, against the same engine
-// and therefore the same plan cache. Workers send their own answers when
-// the connection has nothing else waiting to go out, and every
-// connection's answers leave in request order.
+// loop, so a backlog still reaches the pool); a WorkerPool of
+// ServerOptions::threads workers executes everything else that is
+// admitted, against the same engine and therefore the same plan cache.
+// Workers send their own answers when the connection has nothing else
+// waiting to go out, and every connection's answers leave in request
+// order.
 //
-// Admission control: decoded query requests enter a bounded queue.
-// A full queue rejects the request immediately with a typed
+// Admission control: a bounded count of admitted requests not yet
+// started. A full queue rejects the request immediately with a typed
 // kOverloaded response (the request is never executed, memory stays
 // bounded); at the configurable backpressure watermark every loop
 // additionally stops reading request bytes until the queue drains,

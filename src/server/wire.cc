@@ -89,14 +89,6 @@ std::string EncodeFrame(std::string_view payload) {
   return FinishFrame(&w);
 }
 
-std::string EncodeMutationOps(const MutationBatch& batch) {
-  return persist::EncodeMutationBatch(batch);
-}
-
-Result<MutationBatch> DecodeMutationOps(std::string_view bytes) {
-  return persist::DecodeMutationBatch(bytes);
-}
-
 std::string EncodeRequest(const Request& request, uint32_t protocol_version) {
   ByteWriter w = StartFrame();
   w.PutU8(static_cast<uint8_t>(request.type));

@@ -37,7 +37,7 @@
 //   u8  type           (any RequestType except kReplicate)
 //   u32 deadline_ms    ALL types (0 = server default); absent for kHello
 //   -- kQuery --    string query_text
-//   -- kApply --    string batch  (persist serde, see EncodeMutationOps)
+//   -- kApply --    string batch  (persist::EncodeMutationBatch)
 //   -- kSubscribe -- u64 from_version (subscriber's current snapshot
 //                    version; streaming starts at from_version + 1)
 //   -- kStats / kPing / kCheckpoint -- nothing further
@@ -183,11 +183,6 @@ std::string EncodeResponse(const Response& response);
 Result<Request> DecodeRequest(std::string_view payload,
                               uint32_t protocol_version = kProtocolVersionMin);
 Result<Response> DecodeResponse(std::string_view payload);
-
-// MutationBatch <-> bytes on the persist serde conventions (the same
-// op encoding WAL records use). Exposed for kApply and its tests.
-std::string EncodeMutationOps(const MutationBatch& batch);
-Result<MutationBatch> DecodeMutationOps(std::string_view bytes);
 
 // Incremental frame extraction from a byte stream: Append() received
 // bytes, then call Next() until it returns kNeedMore. One FrameReader

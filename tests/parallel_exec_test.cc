@@ -46,17 +46,17 @@ std::vector<std::string> RowKeys(const ResultSet& rs) {
 
 TEST(ChooseScanParallelismTest, SmallScansStaySequential) {
   CostModelParams params;
-  EXPECT_EQ(ChooseScanParallelism(100, 8, params), 1);
-  EXPECT_EQ(ChooseScanParallelism(0, 8, params), 1);
-  EXPECT_EQ(ChooseScanParallelism(1 << 20, 1, params), 1);
-  EXPECT_EQ(ChooseScanParallelism(1 << 20, 0, params), 1);
+  EXPECT_EQ(ChooseScanParallelism(100, 8, params, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(0, 8, params, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(1 << 20, 1, params, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(1 << 20, 0, params, kDefaultMorselSize), 1);
 }
 
 TEST(ChooseScanParallelismTest, LargeScansFanOutCappedByMorselCount) {
   CostModelParams params;
-  EXPECT_EQ(ChooseScanParallelism(1 << 20, 8, params), 8);
+  EXPECT_EQ(ChooseScanParallelism(1 << 20, 8, params, kDefaultMorselSize), 8);
   // 5000 candidates = 3 morsels of 2048 -> at most 3 useful workers.
-  EXPECT_EQ(ChooseScanParallelism(5000, 8, params), 3);
+  EXPECT_EQ(ChooseScanParallelism(5000, 8, params, kDefaultMorselSize), 3);
 }
 
 TEST(ChooseScanParallelismTest, FanOutNeverCheaperOnTinyScans) {
@@ -267,8 +267,7 @@ EngineOptions ParallelEngineOptions(int parallelism) {
   options.serve.parallelism = parallelism;
   options.serve.threads = 8;
   options.serve.morsel_size = 4;
-  // Gate thresholds scaled down so the 64-row test store fans out.
-  options.cost_params.morsel_rows = 4;
+  // Fan-out made free so the 64-row test store fans out.
   options.cost_params.parallel_fanout_overhead = 0.0;
   return options;
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "persist/wal.h"
 #include "replica/follower.h"
 #include "replica/replication_log.h"
 #include "server/client.h"
@@ -79,6 +80,14 @@ void ExpectConverged(const Engine& a, const Engine& b) {
     ASSERT_TRUE(ra.ok() && rb.ok()) << text;
     EXPECT_TRUE(ra->rows.SameDistinctRows(rb->rows)) << "diverged on " << text;
   }
+}
+
+// A one-batch log record committed as `version`.
+EncodedRecord Record(uint64_t version, const MutationBatch& batch) {
+  const MutationBatch* batches[] = {&batch};
+  return {version, version,
+          std::make_shared<const std::string>(
+              persist::EncodeWalRecordPayload(version, batches))};
 }
 
 void AwaitHalt(const FollowerApplier& applier, int timeout_ms = 5000) {
@@ -326,8 +335,8 @@ TEST(ReplicaTest, GapInStreamHaltsFollowerAsDivergence) {
 
   // A hand-built log with a hole: versions 3..4 never shipped.
   ReplicationLog log;
-  log.Append(2, {b1});
-  log.Append(5, {b2});
+  log.Append(Record(2, b1));
+  log.Append(Record(5, b2));
   std::unique_ptr<Server> server = StartServer(&leader, {}, &log);
 
   FollowerOptions fopts;
@@ -354,7 +363,7 @@ TEST(ReplicaTest, RetentionFloorDemandsReseed) {
   // A log whose first retained record starts far past the follower:
   // the follower's version 1 is below the retention floor.
   ReplicationLog log;
-  log.Append(10, {batch});
+  log.Append(Record(10, batch));
   EXPECT_EQ(log.floor_version(), 9u);
   std::unique_ptr<Server> server = StartServer(&leader, {}, &log);
 
@@ -370,6 +379,42 @@ TEST(ReplicaTest, RetentionFloorDemandsReseed) {
   EXPECT_NE(halted.message().find("re-seed"), std::string::npos)
       << halted.ToString();
   EXPECT_EQ(follower.data_version(), 1u);  // nothing applied
+}
+
+TEST(ReplicaTest, LogReadsFromItsMiddleAndPrunesToItsBound) {
+  Engine engine = OpenLoadedEngine();
+  MutationScript script(&engine.schema(), BaseRows(engine), kSeed);
+  ASSERT_OK_AND_ASSIGN(MutationBatch batch, script.Next());
+
+  // Five records at versions 2..6 into a log that keeps three: 2 and 3
+  // are dropped, and the floor is the last dropped version.
+  ReplicationLog log(/*max_records=*/3);
+  std::vector<std::shared_ptr<const std::string>> payloads;
+  for (uint64_t version = 2; version <= 6; ++version) {
+    EncodedRecord record = Record(version, batch);
+    payloads.push_back(record.payload);
+    log.Append(std::move(record));
+  }
+  EXPECT_EQ(log.record_count(), 3u);
+  EXPECT_EQ(log.floor_version(), 3u);
+  EXPECT_EQ(log.last_version(), 6u);
+
+  ASSERT_OK_AND_ASSIGN(std::vector<EncodedRecord> from3, log.ReadFrom(3));
+  ASSERT_EQ(from3.size(), 3u);
+  for (size_t i = 0; i < from3.size(); ++i) {
+    EXPECT_EQ(from3[i].first_version, 4 + i);
+    EXPECT_EQ(from3[i].last_version, 4 + i);
+    // The log hands out the appended bytes, not a copy.
+    EXPECT_EQ(from3[i].payload, payloads[2 + i]);
+  }
+  ASSERT_OK_AND_ASSIGN(std::vector<EncodedRecord> from5, log.ReadFrom(5));
+  ASSERT_EQ(from5.size(), 1u);
+  EXPECT_EQ(from5[0].first_version, 6u);
+  ASSERT_OK_AND_ASSIGN(std::vector<EncodedRecord> from6, log.ReadFrom(6));
+  EXPECT_TRUE(from6.empty());
+  const auto below = log.ReadFrom(2);
+  ASSERT_FALSE(below.ok());
+  EXPECT_EQ(below.status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

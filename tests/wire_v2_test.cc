@@ -13,6 +13,7 @@
 
 #include "api/engine.h"
 #include "persist/serde.h"
+#include "persist/wal.h"
 #include "server/wire.h"
 #include "tests/test_util.h"
 #include "workload/mutation_script.h"
@@ -88,8 +89,8 @@ TEST(WireV2Test, ApplyRequestRoundtripsTheBatch) {
   ASSERT_EQ(decoded.batch.ops().size(), request.batch.ops().size());
   // Re-encoding the decoded batch must be byte-identical — the serde
   // is canonical, which is what lets followers compare WAL payloads.
-  EXPECT_EQ(EncodeMutationOps(decoded.batch),
-            EncodeMutationOps(request.batch));
+  EXPECT_EQ(persist::EncodeMutationBatch(decoded.batch),
+            persist::EncodeMutationBatch(request.batch));
 }
 
 TEST(WireV2Test, SubscribeAndCheckpointRoundtrip) {
@@ -241,16 +242,17 @@ TEST(WireV2Test, TruncatedReplicatePushesAreTypedAtEveryOffset) {
 }
 
 TEST(WireV2Test, MutationOpsSerdeTruncationSweep) {
-  const std::string encoded = EncodeMutationOps(ScriptBatch());
+  const std::string encoded = persist::EncodeMutationBatch(ScriptBatch());
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    auto decoded = DecodeMutationOps(
+    auto decoded = persist::DecodeMutationBatch(
         std::string_view(encoded).substr(0, cut));
     ASSERT_FALSE(decoded.ok()) << "cut at " << cut;
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
         << "cut at " << cut;
   }
-  ASSERT_OK_AND_ASSIGN(MutationBatch whole, DecodeMutationOps(encoded));
-  EXPECT_EQ(EncodeMutationOps(whole), encoded);
+  ASSERT_OK_AND_ASSIGN(MutationBatch whole,
+                       persist::DecodeMutationBatch(encoded));
+  EXPECT_EQ(persist::EncodeMutationBatch(whole), encoded);
 }
 
 }  // namespace
