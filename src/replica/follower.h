@@ -1,8 +1,9 @@
 // The follower side of WAL-shipping replication: a background thread
-// that connects to a leader, negotiates wire v2, subscribes from the
-// local engine's own data_version(), and replays every received WAL
-// group record through the ordinary Apply path — a crash-recovery in
-// slow motion, over a socket.
+// that connects to a leader, checks with HELLO that the leader speaks
+// this build's wire protocol version (a refusal halts the applier),
+// subscribes from the local engine's own data_version(), and replays
+// every received WAL group record through the ordinary Apply path — a
+// crash-recovery in slow motion, over a socket.
 //
 // Version rules are EXACTLY recovery's (engine.cc Open replay):
 //   - a record whose whole range is at or below the local version is

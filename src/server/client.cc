@@ -53,9 +53,7 @@ Result<Client> Client::Connect(const std::string& host, int port,
 }
 
 Client::Client(Client&& other) noexcept
-    : fd_(other.fd_),
-      reader_(std::move(other.reader_)),
-      protocol_(other.protocol_) {
+    : fd_(other.fd_), reader_(std::move(other.reader_)) {
   other.fd_ = -1;
 }
 
@@ -64,7 +62,6 @@ Client& Client::operator=(Client&& other) noexcept {
     Close();
     fd_ = other.fd_;
     reader_ = std::move(other.reader_);
-    protocol_ = other.protocol_;
     other.fd_ = -1;
   }
   return *this;
@@ -127,7 +124,7 @@ Result<Response> Client::ReceiveResponse() {
 }
 
 Result<Response> Client::Call(const Request& request) {
-  SQOPT_RETURN_IF_ERROR(SendRaw(EncodeRequest(request, protocol_)));
+  SQOPT_RETURN_IF_ERROR(SendRaw(EncodeRequest(request)));
   return ReceiveResponse();
 }
 
@@ -158,17 +155,11 @@ Result<Response> Client::Hello(uint32_t version) {
   Request request;
   request.type = RequestType::kHello;
   request.protocol_version = version;
-  SQOPT_ASSIGN_OR_RETURN(Response response, Call(request));
-  if (response.ok()) protocol_ = response.protocol_version;
-  return response;
+  return Call(request);
 }
 
 Result<Response> Client::Apply(const MutationBatch& batch,
                                uint32_t deadline_ms) {
-  if (protocol_ < 2) {
-    return Status::UnsupportedVersion(
-        "Apply requires wire protocol v2: call Hello() first");
-  }
   Request request;
   request.type = RequestType::kApply;
   request.deadline_ms = deadline_ms;
@@ -177,10 +168,6 @@ Result<Response> Client::Apply(const MutationBatch& batch,
 }
 
 Status Client::Checkpoint(uint32_t deadline_ms) {
-  if (protocol_ < 2) {
-    return Status::UnsupportedVersion(
-        "Checkpoint requires wire protocol v2: call Hello() first");
-  }
   Request request;
   request.type = RequestType::kCheckpoint;
   request.deadline_ms = deadline_ms;
@@ -189,10 +176,6 @@ Status Client::Checkpoint(uint32_t deadline_ms) {
 }
 
 Result<Response> Client::Subscribe(uint64_t from_version) {
-  if (protocol_ < 2) {
-    return Status::UnsupportedVersion(
-        "Subscribe requires wire protocol v2: call Hello() first");
-  }
   Request request;
   request.type = RequestType::kSubscribe;
   request.from_version = from_version;

@@ -40,13 +40,12 @@ class Client {
   Result<std::string> Stats();
   Status Ping();
 
-  // Negotiates the wire protocol up (v2 by default). On success every
-  // subsequent request encodes with the negotiated version — required
-  // before Apply/Subscribe/Checkpoint. A v2-only server answers any
-  // pre-HELLO request with kUnsupportedVersion and closes.
-  Result<Response> Hello(uint32_t version = kProtocolVersionMax);
+  // Checks that the server speaks `version`: OK (with its feature
+  // bits) when it does, else a typed kUnsupportedVersion, after which
+  // the server closes the connection. No request needs it first.
+  Result<Response> Hello(uint32_t version = kProtocolVersion);
 
-  // v2 write surface. The Response carries the typed outcome
+  // Write surface. The Response carries the typed outcome
   // (snapshot_version, inserted rows) or the server's rejection code.
   Result<Response> Apply(const MutationBatch& batch,
                          uint32_t deadline_ms = 0);
@@ -57,8 +56,9 @@ class Client {
   // ReceiveResponse) starting at from_version + 1.
   Result<Response> Subscribe(uint64_t from_version);
 
-  // The protocol this connection negotiated (1 until Hello succeeds).
-  uint32_t protocol() const { return protocol_; }
+  // Always kProtocolVersion. Kept only for perfbench/workloads.cc,
+  // which passes it to EncodeRequest; delete it with that overload.
+  uint32_t protocol() const { return kProtocolVersion; }
 
   // Raw access for protocol tests: send arbitrary bytes / read one
   // framed response off the wire.
@@ -73,7 +73,6 @@ class Client {
 
   int fd_ = -1;
   FrameReader reader_;
-  uint32_t protocol_ = kProtocolVersionMin;
 };
 
 }  // namespace sqopt::server

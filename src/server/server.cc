@@ -90,8 +90,6 @@ struct Conn {
 
   // --- Owning-loop-only state. ---
   FrameReader reader;
-  // Wire protocol this connection negotiated (HELLO upgrades it).
-  uint32_t protocol = kProtocolVersionMin;
 
   // Steady-clock ticks of the last traffic; stamped by the owning loop
   // and by any thread that sends on the fd.
@@ -175,10 +173,9 @@ struct Server::Impl {
   std::vector<Subscriber> subscribers;
 
   std::atomic<bool> draining{false};
-  // Backpressure: every loop stops reading at `watermark` queued
+  // Backpressure: every loop stops reading at `max_queue` queued
   // requests and resumes at half of it. Workers read `reads_paused` to
   // wake the loops when their progress crosses the resume line.
-  size_t watermark = 0;
   std::atomic<bool> reads_paused{false};
 
   // Counters (see ServerStats).
@@ -353,7 +350,7 @@ struct Server::Impl {
     }
     // The worker sends its own answer when it can, and wakes at most
     // once: every loop, so paused reads resume once the queue has
-    // drained to half the watermark; otherwise the connection's own
+    // drained to half of max_queue; otherwise the connection's own
     // loop, for bytes the socket did not take or so a drain rechecks
     // its exit condition. The count drops first, so the woken loop
     // sees this request finished.
@@ -362,7 +359,7 @@ struct Server::Impl {
     conn->inflight.fetch_sub(1, std::memory_order_release);
     const bool resume =
         reads_paused.load(std::memory_order_relaxed) &&
-        queue_depth.load(std::memory_order_relaxed) <= watermark / 2;
+        queue_depth.load(std::memory_order_relaxed) <= opts.max_queue / 2;
     if (resume) {
       WakeAll();
     } else if (unsent || draining.load(std::memory_order_relaxed)) {
@@ -473,7 +470,7 @@ struct Server::Impl {
   void HandleFrame(const std::shared_ptr<Conn>& conn,
                    std::string_view payload, bool inline_allowed) {
     requests_received.fetch_add(1, std::memory_order_relaxed);
-    Result<Request> request = DecodeRequest(payload, conn->protocol);
+    Result<Request> request = DecodeRequest(payload);
     if (!request.ok()) {
       // Echo the type byte when it at least parsed, so the client can
       // match the error to its request.
@@ -482,25 +479,16 @@ struct Server::Impl {
         const auto raw = static_cast<uint8_t>(payload[0]);
         if (raw >= 1 && raw <= 8) echo = static_cast<RequestType>(raw);
       }
-      if (request.status().code() == StatusCode::kUnsupportedVersion) {
-        unsupported_version.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      }
+      protocol_errors.fetch_add(1, std::memory_order_relaxed);
       Respond(conn, ErrorResponse(echo, request.status()));
       return;
     }
 
     if (request->type == RequestType::kHello) {
-      // Version-invariant layout, answered inline: negotiate down to
-      // what both sides speak; below the endpoint's minimum gets one
-      // typed kUnsupportedVersion naming both versions, then a clean
-      // close (the snapshot-v3 precedent: a version gap is not
-      // corruption).
-      const uint32_t negotiated =
-          std::min(request->protocol_version, kProtocolVersionMax);
-      if (negotiated < opts.min_protocol ||
-          request->protocol_version < kProtocolVersionMin) {
+      // A version check, answered inline. Another version gets one
+      // typed kUnsupportedVersion naming both, then a clean close (the
+      // snapshot-v3 precedent: a version gap is not corruption).
+      if (request->protocol_version != kProtocolVersion) {
         unsupported_version.fetch_add(1, std::memory_order_relaxed);
         Respond(conn,
                 ErrorResponse(
@@ -508,34 +496,16 @@ struct Server::Impl {
                     Status::UnsupportedVersion(
                         "client speaks wire protocol v" +
                         std::to_string(request->protocol_version) +
-                        " but this endpoint requires v" +
-                        std::to_string(opts.min_protocol) + " through v" +
-                        std::to_string(kProtocolVersionMax))));
+                        " but this endpoint speaks only v" +
+                        std::to_string(kProtocolVersion))));
         CloseAfterFlush(*conn);
         return;
       }
-      conn->protocol = negotiated;
       Response r;
       r.type = RequestType::kHello;
-      r.protocol_version = negotiated;
+      r.protocol_version = kProtocolVersion;
       if (replication != nullptr) r.feature_bits |= kFeatureReplication;
       Respond(conn, r);
-      return;
-    }
-
-    if (conn->protocol < opts.min_protocol) {
-      unsupported_version.fetch_add(1, std::memory_order_relaxed);
-      Respond(conn,
-              ErrorResponse(
-                  request->type,
-                  Status::UnsupportedVersion(
-                      "this endpoint requires wire protocol v" +
-                      std::to_string(opts.min_protocol) +
-                      " but the connection is still v" +
-                      std::to_string(conn->protocol) +
-                      ": send HELLO first (server speaks up to v" +
-                      std::to_string(kProtocolVersionMax) + ")")));
-      CloseAfterFlush(*conn);
       return;
     }
 
@@ -629,6 +599,37 @@ struct Server::Impl {
     }
   }
 
+  // Handles every complete frame buffered for the connection. Once the
+  // connection is set to close after its last answer, nothing more of
+  // its input runs: the rest is dropped unread, here and by ReadConn.
+  // Only the owning loop sets close_after_flush, so both read the flag
+  // without the lock.
+  void HandleFrames(const std::shared_ptr<Conn>& conn, bool inline_allowed) {
+    std::string_view payload;
+    while (!conn->close_after_flush) {
+      const FrameReader::Outcome outcome = conn->reader.Next(&payload);
+      if (outcome == FrameReader::Outcome::kNeedMore) return;
+      if (outcome == FrameReader::Outcome::kFrame) {
+        HandleFrame(conn, payload, inline_allowed);
+      } else if (outcome == FrameReader::Outcome::kBadCrc) {
+        // Recoverable: the frame boundary is known, so the stream is
+        // still in sync — answer with a typed error and keep serving
+        // this connection.
+        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        Respond(conn, ErrorResponse(RequestType::kQuery,
+                                    Status::Corruption(
+                                        "request frame failed CRC check")));
+      } else {  // kTooLarge: cannot resync; answer and hang up.
+        protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        Respond(conn,
+                ErrorResponse(RequestType::kQuery,
+                              Status::Corruption("frame exceeds maximum size")));
+        CloseAfterFlush(*conn);
+      }
+    }
+    conn->reader = FrameReader();
+  }
+
   // Reads everything available; returns false when the connection is
   // finished and should be closed by the caller.
   bool ReadConn(const std::shared_ptr<Conn>& conn, bool inline_allowed) {
@@ -637,36 +638,18 @@ struct Server::Impl {
       const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
       if (n > 0) {
         conn->Touch();
-        conn->reader.Append(buf, static_cast<size_t>(n));
-        std::string_view payload;
-        for (;;) {
-          const FrameReader::Outcome outcome = conn->reader.Next(&payload);
-          if (outcome == FrameReader::Outcome::kNeedMore) break;
-          if (outcome == FrameReader::Outcome::kFrame) {
-            HandleFrame(conn, payload, inline_allowed);
-          } else if (outcome == FrameReader::Outcome::kBadCrc) {
-            // Recoverable: the frame boundary is known, so the stream
-            // is still in sync — answer with a typed error and keep
-            // serving this connection.
-            protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            Respond(conn,
-                    ErrorResponse(RequestType::kQuery,
-                                  Status::Corruption(
-                                      "request frame failed CRC check")));
-          } else {  // kTooLarge: cannot resync; answer and hang up.
-            protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            Respond(conn,
-                    ErrorResponse(
-                        RequestType::kQuery,
-                        Status::Corruption("frame exceeds maximum size")));
-            CloseAfterFlush(*conn);
-            return true;  // keep alive until the error flushes
-          }
+        if (!conn->close_after_flush) {
+          conn->reader.Append(buf, static_cast<size_t>(n));
+          HandleFrames(conn, inline_allowed);
         }
         // A short read drained the socket: skip the recv that would
         // only say EAGAIN. poll(2) is level-triggered, so bytes that
-        // arrive later are reported on the next pass.
-        if (static_cast<size_t>(n) < sizeof(buf)) return true;
+        // arrive later are reported on the next pass. A closing
+        // connection reads no further this pass; it stays open until
+        // its last answer has gone.
+        if (static_cast<size_t>(n) < sizeof(buf) || conn->close_after_flush) {
+          return true;
+        }
         continue;
       }
       if (n == 0) {
@@ -835,14 +818,14 @@ struct Server::Impl {
       const bool drain = draining.load(std::memory_order_relaxed);
       if (drain && Drained(loop)) break;
 
-      // Backpressure hysteresis: stop reading at the watermark, resume
-      // once the workers have drained half of it.
+      // Backpressure hysteresis: stop reading at max_queue, resume once
+      // the workers have drained half of it.
       const size_t depth = queue_depth.load(std::memory_order_relaxed);
       if (!reads_paused.load(std::memory_order_relaxed) &&
-          depth >= watermark) {
+          depth >= opts.max_queue) {
         reads_paused.store(true, std::memory_order_relaxed);
       } else if (reads_paused.load(std::memory_order_relaxed) &&
-                 depth <= watermark / 2) {
+                 depth <= opts.max_queue / 2) {
         reads_paused.store(false, std::memory_order_relaxed);
       }
 
@@ -1013,20 +996,10 @@ Result<std::unique_ptr<Server>> Server::Start(
                                    std::to_string(options.port) +
                                    " is outside [0, 65535]");
   }
-  if (options.min_protocol < kProtocolVersionMin ||
-      options.min_protocol > kProtocolVersionMax) {
-    return Status::InvalidArgument(
-        "ServerOptions::min_protocol " + std::to_string(options.min_protocol) +
-        " is outside [" + std::to_string(kProtocolVersionMin) + ", " +
-        std::to_string(kProtocolVersionMax) + "]");
-  }
 
   auto impl = std::make_unique<Impl>();
   impl->engine = engine;
   impl->opts = options;
-  impl->watermark = options.backpressure_watermark == 0
-                        ? options.max_queue
-                        : options.backpressure_watermark;
   impl->replication = replication;
 
   impl->listen_fd =

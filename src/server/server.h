@@ -16,10 +16,10 @@
 // Admission control: a bounded count of admitted requests not yet
 // started. A full queue rejects the request immediately with a typed
 // kOverloaded response (the request is never executed, memory stays
-// bounded); at the configurable backpressure watermark every loop
-// additionally stops reading request bytes until the queue drains,
-// so a firehose client is throttled by TCP flow control instead of
-// ballooning the input buffers.
+// bounded); at that bound every loop additionally stops reading
+// request bytes until the queue drains to half of it, so a firehose
+// client is throttled by TCP flow control instead of ballooning the
+// input buffers.
 //
 // Deadlines: every query carries a deadline (client-supplied or the
 // server default) covering queue wait. A request whose deadline has
@@ -31,7 +31,14 @@
 // queued and in-flight request, flushes every response, then closes.
 // See DESIGN.md "Network serving".
 //
-// Replication (v2): pass a replica::ReplicationLog to Start and the
+// Wire protocol: one version (server/wire.h), spoken from a
+// connection's first frame. HELLO only checks it: another version gets
+// one typed kUnsupportedVersion and a clean close. A connection the
+// server has decided to close (a refused HELLO, an oversized frame)
+// runs nothing it sent after that frame; its answers already owed
+// still leave in order.
+//
+// Replication: pass a replica::ReplicationLog to Start and the
 // server becomes a LEADER — kSubscribe registers the connection as a
 // follower and committed groups are pushed as kReplicate frames (the
 // log's notifier pumps subscribers on every commit). With
@@ -70,12 +77,9 @@ struct ServerOptions {
   int threads = 4;
 
   // Admission bound: queued-but-not-started requests beyond which new
-  // queries are rejected with kOverloaded.
+  // queries are rejected with kOverloaded. At this depth the loops also
+  // stop reading request bytes, and resume at half of it.
   size_t max_queue = 128;
-
-  // Stop reading request bytes when the queue reaches this depth;
-  // resume below half of it. 0 = max_queue (reject-only backpressure).
-  size_t backpressure_watermark = 0;
 
   // Deadline applied to requests that don't carry one; client-supplied
   // deadlines are clamped to 60 s.
@@ -91,12 +95,6 @@ struct ServerOptions {
   // on an event loop). Lets tests and the overload bench pin the
   // server's capacity deterministically. 0 in production.
   uint32_t execute_delay_ms = 0;
-
-  // Lowest wire protocol version this endpoint serves. Connections
-  // below it (including fresh v1 connections that never sent HELLO)
-  // get one typed kUnsupportedVersion response naming both versions,
-  // then a clean close. Default accepts v1 clients.
-  uint32_t min_protocol = kProtocolVersionMin;
 
   // Follower mode: reject kApply with a typed kFailedPrecondition
   // (mutations must go to the leader). Queries serve normally.
@@ -122,7 +120,7 @@ struct ServerStats {
   uint64_t applies_rejected = 0;    // typed kApply failures (incl. read-only)
   uint64_t records_replicated = 0;  // kReplicate frames pushed to followers
   uint64_t subscribers_active = 0;  // registered replication subscribers
-  uint64_t unsupported_version = 0; // version-gap rejections
+  uint64_t unsupported_version = 0; // HELLOs naming another version
   uint64_t accept_errors = 0;       // accept(2) failures (EMFILE, ENFILE...)
   uint64_t io_loops = 0;            // event loops, fixed at Start
 };
@@ -132,11 +130,10 @@ class Server {
   // Binds, listens, and spawns the event loops + workers. `engine` must
   // have data loaded and must outlive the server. The read path stays
   // const; kApply/kCheckpoint drive the engine's write path. A port
-  // outside [0, 65535] or a min_protocol outside the versions this
-  // build speaks fails with kInvalidArgument. A non-null `replication`
-  // makes this server a replication leader (it must outlive the
-  // server; the server installs itself as the log's notifier and
-  // detaches on shutdown).
+  // outside [0, 65535] fails with kInvalidArgument. A non-null
+  // `replication` makes this server a replication leader (it must
+  // outlive the server; the server installs itself as the log's
+  // notifier and detaches on shutdown).
   static Result<std::unique_ptr<Server>> Start(
       Engine* engine, ServerOptions options,
       replica::ReplicationLog* replication = nullptr);

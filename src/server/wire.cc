@@ -43,21 +43,6 @@ Result<RequestType> ReadRequestType(uint8_t raw) {
   }
 }
 
-// Whether `type` exists at all under protocol `version` (a v2-only
-// type on a v1 connection is a version gap, not corruption).
-bool TypeInVersion(RequestType type, uint32_t version) {
-  if (version >= 2) return true;
-  switch (type) {
-    case RequestType::kQuery:
-    case RequestType::kStats:
-    case RequestType::kPing:
-    case RequestType::kHello:
-      return true;
-    default:
-      return false;
-  }
-}
-
 char* StoreU32(char* out, size_t v) {
   const auto u = static_cast<uint32_t>(v);
   std::memcpy(out, &u, sizeof(u));
@@ -89,34 +74,27 @@ std::string EncodeFrame(std::string_view payload) {
   return FinishFrame(&w);
 }
 
-std::string EncodeRequest(const Request& request, uint32_t protocol_version) {
+std::string EncodeRequest(const Request& request) {
   ByteWriter w = StartFrame();
   w.PutU8(static_cast<uint8_t>(request.type));
   if (request.type == RequestType::kHello) {
-    // Version-invariant layout: HELLO must be encodable before the
-    // versions have been agreed.
     w.PutU32(request.protocol_version);
     w.PutU64(request.feature_bits);
     return FinishFrame(&w);
   }
-  if (protocol_version >= 2) {
-    w.PutU32(request.deadline_ms);
-    switch (request.type) {
-      case RequestType::kQuery:
-        w.PutString(request.query_text);
-        break;
-      case RequestType::kApply:
-        w.PutString(persist::EncodeMutationBatch(request.batch));
-        break;
-      case RequestType::kSubscribe:
-        w.PutU64(request.from_version);
-        break;
-      default:
-        break;  // kStats / kPing / kCheckpoint carry nothing further
-    }
-  } else if (request.type == RequestType::kQuery) {
-    w.PutU32(request.deadline_ms);
-    w.PutString(request.query_text);
+  w.PutU32(request.deadline_ms);
+  switch (request.type) {
+    case RequestType::kQuery:
+      w.PutString(request.query_text);
+      break;
+    case RequestType::kApply:
+      w.PutString(persist::EncodeMutationBatch(request.batch));
+      break;
+    case RequestType::kSubscribe:
+      w.PutU64(request.from_version);
+      break;
+    default:
+      break;  // kStats / kPing / kCheckpoint carry nothing further
   }
   return FinishFrame(&w);
 }
@@ -178,8 +156,7 @@ std::string EncodeResponse(const Response& response) {
   return FinishFrame(&w);
 }
 
-Result<Request> DecodeRequest(std::string_view payload,
-                              uint32_t protocol_version) {
+Result<Request> DecodeRequest(std::string_view payload) {
   ByteReader r(payload);
   SQOPT_ASSIGN_OR_RETURN(uint8_t raw_type, r.U8());
   Request request;
@@ -188,23 +165,10 @@ Result<Request> DecodeRequest(std::string_view payload,
     return Status::Corruption(
         "kReplicate is a server-push response type, not a request");
   }
-  if (!TypeInVersion(request.type, protocol_version)) {
-    return Status::UnsupportedVersion(
-        "request type " + std::to_string(static_cast<int>(raw_type)) +
-        " requires wire protocol v2; this connection negotiated v" +
-        std::to_string(protocol_version) +
-        " (send HELLO to upgrade, server speaks up to v" +
-        std::to_string(kProtocolVersionMax) + ")");
-  }
   if (request.type == RequestType::kHello) {
     SQOPT_ASSIGN_OR_RETURN(request.protocol_version, r.U32());
     SQOPT_ASSIGN_OR_RETURN(request.feature_bits, r.U64());
-    if (!r.AtEnd()) {
-      return Status::Corruption("trailing bytes after request payload");
-    }
-    return request;
-  }
-  if (protocol_version >= 2) {
+  } else {
     SQOPT_ASSIGN_OR_RETURN(request.deadline_ms, r.U32());
     switch (request.type) {
       case RequestType::kQuery: {
@@ -224,9 +188,6 @@ Result<Request> DecodeRequest(std::string_view payload,
       default:
         break;
     }
-  } else if (request.type == RequestType::kQuery) {
-    SQOPT_ASSIGN_OR_RETURN(request.deadline_ms, r.U32());
-    SQOPT_ASSIGN_OR_RETURN(request.query_text, r.String());
   }
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after request payload");

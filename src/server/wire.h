@@ -17,34 +17,24 @@
 // length itself cannot be trusted, so there is no boundary to resync
 // at); the connection must be closed after one typed error response.
 //
-// PROTOCOL VERSIONS. A connection starts at v1. A HELLO request (whose
-// layout is version-independent) negotiates up: the server answers
-// with min(client version, kProtocolVersionMax) and both sides speak
-// that from the next frame on. v2 adds the write/replication surface
-// (kApply, kSubscribe, kReplicate, kCheckpoint, kHello) and
-// generalizes deadline_ms to every request type. A v2-only request
-// arriving on a v1 connection — or any request on a connection below
-// the server's configured minimum — gets one typed
-// kUnsupportedVersion response naming both versions (the snapshot-v3
-// precedent: a version gap is NOT corruption).
+// PROTOCOL VERSION. There is one request layout, v2, spoken from a
+// connection's first frame. HELLO is a version check, not a
+// negotiation: a HELLO naming kProtocolVersion gets OK (with
+// kFeatureReplication when the server streams a replication log); any
+// other version gets one typed kUnsupportedVersion naming both
+// versions, then a clean close (the snapshot-v3 precedent: a version
+// gap is NOT corruption). No request needs a HELLO before it.
 //
-// Request payload, v1:
-//   u8  type           (RequestType: kQuery/kStats/kPing/kHello only)
-//   u32 deadline_ms    kQuery only; 0 = server default
-//   string query_text  kQuery only (u32 length + bytes)
-//
-// Request payload, v2:
+// Request payload:
 //   u8  type           (any RequestType except kReplicate)
-//   u32 deadline_ms    ALL types (0 = server default); absent for kHello
+//   u32 deadline_ms    every type but kHello (0 = server default)
 //   -- kQuery --    string query_text
 //   -- kApply --    string batch  (persist::EncodeMutationBatch)
 //   -- kSubscribe -- u64 from_version (subscriber's current snapshot
 //                    version; streaming starts at from_version + 1)
 //   -- kStats / kPing / kCheckpoint -- nothing further
-//
-// kHello request payload (identical under v1 and v2 decode rules —
-// that is what makes the upgrade possible):
-//   u8 type = kHello; u32 protocol_version; u64 feature_bits
+//   -- kHello --    u32 protocol_version; u64 feature_bits
+//                   (no deadline_ms)
 //
 // Response payload:
 //   u8  type           echo of the request type
@@ -57,7 +47,7 @@
 //   -- kStats, code == kOk --
 //   string stats_text  plaintext "name value\n" lines
 //   -- kHello, code == kOk --
-//   u32 protocol_version (negotiated); u64 feature_bits
+//   u32 protocol_version (kProtocolVersion); u64 feature_bits
 //   -- kApply, code == kOk --
 //   u64 snapshot_version; u64 exec_micros;
 //   u32 n_inserted; per: i64 row; u32 group_size
@@ -86,10 +76,8 @@ namespace sqopt::server {
 // length field from driving a multi-gigabyte allocation.
 inline constexpr uint32_t kMaxFramePayload = 8u << 20;  // 8 MiB
 
-// Every connection starts at kProtocolVersionMin; HELLO negotiates up
-// to min(client, kProtocolVersionMax).
-inline constexpr uint32_t kProtocolVersionMin = 1;
-inline constexpr uint32_t kProtocolVersionMax = 2;
+// The one wire protocol version; a HELLO naming any other is refused.
+inline constexpr uint32_t kProtocolVersion = 2;
 
 // Feature bits advertised in HELLO. None are load-bearing yet: the
 // version number gates behavior, the bits exist so a future v2.x can
@@ -100,24 +88,23 @@ enum class RequestType : uint8_t {
   kQuery = 1,       // execute one query, reply with rows
   kStats = 2,       // plaintext metrics snapshot
   kPing = 3,        // liveness probe, empty OK reply
-  kHello = 4,       // version negotiation (layout is version-invariant)
-  kApply = 5,       // v2: commit one MutationBatch
-  kSubscribe = 6,   // v2: start the replication stream at from_version+1
-  kReplicate = 7,   // v2: server-push WAL record (appears only as a
+  kHello = 4,       // protocol version check
+  kApply = 5,       // commit one MutationBatch
+  kSubscribe = 6,   // start the replication stream at from_version+1
+  kReplicate = 7,   // server-push WAL record (appears only as a
                     // Response type; a client must never send it)
-  kCheckpoint = 8,  // v2: fold the WAL into a fresh snapshot
+  kCheckpoint = 8,  // fold the WAL into a fresh snapshot
 };
 
 struct Request {
   RequestType type = RequestType::kQuery;
   // Total budget for queue wait + execution start, in milliseconds,
-  // for EVERY request type under v2 (kQuery only under v1).
-  // 0 = the server's configured default.
+  // for every request type. 0 = the server's configured default.
   uint32_t deadline_ms = 0;
   std::string query_text;
 
   // kHello.
-  uint32_t protocol_version = kProtocolVersionMax;
+  uint32_t protocol_version = kProtocolVersion;
   uint64_t feature_bits = 0;
 
   // kApply.
@@ -170,18 +157,20 @@ struct Response {
 // Wraps `payload` in a frame header (length + CRC).
 std::string EncodeFrame(std::string_view payload);
 
-// `protocol_version` selects the layout negotiated for the connection.
-std::string EncodeRequest(const Request& request,
-                          uint32_t protocol_version = kProtocolVersionMin);
+std::string EncodeRequest(const Request& request);
+// Kept only for perfbench/workloads.cc, which passes
+// Client::protocol(); the version is ignored. Delete both once the
+// serve workload calls the one-argument form.
+inline std::string EncodeRequest(const Request& request,
+                                 uint32_t /*protocol_version*/) {
+  return EncodeRequest(request);
+}
 std::string EncodeResponse(const Response& response);
 
 // Payload decoding (the framing has already been stripped and CRC
 // verified by FrameReader). Malformed payloads — unknown type byte,
-// truncated fields, trailing bytes — return kCorruption; a
-// structurally valid v2-only request decoded under v1 rules returns
-// kUnsupportedVersion (the payload is fine, the connection isn't).
-Result<Request> DecodeRequest(std::string_view payload,
-                              uint32_t protocol_version = kProtocolVersionMin);
+// truncated fields, trailing bytes — return kCorruption.
+Result<Request> DecodeRequest(std::string_view payload);
 Result<Response> DecodeResponse(std::string_view payload);
 
 // Incremental frame extraction from a byte stream: Append() received

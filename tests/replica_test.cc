@@ -1,6 +1,6 @@
 // Integration tests for WAL-shipping replication (src/replica/) and
-// the v2 serving surface it rides on: HELLO version negotiation and
-// the typed kUnsupportedVersion refusal, kApply/kCheckpoint over real
+// the serving surface it rides on: the HELLO version check and its
+// typed kUnsupportedVersion refusal, kApply/kCheckpoint over real
 // loopback sockets, read-only follower endpoints, commit streaming to
 // a live FollowerApplier with bit-identical convergence, catch-up from
 // a stale version, gap detection halting the applier as divergence,
@@ -28,7 +28,6 @@ namespace sqopt::replica {
 namespace {
 
 using server::Client;
-using server::Request;
 using server::RequestType;
 using server::Response;
 using server::Server;
@@ -99,22 +98,20 @@ void AwaitHalt(const FollowerApplier& applier, int timeout_ms = 5000) {
 
 // --- Handshake -----------------------------------------------------
 
-TEST(ReplicaTest, HelloNegotiatesV2AndAdvertisesReplication) {
+TEST(ReplicaTest, HelloAcceptsV2AndAdvertisesReplication) {
   Engine engine = OpenLoadedEngine();
   ReplicationLog log;
   log.AttachTo(&engine);
   std::unique_ptr<Server> leader = StartServer(&engine, {}, &log);
 
   Client client = MustConnect(*leader);
-  EXPECT_EQ(client.protocol(), 1u);
   ASSERT_OK_AND_ASSIGN(Response hello, client.Hello());
   ASSERT_TRUE(hello.ok()) << hello.message;
   EXPECT_EQ(hello.protocol_version, 2u);
-  EXPECT_EQ(client.protocol(), 2u);
   EXPECT_NE(hello.feature_bits & server::kFeatureReplication, 0u);
   leader->Shutdown();
 
-  // A plain server negotiates v2 too but does not advertise the
+  // A plain server accepts v2 too but does not advertise the
   // replication feature — it has no log to stream from.
   Engine plain = OpenLoadedEngine();
   std::unique_ptr<Server> basic = StartServer(&plain);
@@ -124,63 +121,65 @@ TEST(ReplicaTest, HelloNegotiatesV2AndAdvertisesReplication) {
   EXPECT_EQ(h2.feature_bits & server::kFeatureReplication, 0u);
 }
 
-TEST(ReplicaTest, V1ClientAgainstV2OnlyEndpointGetsTypedRefusal) {
+TEST(ReplicaTest, HelloNamingAnotherVersionGetsOneTypedRefusal) {
   Engine engine = OpenLoadedEngine();
-  ServerOptions options;
-  options.min_protocol = 2;
-  std::unique_ptr<Server> server = StartServer(&engine, options);
+  std::unique_ptr<Server> server = StartServer(&engine);
 
-  // A v1 client's very first request — no HELLO — must come back as
-  // ONE typed kUnsupportedVersion naming both versions, then a clean
-  // close; never a hang or an unframeable response.
-  Client v1 = MustConnect(*server);
-  Request query;
-  query.type = RequestType::kQuery;
-  query.query_text = "{cargo.code} {} {} {} {cargo}";
-  ASSERT_OK(v1.SendRaw(EncodeRequest(query, /*protocol_version=*/1)));
-  ASSERT_OK_AND_ASSIGN(Response refusal, v1.ReceiveResponse());
-  EXPECT_EQ(refusal.code, StatusCode::kUnsupportedVersion);
-  EXPECT_NE(refusal.message.find("v1"), std::string::npos) << refusal.message;
-  EXPECT_NE(refusal.message.find("v2"), std::string::npos) << refusal.message;
-  EXPECT_FALSE(v1.ReceiveResponse().ok());  // connection closed
+  // Any version but the one this build speaks — older, newer or
+  // nonsense — gets ONE typed kUnsupportedVersion naming both
+  // versions, then a clean close; never a hang or an unframeable
+  // response.
+  for (uint32_t version : {0u, 1u, 3u}) {
+    Client client = MustConnect(*server);
+    ASSERT_OK_AND_ASSIGN(Response refusal, client.Hello(version));
+    EXPECT_EQ(refusal.type, RequestType::kHello);
+    EXPECT_EQ(refusal.code, StatusCode::kUnsupportedVersion) << version;
+    const std::string named = "v" + std::to_string(version);
+    EXPECT_NE(refusal.message.find(named), std::string::npos)
+        << refusal.message;
+    EXPECT_NE(refusal.message.find("v2"), std::string::npos)
+        << refusal.message;
+    EXPECT_FALSE(client.ReceiveResponse().ok()) << version;  // closed
+  }
 
-  // An explicit HELLO asking for v1 gets the same refusal.
-  Client hello1 = MustConnect(*server);
-  ASSERT_OK_AND_ASSIGN(Response h, hello1.Hello(/*version=*/1));
-  EXPECT_EQ(h.code, StatusCode::kUnsupportedVersion);
-  EXPECT_FALSE(hello1.ReceiveResponse().ok());
-
-  // A v2 handshake sails through the same endpoint.
+  // The one version sails through the same endpoint.
   Client v2 = MustConnect(*server);
   ASSERT_OK_AND_ASSIGN(Response ok, v2.Hello());
   EXPECT_TRUE(ok.ok()) << ok.message;
-  EXPECT_GE(server->stats().unsupported_version, 2u);
+  server->Shutdown();
+  EXPECT_EQ(server->stats().unsupported_version, 3u);
+  EXPECT_EQ(server->stats().protocol_errors, 0u);
 }
 
-TEST(ReplicaTest, V2TypeBeforeHelloIsRefusedBothSides) {
+TEST(ReplicaTest, ApplyAndSubscribeWorkWithoutHello) {
+  // HELLO is a version check, not a gate: every request type works on
+  // a fresh connection from its first frame.
   Engine engine = OpenLoadedEngine();
-  std::unique_ptr<Server> server = StartServer(&engine);
-  Client client = MustConnect(*server);
+  ReplicationLog log;
+  log.AttachTo(&engine);
+  std::unique_ptr<Server> leader = StartServer(&engine, {}, &log);
 
-  // Client-side gate: the wrapper refuses to encode v2 types on a v1
-  // connection.
+  Client writer = MustConnect(*leader);
   MutationScript script(&engine.schema(), BaseRows(engine), kSeed);
   ASSERT_OK_AND_ASSIGN(MutationBatch batch, script.Next());
-  auto early = client.Apply(batch);
-  ASSERT_FALSE(early.ok());
-  EXPECT_EQ(early.status().code(), StatusCode::kUnsupportedVersion);
+  ASSERT_OK_AND_ASSIGN(Response applied, writer.Apply(batch));
+  ASSERT_TRUE(applied.ok()) << applied.message;
+  EXPECT_EQ(applied.snapshot_version, 2u);
 
-  // Server-side gate: v2 bytes shoved down a v1 connection get the
-  // typed refusal, not corruption.
-  Request raw;
-  raw.type = RequestType::kSubscribe;
-  raw.from_version = 1;
-  ASSERT_OK(client.SendRaw(EncodeRequest(raw, /*protocol_version=*/2)));
-  ASSERT_OK_AND_ASSIGN(Response refusal, client.ReceiveResponse());
-  EXPECT_EQ(refusal.code, StatusCode::kUnsupportedVersion);
+  Client subscriber = MustConnect(*leader);
+  ASSERT_OK_AND_ASSIGN(Response ack, subscriber.Subscribe(1));
+  ASSERT_TRUE(ack.ok()) << ack.message;
+  EXPECT_EQ(ack.type, RequestType::kSubscribe);
+  EXPECT_EQ(ack.leader_version, 2u);
+  ASSERT_OK_AND_ASSIGN(Response pushed, subscriber.ReceiveResponse());
+  ASSERT_TRUE(pushed.ok()) << pushed.message;
+  EXPECT_EQ(pushed.type, RequestType::kReplicate);
+  EXPECT_EQ(pushed.first_version, 2u);
+  leader->Shutdown();
+  EXPECT_EQ(leader->stats().unsupported_version, 0u);
 }
 
-// --- The v2 write surface ------------------------------------------
+// --- The write surface ----------------------------------------------
 
 TEST(ReplicaTest, ApplyAndCheckpointOverWire) {
   Engine engine = OpenLoadedEngine();

@@ -434,6 +434,44 @@ TEST(ServerTest, OversizedFrameClosesConnectionServerSurvives) {
   EXPECT_GE(server->stats().protocol_errors, 1u);
 }
 
+TEST(ServerTest, RefusedHelloRunsNothingPipelinedBehindIt) {
+  Engine engine = OpenLoadedEngine();
+  std::unique_ptr<Server> server = StartServer(&engine);
+  Request refused_hello;
+  refused_hello.type = RequestType::kHello;
+  refused_hello.protocol_version = 0;
+  const std::string query = EncodeRequest(SingleClassQueryRequest(0));
+
+  // One write carries the HELLO and a query behind it: the refusal is
+  // the only answer, then the connection closes, and the query never
+  // runs.
+  ASSERT_OK_AND_ASSIGN(Client client,
+                       Client::Connect("127.0.0.1", server->port()));
+  ASSERT_OK(client.SendRaw(EncodeRequest(refused_hello) + query));
+  ASSERT_OK_AND_ASSIGN(Response refusal, client.ReceiveResponse());
+  EXPECT_EQ(refusal.type, RequestType::kHello);
+  EXPECT_EQ(refusal.code, StatusCode::kUnsupportedVersion);
+  EXPECT_FALSE(client.ReceiveResponse().ok());  // closed, nothing more
+  EXPECT_EQ(server->stats().queries_ok, 0u);
+
+  // An answer owed from before the refusal still leaves, in order.
+  ASSERT_OK_AND_ASSIGN(Client pipelined,
+                       Client::Connect("127.0.0.1", server->port()));
+  ASSERT_OK(pipelined.SendRaw(query + EncodeRequest(refused_hello) + query));
+  ASSERT_OK_AND_ASSIGN(Response answered, pipelined.ReceiveResponse());
+  EXPECT_EQ(answered.type, RequestType::kQuery);
+  EXPECT_TRUE(answered.ok()) << answered.message;
+  ASSERT_OK_AND_ASSIGN(Response second, pipelined.ReceiveResponse());
+  EXPECT_EQ(second.code, StatusCode::kUnsupportedVersion);
+  EXPECT_FALSE(pipelined.ReceiveResponse().ok());
+
+  server->Shutdown();
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.queries_ok, 1u);
+  EXPECT_EQ(stats.requests_received, 3u);
+  EXPECT_EQ(stats.unsupported_version, 2u);
+}
+
 TEST(ServerTest, TruncatedFrameAtCloseDoesNotKillServer) {
   Engine engine = OpenLoadedEngine();
   std::unique_ptr<Server> server = StartServer(&engine);
@@ -475,9 +513,9 @@ TEST(ServerTest, ExpiredDeadlineAnswersTypedTimeout) {
 }
 
 TEST(ServerTest, StatsUnderSaturationHonorsDeadlineLikeEveryType) {
-  // v2 generalized deadline_ms to every request type: a kStats queued
-  // behind a pinned worker expires with the same typed kTimeout a
-  // query would, instead of the old bypass-the-clock special case.
+  // deadline_ms covers every request type: a kStats queued behind a
+  // pinned worker expires with the same typed kTimeout a query would,
+  // with no HELLO first.
   Engine engine = OpenLoadedEngine();
   ServerOptions options;
   options.threads = 1;
@@ -491,12 +529,10 @@ TEST(ServerTest, StatsUnderSaturationHonorsDeadlineLikeEveryType) {
 
   ASSERT_OK_AND_ASSIGN(Client hurried,
                        Client::Connect("127.0.0.1", server->port()));
-  ASSERT_OK_AND_ASSIGN(Response hello, hurried.Hello());
-  ASSERT_TRUE(hello.ok()) << hello.message;
   Request stats;
   stats.type = RequestType::kStats;
   stats.deadline_ms = 50;
-  ASSERT_OK(hurried.SendRaw(EncodeRequest(stats, hurried.protocol())));
+  ASSERT_OK(hurried.SendRaw(EncodeRequest(stats)));
   ASSERT_OK_AND_ASSIGN(Response late, hurried.ReceiveResponse());
   EXPECT_EQ(late.code, StatusCode::kTimeout) << late.message;
   EXPECT_EQ(late.type, RequestType::kStats);
@@ -971,17 +1007,6 @@ TEST(ServerTest, StartValidatesArguments) {
     auto started = Server::Start(&engine, out_of_range);
     ASSERT_FALSE(started.ok()) << port;
     EXPECT_EQ(started.status().code(), StatusCode::kInvalidArgument) << port;
-  }
-
-  // min_protocol must name a version this build speaks: 0 would accept
-  // v1 silently, 3 would refuse every HELLO.
-  for (uint32_t version : {0u, kProtocolVersionMax + 1}) {
-    ServerOptions unservable;
-    unservable.min_protocol = version;
-    auto started = Server::Start(&engine, unservable);
-    ASSERT_FALSE(started.ok()) << version;
-    EXPECT_EQ(started.status().code(), StatusCode::kInvalidArgument)
-        << version;
   }
 
   // An engine with no data loaded is refused up front.

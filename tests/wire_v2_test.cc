@@ -1,11 +1,9 @@
-// Wire protocol v2 units (no sockets): versioned HELLO layout, the v2
-// request/response surface (kApply / kSubscribe / kReplicate /
-// kCheckpoint) roundtripping with MutationBatch serde, version gating
-// (a v2-only type on a v1 connection is a typed kUnsupportedVersion,
-// never corruption), and the adversarial property sweep the protocol
-// is pinned by: every encoded kApply/kSubscribe payload truncated at
-// EVERY byte offset must decode to a typed error — no crash, no
-// partially-decoded batch.
+// Wire protocol units (no sockets): the HELLO layout, the pinned kQuery
+// layout, the request/response surface (kApply / kSubscribe /
+// kReplicate / kCheckpoint) roundtripping with MutationBatch serde, and
+// the adversarial property sweep the protocol is pinned by: every
+// encoded request payload truncated at EVERY byte offset must decode to
+// a typed kCorruption — no crash, no partially-decoded batch.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -45,8 +43,8 @@ MutationBatch ScriptBatch() {
 
 // Strips the frame header off an EncodeRequest result, returning the
 // raw payload DecodeRequest sees.
-std::string PayloadOf(const Request& request, uint32_t protocol) {
-  std::string frame = EncodeRequest(request, protocol);
+std::string PayloadOf(const Request& request) {
+  std::string frame = EncodeRequest(request);
   return frame.substr(8);  // u32 len + u32 crc
 }
 
@@ -54,16 +52,14 @@ std::string PayloadOfResponse(const Response& response) {
   return EncodeResponse(response).substr(8);
 }
 
-TEST(WireV2Test, HelloRoundtripIsVersionInvariant) {
+TEST(WireV2Test, HelloRoundtripCarriesVersionAndFeatures) {
   Request hello;
   hello.type = RequestType::kHello;
   hello.protocol_version = 2;
   hello.feature_bits = kFeatureReplication;
-  // The HELLO layout must not depend on the (not yet negotiated)
-  // connection version: v1 and v2 encodings are byte-identical.
-  EXPECT_EQ(PayloadOf(hello, 1), PayloadOf(hello, 2));
-  ASSERT_OK_AND_ASSIGN(Request decoded, DecodeRequest(PayloadOf(hello, 1),
-                                                      /*protocol_version=*/1));
+  // type, u32 version, u64 feature bits: no deadline_ms.
+  EXPECT_EQ(PayloadOf(hello).size(), 1u + 4u + 8u);
+  ASSERT_OK_AND_ASSIGN(Request decoded, DecodeRequest(PayloadOf(hello)));
   EXPECT_EQ(decoded.type, RequestType::kHello);
   EXPECT_EQ(decoded.protocol_version, 2u);
   EXPECT_EQ(decoded.feature_bits, kFeatureReplication);
@@ -82,8 +78,7 @@ TEST(WireV2Test, ApplyRequestRoundtripsTheBatch) {
   request.type = RequestType::kApply;
   request.deadline_ms = 250;
   request.batch = ScriptBatch();
-  ASSERT_OK_AND_ASSIGN(Request decoded,
-                       DecodeRequest(PayloadOf(request, 2), 2));
+  ASSERT_OK_AND_ASSIGN(Request decoded, DecodeRequest(PayloadOf(request)));
   EXPECT_EQ(decoded.type, RequestType::kApply);
   EXPECT_EQ(decoded.deadline_ms, 250u);
   ASSERT_EQ(decoded.batch.ops().size(), request.batch.ops().size());
@@ -98,23 +93,22 @@ TEST(WireV2Test, SubscribeAndCheckpointRoundtrip) {
   subscribe.type = RequestType::kSubscribe;
   subscribe.deadline_ms = 99;
   subscribe.from_version = 41;
-  ASSERT_OK_AND_ASSIGN(Request decoded,
-                       DecodeRequest(PayloadOf(subscribe, 2), 2));
+  ASSERT_OK_AND_ASSIGN(Request decoded, DecodeRequest(PayloadOf(subscribe)));
   EXPECT_EQ(decoded.from_version, 41u);
   EXPECT_EQ(decoded.deadline_ms, 99u);
 
   Request checkpoint;
   checkpoint.type = RequestType::kCheckpoint;
   checkpoint.deadline_ms = 123;
-  ASSERT_OK_AND_ASSIGN(Request ck, DecodeRequest(PayloadOf(checkpoint, 2), 2));
+  ASSERT_OK_AND_ASSIGN(Request ck, DecodeRequest(PayloadOf(checkpoint)));
   EXPECT_EQ(ck.type, RequestType::kCheckpoint);
   EXPECT_EQ(ck.deadline_ms, 123u);
 
-  // v2 generalizes deadline_ms to every queued type, kStats included.
+  // deadline_ms rides on every queued type, kStats included.
   Request stats;
   stats.type = RequestType::kStats;
   stats.deadline_ms = 77;
-  ASSERT_OK_AND_ASSIGN(Request st, DecodeRequest(PayloadOf(stats, 2), 2));
+  ASSERT_OK_AND_ASSIGN(Request st, DecodeRequest(PayloadOf(stats)));
   EXPECT_EQ(st.deadline_ms, 77u);
 }
 
@@ -146,29 +140,24 @@ TEST(WireV2Test, ApplyResponseRoundtrip) {
   EXPECT_EQ(decoded.group_size, 3u);
 }
 
-TEST(WireV2Test, V2OnlyTypeUnderV1IsUnsupportedVersionNotCorruption) {
-  Request request;
-  request.type = RequestType::kApply;
-  request.batch = ScriptBatch();
-  auto decoded = DecodeRequest(PayloadOf(request, 2), /*protocol_version=*/1);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kUnsupportedVersion);
-  // The error names both sides of the gap so an operator can act.
-  EXPECT_NE(decoded.status().message().find("v2"), std::string::npos);
-  EXPECT_NE(decoded.status().message().find("v1"), std::string::npos);
-
-  Request subscribe;
-  subscribe.type = RequestType::kSubscribe;
-  auto sub = DecodeRequest(PayloadOf(subscribe, 2), 1);
-  ASSERT_FALSE(sub.ok());
-  EXPECT_EQ(sub.status().code(), StatusCode::kUnsupportedVersion);
+TEST(WireV2Test, QueryRequestLayoutIsPinned) {
+  // The query-only clients send these bytes; they must not move.
+  Request query;
+  query.type = RequestType::kQuery;
+  query.deadline_ms = 250;
+  query.query_text = "{cargo.code} {} {} {} {cargo}";
+  persist::ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(RequestType::kQuery));
+  w.PutU32(250);
+  w.PutString(query.query_text);
+  EXPECT_EQ(PayloadOf(query), std::move(w).Take());
 }
 
 TEST(WireV2Test, ReplicateAsRequestIsCorruption) {
   persist::ByteWriter w;
   w.PutU8(static_cast<uint8_t>(RequestType::kReplicate));
   w.PutU32(0);
-  auto decoded = DecodeRequest(std::move(w).Take(), 2);
+  auto decoded = DecodeRequest(std::move(w).Take());
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
@@ -180,7 +169,7 @@ TEST(WireV2Test, UnsupportedVersionStatusCodeSurvivesTheWire) {
   refusal.type = RequestType::kHello;
   refusal.code = StatusCode::kUnsupportedVersion;
   refusal.message = "client speaks wire protocol v1 but this endpoint "
-                    "requires v2 through v2";
+                    "speaks only v2";
   ASSERT_OK_AND_ASSIGN(Response decoded,
                        DecodeResponse(PayloadOfResponse(refusal)));
   EXPECT_EQ(decoded.code, StatusCode::kUnsupportedVersion);
@@ -190,20 +179,18 @@ TEST(WireV2Test, UnsupportedVersionStatusCodeSurvivesTheWire) {
 // --- The truncation property sweep ---------------------------------
 
 void SweepRequestTruncations(const Request& request) {
-  const std::string payload = PayloadOf(request, 2);
+  const std::string payload = PayloadOf(request);
   for (size_t cut = 0; cut < payload.size(); ++cut) {
-    auto decoded = DecodeRequest(payload.substr(0, cut), 2);
+    auto decoded = DecodeRequest(payload.substr(0, cut));
     ASSERT_FALSE(decoded.ok())
         << "truncation at byte " << cut << "/" << payload.size()
         << " decoded successfully";
-    const StatusCode code = decoded.status().code();
-    EXPECT_TRUE(code == StatusCode::kCorruption ||
-                code == StatusCode::kUnsupportedVersion)
-        << "truncation at byte " << cut << " gave untyped "
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << "truncation at byte " << cut << " gave "
         << decoded.status().ToString();
   }
   // Trailing garbage is equally typed.
-  auto padded = DecodeRequest(payload + "x", 2);
+  auto padded = DecodeRequest(payload + "x");
   ASSERT_FALSE(padded.ok());
   EXPECT_EQ(padded.status().code(), StatusCode::kCorruption);
 }
@@ -222,6 +209,22 @@ TEST(WireV2Test, TruncatedSubscribePayloadsAreTypedAtEveryOffset) {
   request.deadline_ms = 1000;
   request.from_version = 0x1122334455667788ull;
   SweepRequestTruncations(request);
+}
+
+TEST(WireV2Test, TruncatedQueryStatsPingCheckpointPayloadsAreTyped) {
+  Request query;
+  query.type = RequestType::kQuery;
+  query.deadline_ms = 1000;
+  query.query_text = "{cargo.code} {} {cargo.desc = \"frozen food\"} {} "
+                     "{cargo}";
+  SweepRequestTruncations(query);
+  for (RequestType type : {RequestType::kStats, RequestType::kPing,
+                           RequestType::kCheckpoint}) {
+    Request request;
+    request.type = type;
+    request.deadline_ms = 1000;
+    SweepRequestTruncations(request);
+  }
 }
 
 TEST(WireV2Test, TruncatedReplicatePushesAreTypedAtEveryOffset) {

@@ -4,7 +4,11 @@
 // until SIGTERM/SIGINT, then drains gracefully — stops accepting,
 // finishes in-flight requests, flushes every response — and exits 0.
 //
-// Topology (wire protocol v2, see DESIGN.md "Replication"): every
+// Every connection speaks the one wire protocol version from its first
+// frame; a HELLO naming another version is refused with a typed
+// kUnsupportedVersion and the connection closed.
+//
+// Topology (see DESIGN.md "Replication"): every
 // --dir server is a replication LEADER — it primes a ReplicationLog
 // from its WAL's committed suffix and streams commits to kSubscribe
 // followers. --follow=HOST:PORT turns the process into a FOLLOWER:
@@ -21,15 +25,14 @@
 //   --port=N            TCP port (default 7411; 0 = ephemeral)
 //   --port-file=PATH    write the bound port to PATH (readiness signal)
 //   --threads=N         worker threads (default 4)
-//   --queue=N           admission queue bound (default 128)
-//   --watermark=N       backpressure watermark (default: queue bound)
+//   --queue=N           admission queue bound, where reads also pause
+//                       (default 128)
 //   --deadline-ms=N     default per-request deadline (default 5000)
 //   --idle-timeout-ms=N idle connection reaping (default 60000)
 //   --seed=N            generation seed for --gen (default 42)
 //   --follow=HOST:PORT  follower mode: replicate from this leader
 //                       (implies --read-only)
 //   --read-only         reject kApply with a typed error
-//   --min-protocol=N    refuse connections below wire protocol N
 // A numeric flag takes a whole decimal number within its range; any
 // other value (a sign, trailing text, a number out of range) exits 2
 // naming the flag, so nothing wraps.
@@ -108,8 +111,6 @@ int main(int argc, char** argv) {
       options.threads = ParseNumber<int>("--threads", v, 1);
     } else if (const char* v = value("--queue=")) {
       options.max_queue = ParseNumber<size_t>("--queue", v, 1);
-    } else if (const char* v = value("--watermark=")) {
-      options.backpressure_watermark = ParseNumber<size_t>("--watermark", v);
     } else if (const char* v = value("--deadline-ms=")) {
       options.default_deadline_ms = ParseNumber<uint32_t>("--deadline-ms", v);
     } else if (const char* v = value("--idle-timeout-ms=")) {
@@ -121,8 +122,6 @@ int main(int argc, char** argv) {
       options.read_only = true;
     } else if (std::strcmp(arg, "--read-only") == 0) {
       options.read_only = true;
-    } else if (const char* v = value("--min-protocol=")) {
-      options.min_protocol = ParseNumber<uint32_t>("--min-protocol", v);
     } else {
       Die(std::string("unknown flag ") + arg);
     }
