@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
             {inspects} {driver, cargo} ))"},
   };
 
-  const CostModelParams& params = engine.options().cost_params;
   for (const auto& [title, text] : queries) {
     QueryOutcome original = Unwrap(engine.ExecuteUnoptimized(text));
     QueryOutcome optimized = Unwrap(engine.Execute(text));
@@ -84,8 +83,8 @@ int main(int argc, char** argv) {
                 optimized.report.num_firings,
                 optimized.report.eliminated_classes.size(),
                 original.rows.rows.size(), optimized.rows.rows.size());
-    double oc = original.meter.CostUnits(params);
-    double tc = optimized.meter.CostUnits(params);
+    double oc = original.meter.CostUnits();
+    double tc = optimized.meter.CostUnits();
     std::printf("measured cost units: %.2f -> %.2f (%.0f%%)\n", oc, tc,
                 oc > 0 ? 100.0 * tc / oc : 0.0);
   }

@@ -157,8 +157,8 @@ void RecordAccess(const detail::EngineState& state, const Query& query) {
 }
 
 // The engine's physical-planning knobs: serve.parallelism (0 = the
-// resolved thread count) caps morsel fan-out, serve.morsel_size sizes
-// the morsels, and the cost params gate the parallel decision.
+// resolved thread count) caps morsel fan-out and serve.morsel_size
+// sizes the morsels.
 PlanningOptions MakePlanningOptions(const detail::EngineState& state) {
   const ServeOptions& serve = state.options.serve;
   PlanningOptions opts;
@@ -167,7 +167,6 @@ PlanningOptions MakePlanningOptions(const detail::EngineState& state) {
           ? WorkerPool::ResolveThreads(serve.threads)
           : serve.parallelism;
   opts.morsel_size = serve.morsel_size;
-  opts.cost_params = state.options.cost_params;
   return opts;
 }
 
@@ -358,10 +357,8 @@ Status Engine::Load(DataSource data_source) {
   auto data = std::make_shared<detail::LoadedData>();
   data->store = std::shared_ptr<const ObjectStore>(std::move(store));
   data->db_stats = CollectStats(*data->store);
-  if (state.options.use_cost_model) {
-    data->cost_model = std::make_unique<CostModel>(
-        &state.schema, &data->db_stats, state.options.cost_params);
-  }
+  data->cost_model =
+      std::make_unique<CostModel>(&state.schema, &data->db_stats);
   data->version = 1;
   data->lineage = ++state.lineages;
   {
@@ -396,10 +393,8 @@ Result<Engine> Engine::Open(const std::string& dir, EngineOptions options) {
                          snapshot.RestoreStore(&state->schema));
   data->store = std::shared_ptr<const ObjectStore>(std::move(store));
   SQOPT_ASSIGN_OR_RETURN(data->db_stats, snapshot.RestoreStats());
-  if (state->options.use_cost_model) {
-    data->cost_model = std::make_unique<CostModel>(
-        &state->schema, &data->db_stats, state->options.cost_params);
-  }
+  data->cost_model =
+      std::make_unique<CostModel>(&state->schema, &data->db_stats);
   data->version = snapshot.data_version();
   data->lineage = ++state->lineages;
   {
@@ -945,7 +940,7 @@ void Engine::CommitGroupLocked(
     stats_drift = std::max(stats_drift, drift(changed, before));
   }
 
-  const bool resync = stats_drift >= state.options.serve.replan_threshold;
+  const bool resync = stats_drift >= kReplanThreshold;
   if (resync) {
     // The same commits that will drop the plan cache also earn a full
     // recollection: cheap commits keep the incremental path, drifting
@@ -1004,10 +999,8 @@ void Engine::CommitGroupLocked(
   }
 
   data->store = std::shared_ptr<const ObjectStore>(std::move(next));
-  if (state.options.use_cost_model) {
-    data->cost_model = std::make_unique<CostModel>(
-        &state.schema, &data->db_stats, state.options.cost_params);
-  }
+  data->cost_model =
+      std::make_unique<CostModel>(&state.schema, &data->db_stats);
   data->version = base->version + survivors.size();
   data->lineage = base->lineage;
 

@@ -241,11 +241,11 @@ class Engine {
   // still require quiescing Execute/Prepare callers first. ---
 
   // Attaches (or replaces) the data, collects statistics, and builds
-  // the cost model (unless options.use_cost_model is false). Drops
-  // every cached plan: the next Execute of any query re-parses,
-  // re-retrieves, and re-plans against the new store. On a durable
-  // engine a reload DETACHES the persistence directory (the on-disk
-  // lineage no longer describes the data); Save() re-attaches.
+  // the cost model. Drops every cached plan: the next Execute of any
+  // query re-parses, re-retrieves, and re-plans against the new store.
+  // On a durable engine a reload DETACHES the persistence directory
+  // (the on-disk lineage no longer describes the data); Save()
+  // re-attaches.
   Status Load(DataSource data_source);
 
   // --- Durability. See DESIGN.md "Durability". ---
@@ -286,8 +286,8 @@ class Engine {
   //  * the new snapshot is published atomically — every read that
   //    starts afterwards sees the whole batch, none of it before;
   //  * the plan cache is dropped only when the commit's statistics
-  //    drift crosses options().serve.replan_threshold — below it,
-  //    cached plans survive and execute against the new snapshot.
+  //    drift crosses kReplanThreshold (api/engine_options.h) — below
+  //    it, cached plans survive and execute against the new snapshot.
   // Requires Load() first. An empty batch is a no-op commit.
   //
   // Concurrent Apply calls GROUP-COMMIT: callers queue up, one becomes

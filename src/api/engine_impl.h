@@ -55,7 +55,7 @@ namespace sqopt::detail {
 struct LoadedData {
   std::shared_ptr<const ObjectStore> store;
   DatabaseStats db_stats;
-  std::unique_ptr<const CostModel> cost_model;  // null in walkthrough mode
+  std::unique_ptr<const CostModel> cost_model;
   // 1 for a fresh Load; +1 per committed Apply on the lineage.
   uint64_t version = 1;
   // Which Load() this snapshot descends from. Apply preserves it; a

@@ -1,11 +1,12 @@
 // Configuration of an sqopt::Engine. One flat struct groups the knobs
 // of every internal layer: the semantic optimizer (tag policy, match
 // mode, queue discipline, budget), the constraint precompiler (closure
-// materialization, grouping policy), the cost model parameters, and the
-// serving knobs (plan cache, morsel parallelism, durability). Every
-// knob is fixed at Engine::Open except the optimizer's, which
-// Engine::SetOptimizerOptions may replace. Defaults reproduce the
-// paper's design end to end.
+// materialization, grouping policy) and the serving knobs (plan cache,
+// morsel parallelism, durability). The cost model's weights are
+// constants (cost/cost_model.h), and so is the write path's replan
+// threshold (kReplanThreshold below). Every knob is fixed at
+// Engine::Open except the optimizer's, which Engine::SetOptimizerOptions
+// may replace. Defaults reproduce the paper's design end to end.
 #ifndef SQOPT_API_ENGINE_OPTIONS_H_
 #define SQOPT_API_ENGINE_OPTIONS_H_
 
@@ -13,11 +14,19 @@
 #include <cstdint>
 
 #include "constraints/constraint_catalog.h"
-#include "cost/cost_model.h"
 #include "sqo/options.h"
 #include "storage/morsel.h"
 
 namespace sqopt {
+
+// Replan threshold for the write path: Engine::Apply drops the plan
+// cache only when a commit's statistics drift — the fraction of a
+// touched class's rows (or a touched relationship's pairs) the batch
+// changed — reaches this value. Below it, cached plans survive and
+// simply execute against the new snapshot (plans are correct for any
+// snapshot of the same schema; the threshold trades planning
+// optimality for cache hits).
+inline constexpr double kReplanThreshold = 0.15;
 
 // Durability knobs for engines attached to a persistence directory
 // (Engine::Save / Engine::Open(dir)); ignored on purely in-memory
@@ -58,40 +67,21 @@ struct ServeOptions {
   // Non-positive falls back to the same default.
   int64_t morsel_size = kDefaultMorselSize;
 
-  // Replan threshold for the write path: Engine::Apply drops the plan
-  // cache only when a commit's statistics drift — the fraction of a
-  // touched class's rows (or a touched relationship's pairs) the batch
-  // changed — reaches this value. Below it, cached plans survive and
-  // simply execute against the new snapshot (plans are correct for any
-  // snapshot of the same schema; the threshold trades planning
-  // optimality for cache hits). 0 re-plans on every commit.
-  double replan_threshold = 0.15;
-
   // WAL flushing for durable engines (see DurabilityOptions).
   DurabilityOptions durability;
 };
 
 struct EngineOptions {
   // Semantic-optimizer knobs (§3–§4): tag_policy, match_mode, queue,
-  // transformation_budget, enable_class_elimination,
-  // enable_contradiction_detection. Profitability analysis runs
-  // whenever the optimizer has a cost model (see use_cost_model).
+  // transformation_budget, enable_class_elimination. Profitability
+  // analysis runs whenever data is loaded: the cost model needs the
+  // store's statistics, so Analyze before Load retains every optional
+  // predicate (the paper's walkthrough).
   OptimizerOptions optimizer;
 
   // Constraint precompilation (§3): materialize_closure and the
   // grouping policy that drives per-query retrieval.
   PrecompileOptions precompile;
-
-  // Cost model parameters shared by profitability analysis and the
-  // measured ExecutionMeter::CostUnits conversion.
-  CostModelParams cost_params;
-
-  // When false the optimizer runs without a cost model even when data
-  // is loaded: every optional predicate is retained and class
-  // elimination applies whenever structurally legal — the paper's
-  // walkthrough mode. (With no data loaded there is never a cost
-  // model; statistics require a store.)
-  bool use_cost_model = true;
 
   // Serving: the shared plan-cache capacity (cache_capacity = 0 turns
   // the cache off and every Execute pays the full parse/retrieve/plan

@@ -95,7 +95,7 @@ struct ApplyOutcome {
   // Statistics drift the commit caused: the max, over touched classes
   // and relationships, of changed rows (or pairs) as a fraction of the
   // pre-commit cardinality. Compared against
-  // ServeOptions::replan_threshold to decide cache invalidation.
+  // kReplanThreshold to decide cache invalidation.
   double stats_drift = 0.0;
 
   // True when the drift crossed the threshold and the plan cache was

@@ -91,13 +91,6 @@ std::vector<RelId> Schema::RelationshipsOf(ClassId class_id) const {
   return out;
 }
 
-bool Schema::AreLinked(ClassId a, ClassId b) const {
-  for (const Relationship& rel : relationships_) {
-    if (rel.Connects(a, b)) return true;
-  }
-  return false;
-}
-
 std::vector<AttrId> Schema::LayoutOf(ClassId class_id) const {
   // Chain from root ancestor down to class_id.
   std::vector<ClassId> chain;

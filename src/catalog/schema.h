@@ -117,9 +117,6 @@ class Schema {
   // All relationships with `class_id` as an endpoint.
   std::vector<RelId> RelationshipsOf(ClassId class_id) const;
 
-  // True if some relationship directly connects the two classes.
-  bool AreLinked(ClassId a, ClassId b) const;
-
   // All attributes visible on `class_id` — inherited ones first (root
   // ancestor downward), declaration order within each class — as attr
   // ids usable with attribute()/FindAttribute. This is the storage

@@ -35,23 +35,6 @@ std::vector<std::string> Split(std::string_view s, char delim, bool trim) {
   return out;
 }
 
-std::vector<std::string> SplitTopLevel(std::string_view s, char delim,
-                                       char open, char close) {
-  std::vector<std::string> out;
-  int depth = 0;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || (s[i] == delim && depth == 0)) {
-      out.emplace_back(StripWhitespace(s.substr(start, i - start)));
-      start = i + 1;
-      continue;
-    }
-    if (s[i] == open) ++depth;
-    if (s[i] == close) --depth;
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep) {
   std::string out;
@@ -64,11 +47,6 @@ std::string Join(const std::vector<std::string>& parts,
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string ToLower(std::string_view s) {

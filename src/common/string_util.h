@@ -17,19 +17,12 @@ std::string_view StripWhitespace(std::string_view s);
 std::vector<std::string> Split(std::string_view s, char delim,
                                bool trim = true);
 
-// Splits `s` on `delim` but only at depth zero with respect to the given
-// open/close bracket pair. Used by the query/constraint parsers to split
-// comma lists that may contain nested parentheses.
-std::vector<std::string> SplitTopLevel(std::string_view s, char delim,
-                                       char open, char close);
-
 // Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);
 
-// True if `s` begins with / ends with the given prefix or suffix.
+// True if `s` begins with the given prefix.
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // ASCII lowercase copy.
 std::string ToLower(std::string_view s);

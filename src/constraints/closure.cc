@@ -127,40 +127,4 @@ Result<ClosureResult> ComputeClosure(const Schema& /*schema*/,
   return result;
 }
 
-std::vector<ConstraintId> ChainAtQueryTime(
-    const std::vector<HornClause>& clauses,
-    const std::vector<Predicate>& seed) {
-  std::vector<Predicate> known = seed;
-  std::vector<bool> fired(clauses.size(), false);
-  std::vector<ConstraintId> order;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < clauses.size(); ++i) {
-      if (fired[i]) continue;
-      const HornClause& c = clauses[i];
-      bool all_present = true;
-      for (const Predicate& a : c.antecedents()) {
-        bool present = false;
-        for (const Predicate& k : known) {
-          if (Implies(k, a)) {
-            present = true;
-            break;
-          }
-        }
-        if (!present) {
-          all_present = false;
-          break;
-        }
-      }
-      if (!all_present) continue;
-      fired[i] = true;
-      order.push_back(static_cast<ConstraintId>(i));
-      known.push_back(c.consequent());
-      changed = true;
-    }
-  }
-  return order;
-}
-
 }  // namespace sqopt

@@ -44,15 +44,6 @@ Result<ClosureResult> ComputeClosure(const Schema& schema,
                                      std::vector<HornClause> base,
                                      const ClosureOptions& options = {});
 
-// Query-time chaining used by the "no materialized closure" ablation:
-// starting from the predicates present in `seed`, repeatedly fires
-// clauses whose antecedents are all implied by the accumulated set, and
-// returns every clause that fired. This is the work the materialized
-// closure avoids.
-std::vector<ConstraintId> ChainAtQueryTime(
-    const std::vector<HornClause>& clauses,
-    const std::vector<Predicate>& seed);
-
 }  // namespace sqopt
 
 #endif  // SQOPT_CONSTRAINTS_CLOSURE_H_

@@ -5,18 +5,6 @@
 
 namespace sqopt {
 
-const char* GroupingPolicyName(GroupingPolicy policy) {
-  switch (policy) {
-    case GroupingPolicy::kArbitrary:
-      return "arbitrary";
-    case GroupingPolicy::kLeastFrequentlyAccessed:
-      return "least-frequently-accessed";
-    case GroupingPolicy::kBalanced:
-      return "balanced";
-  }
-  return "unknown";
-}
-
 void ConstraintGrouping::Build(const Schema& schema,
                                const std::vector<HornClause>& clauses,
                                GroupingPolicy policy,

@@ -29,8 +29,6 @@ enum class GroupingPolicy {
   kBalanced,
 };
 
-const char* GroupingPolicyName(GroupingPolicy policy);
-
 class ConstraintGrouping {
  public:
   ConstraintGrouping() = default;

@@ -37,14 +37,13 @@ std::string ValueLabel(const Value& v) {
 
 }  // namespace
 
-Result<std::vector<HornClause>> DeriveStateRules(
-    const ObjectStore& store, const RuleDerivationOptions& options) {
+Result<std::vector<HornClause>> DeriveStateRules(const ObjectStore& store) {
   const Schema& schema = store.schema();
   std::vector<HornClause> rules;
 
   for (const ObjectClass& oc : schema.classes()) {
     const Extent& extent = store.extent(oc.id);
-    if (extent.live_count() < options.min_support) continue;
+    if (extent.live_count() < kMinRuleSupport) continue;
     std::vector<AttrId> layout = schema.LayoutOf(oc.id);
 
     // Global bounds and distinct counts per attribute.
@@ -74,35 +73,31 @@ Result<std::vector<HornClause>> DeriveStateRules(
     }
 
     // Global range rules: (empty antecedent) -> attr >= min / <= max.
-    if (options.derive_range_rules) {
-      for (AttrId attr : layout) {
-        const AttrSummary& s = summaries[attr];
-        if (!s.numeric || s.distinct < 2) continue;
-        AttrRef ref{oc.id, attr};
-        const std::string& attr_name = schema.attribute(ref).name;
-        rules.emplace_back(
-            "state:" + oc.name + "." + attr_name + ".lo",
-            std::vector<Predicate>{},
-            Predicate::AttrConst(ref, CompareOp::kGe, s.min));
-        rules.emplace_back(
-            "state:" + oc.name + "." + attr_name + ".hi",
-            std::vector<Predicate>{},
-            Predicate::AttrConst(ref, CompareOp::kLe, s.max));
-      }
+    for (AttrId attr : layout) {
+      const AttrSummary& s = summaries[attr];
+      if (!s.numeric || s.distinct < 2) continue;
+      AttrRef ref{oc.id, attr};
+      const std::string& attr_name = schema.attribute(ref).name;
+      rules.emplace_back("state:" + oc.name + "." + attr_name + ".lo",
+                         std::vector<Predicate>{},
+                         Predicate::AttrConst(ref, CompareOp::kGe, s.min));
+      rules.emplace_back("state:" + oc.name + "." + attr_name + ".hi",
+                         std::vector<Predicate>{},
+                         Predicate::AttrConst(ref, CompareOp::kLe, s.max));
     }
 
     // Per-antecedent-value rules.
     for (AttrId a_attr : layout) {
       const AttrSummary& a_summary = summaries[a_attr];
       if (a_summary.distinct < 2 ||
-          a_summary.distinct > options.max_antecedent_values) {
+          a_summary.distinct > kMaxAntecedentValues) {
         continue;
       }
       AttrRef a_ref{oc.id, a_attr};
       const std::string& a_name = schema.attribute(a_ref).name;
 
       for (const ValueGroup& group : GroupByAttr(extent, a_attr)) {
-        if (static_cast<int64_t>(group.rows.size()) < options.min_support) {
+        if (static_cast<int64_t>(group.rows.size()) < kMinRuleSupport) {
           continue;
         }
         Predicate antecedent =
@@ -121,7 +116,7 @@ Result<std::vector<HornClause>> DeriveStateRules(
             values.insert(extent.ValueAt(row, b_attr));
           }
 
-          if (options.derive_value_rules && values.size() == 1) {
+          if (values.size() == 1) {
             rules.emplace_back(
                 "state:" + oc.name + "." + a_name + "=" +
                     ValueLabel(group.value) + "->" + b_name,
@@ -131,8 +126,7 @@ Result<std::vector<HornClause>> DeriveStateRules(
             continue;  // a value rule subsumes the range rules
           }
 
-          if (options.derive_conditional_ranges && b_summary.numeric &&
-              !values.empty()) {
+          if (b_summary.numeric && !values.empty()) {
             const Value& lo = *values.begin();
             const Value& hi = *values.rbegin();
             // Only strictly tighter-than-global bounds carry knowledge.

@@ -21,24 +21,18 @@
 
 namespace sqopt {
 
-struct RuleDerivationOptions {
-  // Groups smaller than this are noise, not knowledge.
-  int64_t min_support = 8;
-  // Antecedent attributes with more distinct values than this are
-  // skipped (a rule per customer id is useless).
-  int64_t max_antecedent_values = 8;
-
-  bool derive_value_rules = true;
-  bool derive_range_rules = true;
-  bool derive_conditional_ranges = true;
-};
+// Groups smaller than this are noise, not knowledge; so are classes
+// with fewer live rows.
+inline constexpr int64_t kMinRuleSupport = 8;
+// Antecedent attributes with more distinct values than this are
+// skipped (a rule per customer id is useless).
+inline constexpr int64_t kMaxAntecedentValues = 8;
 
 // Mines rules from `store`. Every returned clause is guaranteed to hold
 // on the store's current contents (and is labeled "state:..."). The
 // caller decides whether to add them to a ConstraintCatalog; remember
 // to re-derive after updates.
-Result<std::vector<HornClause>> DeriveStateRules(
-    const ObjectStore& store, const RuleDerivationOptions& options = {});
+Result<std::vector<HornClause>> DeriveStateRules(const ObjectStore& store);
 
 // Verifies that `clause` holds on every object (intra-class clauses) or
 // every same-class-pair combination implied by its classes (checked

@@ -72,13 +72,13 @@ double CostModel::ClassAccessCost(ClassId id,
       }
     }
     double matches = std::max(card * best_sel, 1.0);
-    double probe = params_.probe_weight * std::log2(std::max(card, 2.0));
+    double probe = kProbeWeight * std::log2(std::max(card, 2.0));
     double residual =
-        matches * std::max(num_preds - 1.0, 0.0) * params_.cpu_weight;
+        matches * std::max(num_preds - 1.0, 0.0) * kCpuWeight;
     return multiplier * (probe + Pages(matches) + residual);
   }
   // Full extent scan, every predicate evaluated on every instance.
-  return multiplier * (Pages(card) + card * num_preds * params_.cpu_weight);
+  return multiplier * (Pages(card) + card * num_preds * kCpuWeight);
 }
 
 double CostModel::QueryCost(const Query& query) const {
@@ -119,7 +119,7 @@ double CostModel::QueryCost(const Query& query) const {
       if (visited.count(jp.lhs().class_id) > 0 &&
           visited.count(jp.rhs_attr().class_id) > 0) {
         join_applied[i] = true;
-        cost += size * params_.cpu_weight;
+        cost += size * kCpuWeight;
         size *= EstimateSelectivity(*schema_, *stats_, jp);
         size = std::max(size, kMinSelectivity);
       }
@@ -183,11 +183,11 @@ double CostModel::QueryCost(const Query& query) const {
     double partners = size * fanout;
     std::vector<Predicate> to_preds = PredicatesOn(preds, to);
 
-    cost += size * params_.probe_weight;  // pointer traversal per row
+    cost += size * kProbeWeight;  // pointer traversal per row
     double to_card = static_cast<double>(stats_->ClassCardinality(to));
     cost += Pages(std::min(partners, to_card));
     cost += partners * static_cast<double>(to_preds.size()) *
-            params_.cpu_weight;
+            kCpuWeight;
 
     size = std::max(partners * MarginalClassSelectivity(*schema_, *stats_,
                                                         to_preds),
@@ -197,32 +197,8 @@ double CostModel::QueryCost(const Query& query) const {
     apply_joins();
   }
 
-  cost += size * params_.output_weight;
+  cost += size * kOutputWeight;
   return cost;
-}
-
-double CostModel::ResultCardinality(const Query& query) const {
-  if (query.classes.empty()) return 0.0;
-  std::vector<Predicate> preds = query.AllPredicates();
-  double size = 1.0;
-  for (ClassId id : query.classes) {
-    double card = static_cast<double>(stats_->ClassCardinality(id));
-    size *= card * MarginalClassSelectivity(*schema_, *stats_,
-                                            PredicatesOn(preds, id));
-  }
-  // Each relationship edge acts as a join filter: fanout/card(b).
-  for (RelId rel_id : query.relationships) {
-    const Relationship& rel = schema_->relationship(rel_id);
-    double ca = static_cast<double>(stats_->ClassCardinality(rel.a));
-    double cb = static_cast<double>(stats_->ClassCardinality(rel.b));
-    double pairs =
-        static_cast<double>(stats_->RelationshipCardinality(rel_id));
-    size *= pairs / std::max(ca * cb, 1.0);
-  }
-  for (const Predicate& jp : query.join_predicates) {
-    size *= EstimateSelectivity(*schema_, *stats_, jp);
-  }
-  return std::max(size, 0.0);
 }
 
 bool RetainIsProfitable(const CostModelInterface& model, const Query& query,
@@ -249,17 +225,16 @@ bool EliminationIsProfitable(const CostModelInterface& model,
   return model.QueryCost(without) <= model.QueryCost(with);
 }
 
-double ParallelScanCost(double instances, int workers,
-                        const CostModelParams& params) {
+double ParallelScanCost(double instances, int workers) {
   if (workers < 1) workers = 1;
-  double pages = instances / params.page_instances;
+  double pages = instances / kPageInstances;
   if (instances > 0 && pages < 1.0) pages = 1.0;
   return pages / static_cast<double>(workers) +
-         params.parallel_fanout_overhead * static_cast<double>(workers - 1);
+         kParallelFanoutOverhead * static_cast<double>(workers - 1);
 }
 
 int ChooseScanParallelism(double instances, int max_parallelism,
-                          const CostModelParams& params, int64_t morsel_size) {
+                          int64_t morsel_size) {
   if (max_parallelism <= 1 || instances <= 0) return 1;
   // The executor cuts non-positive sizes at the default (MakeMorsels).
   if (morsel_size <= 0) morsel_size = kDefaultMorselSize;
@@ -268,9 +243,9 @@ int ChooseScanParallelism(double instances, int max_parallelism,
   int cap = max_parallelism;
   if (morsels < static_cast<double>(cap)) cap = static_cast<int>(morsels);
   int best = 1;
-  double best_cost = ParallelScanCost(instances, 1, params);
+  double best_cost = ParallelScanCost(instances, 1);
   for (int workers = 2; workers <= cap; ++workers) {
-    double cost = ParallelScanCost(instances, workers, params);
+    double cost = ParallelScanCost(instances, workers);
     if (cost < best_cost) {
       best_cost = cost;
       best = workers;

@@ -16,21 +16,15 @@
 
 namespace sqopt {
 
-struct CostModelParams {
-  double page_instances = 32;    // objects per page (blocking factor)
-  double cpu_weight = 0.02;      // cost units per predicate evaluation
-  double probe_weight = 0.05;    // cost units per index/pointer probe
-  double output_weight = 0.001;  // cost units per result row materialized
-  // Fixed overhead added to the optimized side when profitability is
-  // judged (models the transformation cost the paper includes in the
-  // optimized query's cost).
-  double optimization_overhead = 0.0;
-
-  // --- Morsel-parallel scan (exec/ fan-out of the driving step) ---
-  // Cost units charged per additional scan worker (thread wake-up,
-  // per-morsel scheduling, and the merge of its row batch).
-  double parallel_fanout_overhead = 0.25;
-};
+// Weights of the model, in abstract cost units. ExecutionMeter::CostUnits
+// prices a run's measured counters with the same weights.
+inline constexpr double kPageInstances = 32;    // objects per page
+inline constexpr double kCpuWeight = 0.02;      // per predicate evaluation
+inline constexpr double kProbeWeight = 0.05;    // per index/pointer probe
+inline constexpr double kOutputWeight = 0.001;  // per result row
+// Charged per additional morsel-parallel scan worker (thread wake-up,
+// per-morsel scheduling, and the merge of its row batch).
+inline constexpr double kParallelFanoutOverhead = 0.25;
 
 // Interface so the optimizer core can be tested with stub models.
 class CostModelInterface {
@@ -43,14 +37,10 @@ class CostModelInterface {
 
 class CostModel : public CostModelInterface {
  public:
-  CostModel(const Schema* schema, const DatabaseStats* stats,
-            CostModelParams params = {})
-      : schema_(schema), stats_(stats), params_(params) {}
+  CostModel(const Schema* schema, const DatabaseStats* stats)
+      : schema_(schema), stats_(stats) {}
 
   double QueryCost(const Query& query) const override;
-
-  // Estimated cardinality of the query result.
-  double ResultCardinality(const Query& query) const;
 
   // Cost of accessing one class given the selective predicates that
   // apply to it: index scan when an indexed predicate exists, else a
@@ -60,11 +50,9 @@ class CostModel : public CostModelInterface {
                          const std::vector<Predicate>& predicates,
                          double multiplier) const;
 
-  const CostModelParams& params() const { return params_; }
-
  private:
   double Pages(double instances) const {
-    double pages = instances / params_.page_instances;
+    double pages = instances / kPageInstances;
     return pages < 1.0 ? 1.0 : pages;
   }
   bool HasIndexedPredicate(ClassId id,
@@ -72,7 +60,6 @@ class CostModel : public CostModelInterface {
 
   const Schema* schema_;
   const DatabaseStats* stats_;
-  CostModelParams params_;
 };
 
 // Decision helpers shared by the SQO formulation step and the baselines.
@@ -91,8 +78,7 @@ bool EliminationIsProfitable(const CostModelInterface& model,
 // across `workers` morsel workers. The page cost divides across the
 // workers; each additional worker charges a fixed fan-out overhead, so
 // small scans are never cheaper parallel.
-double ParallelScanCost(double instances, int workers,
-                        const CostModelParams& params);
+double ParallelScanCost(double instances, int workers);
 
 // The degree of parallelism in [1, max_parallelism] minimizing
 // ParallelScanCost, additionally capped at one worker per morsel
@@ -100,7 +86,7 @@ double ParallelScanCost(double instances, int workers,
 // is the executor's morsel size for the cap. Returns 1 (sequential)
 // for small scans or max_parallelism <= 1.
 int ChooseScanParallelism(double instances, int max_parallelism,
-                          const CostModelParams& params, int64_t morsel_size);
+                          int64_t morsel_size);
 
 }  // namespace sqopt
 

@@ -16,15 +16,13 @@
 
 namespace sqopt {
 
-double ExecutionMeter::CostUnits(const CostModelParams& params) const {
-  double pages =
-      static_cast<double>(instances_scanned) / params.page_instances;
+double ExecutionMeter::CostUnits() const {
+  double pages = static_cast<double>(instances_scanned) / kPageInstances;
   if (instances_scanned > 0 && pages < 1.0) pages = 1.0;
-  return pages +
-         params.cpu_weight * static_cast<double>(predicate_evals) +
-         params.probe_weight *
+  return pages + kCpuWeight * static_cast<double>(predicate_evals) +
+         kProbeWeight *
              static_cast<double>(index_probes + pointer_traversals) +
-         params.output_weight * static_cast<double>(rows_out);
+         kOutputWeight * static_cast<double>(rows_out);
 }
 
 double ExecutionMeter::ParallelSpeedup() const {

@@ -41,7 +41,7 @@ struct ExecutionMeter {
   uint64_t parallel_wall_micros = 0;  // wall time of the morsel phase
 
   // Measured cost in the same units the CostModel estimates.
-  double CostUnits(const CostModelParams& params = {}) const;
+  double CostUnits() const;
 
   // Busy/wall ratio of the morsel phase: the summed per-morsel busy
   // time over the phase's wall time, 0 for sequential runs. It reads

@@ -131,9 +131,8 @@ Result<Plan> BuildPlan(const Schema& schema, const DatabaseStats& stats,
   // selection; let the cost model pick a degree that amortizes the
   // fan-out.
   if (options.max_parallelism > 1) {
-    plan.parallelism =
-        ChooseScanParallelism(start_candidates, options.max_parallelism,
-                              options.cost_params, options.morsel_size);
+    plan.parallelism = ChooseScanParallelism(
+        start_candidates, options.max_parallelism, options.morsel_size);
   }
   plan.morsel_size = options.morsel_size;
 

@@ -26,9 +26,6 @@ struct PlanningOptions {
   // Driving candidates per morsel, stamped into the plan for the
   // executor. Non-positive falls back to the default.
   int64_t morsel_size = kDefaultMorselSize;
-  // Supplies parallel_fanout_overhead for the parallel decision (and
-  // keeps it consistent with the engine's cost model).
-  CostModelParams cost_params;
 };
 
 // `stats` drives access-path choice; use CollectStats(store) for

@@ -127,19 +127,4 @@ bool ConjunctionImplies(const std::vector<Predicate>& premises,
                      conclusion.rhs_value());
 }
 
-bool MutuallyExclusive(const Predicate& a, const Predicate& b) {
-  if (a.is_attr_const() && b.is_attr_const() && a.lhs() == b.lhs()) {
-    Interval region;
-    if (!region.Add(a.op(), a.rhs_value())) return true;
-    return !region.Add(b.op(), b.rhs_value());
-  }
-  if (a.is_attr_attr() && b.is_attr_attr() && a.lhs() == b.lhs() &&
-      a.rhs_attr() == b.rhs_attr()) {
-    // a ∧ b unsat iff a implies ¬b.
-    return AttrAttrImplies(a.op(), NegateCompareOp(b.op())) ||
-           AttrAttrImplies(b.op(), NegateCompareOp(a.op()));
-  }
-  return false;
-}
-
 }  // namespace sqopt

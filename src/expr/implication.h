@@ -26,10 +26,6 @@ bool Implies(const Predicate& a, const Predicate& b);
 bool ConjunctionImplies(const std::vector<Predicate>& premises,
                         const Predicate& conclusion);
 
-// True iff a and b can never both hold (e.g. x = 1 and x = 2).
-// Conservative: false when undecided.
-bool MutuallyExclusive(const Predicate& a, const Predicate& b);
-
 }  // namespace sqopt
 
 #endif  // SQOPT_EXPR_IMPLICATION_H_

@@ -63,10 +63,6 @@ class Predicate {
     return lhs_.class_id == id || (rhs_is_attr_ && rhs_attr_.class_id == id);
   }
 
-  // True if the predicate references only one object class. Mirrors the
-  // paper's intra-class / inter-class distinction at predicate level.
-  bool IsSingleClass() const { return ReferencedClasses().size() == 1; }
-
   bool operator==(const Predicate& other) const;
   size_t Hash() const;
 

@@ -27,7 +27,6 @@ Result<std::unique_ptr<FollowerApplier>> FollowerApplier::Start(
     return Status::InvalidArgument("leader_port must be set");
   }
   if (options.poll_interval_ms <= 0) options.poll_interval_ms = 200;
-  if (options.reconnect_backoff_ms <= 0) options.reconnect_backoff_ms = 200;
   auto applier = std::unique_ptr<FollowerApplier>(
       new FollowerApplier(engine, std::move(options)));
   applier->thread_ = std::thread([raw = applier.get()] { raw->Run(); });
@@ -85,24 +84,14 @@ void FollowerApplier::Halt(Status why) {
 }
 
 void FollowerApplier::Run() {
-  int consecutive_failures = 0;
   while (!stopping_.load(std::memory_order_relaxed)) {
     if (!RunSession()) return;  // halted with a typed status
     connected_.store(false, std::memory_order_relaxed);
     if (stopping_.load(std::memory_order_relaxed)) return;
-    ++consecutive_failures;
-    if (opts_.max_reconnect_failures > 0 &&
-        consecutive_failures >= opts_.max_reconnect_failures) {
-      Halt(Status::Internal(
-          "follower gave up after " + std::to_string(consecutive_failures) +
-          " failed attempts to reach the leader at " + opts_.leader_host +
-          ":" + std::to_string(opts_.leader_port)));
-      return;
-    }
     reconnects_.fetch_add(1, std::memory_order_relaxed);
     // Interruptible backoff.
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, milliseconds(opts_.reconnect_backoff_ms), [&] {
+    cv_.wait_for(lock, milliseconds(kReconnectBackoffMs), [&] {
       return stopping_.load(std::memory_order_relaxed);
     });
   }

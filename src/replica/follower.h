@@ -24,9 +24,9 @@
 // leader committed) is also divergence: deterministic replay of a
 // committed group cannot legitimately fail.
 //
-// Transport errors are NOT fatal: the applier reconnects with backoff
-// and re-subscribes from its current version. Stop() (and the
-// destructor) shut the loop down cleanly.
+// Transport errors are NOT fatal: the applier waits kReconnectBackoffMs,
+// reconnects and re-subscribes from its current version, for as long as
+// it runs. Stop() (and the destructor) shut the loop down cleanly.
 #ifndef SQOPT_REPLICA_FOLLOWER_H_
 #define SQOPT_REPLICA_FOLLOWER_H_
 
@@ -44,17 +44,15 @@
 
 namespace sqopt::replica {
 
+// Wait between reconnect attempts after a transport failure.
+inline constexpr int kReconnectBackoffMs = 200;
+
 struct FollowerOptions {
   std::string leader_host = "127.0.0.1";
   int leader_port = 0;
 
   // Socket receive timeout; also the applier's stop-latency bound.
   int poll_interval_ms = 200;
-  // Backoff between reconnect attempts after a transport failure.
-  int reconnect_backoff_ms = 200;
-  // Give up after this many consecutive failed connect attempts
-  // (0 = retry forever until Stop()).
-  int max_reconnect_failures = 0;
 
   // Test/bench hook: called after each applied record with the new
   // local version (on the applier thread).
@@ -89,8 +87,8 @@ class FollowerApplier {
   // kOk while healthy (including while reconnecting); a typed error
   // once the applier halted: kCorruption for a version gap or a
   // rejected replayed batch (divergence), kOutOfRange when the leader
-  // no longer retains this follower's position (re-seed), kInternal
-  // when reconnect attempts were exhausted.
+  // no longer retains this follower's position (re-seed), or the
+  // leader's own refusal of HELLO or SUBSCRIBE.
   Status status() const;
 
   FollowerStats stats() const;

@@ -991,6 +991,11 @@ Result<std::unique_ptr<Server>> Server::Start(
   if (options.max_queue < 1) {
     return Status::InvalidArgument("ServerOptions::max_queue must be >= 1");
   }
+  if (options.default_deadline_ms < 1) {
+    // 0 would stamp every deadline-less request already expired.
+    return Status::InvalidArgument(
+        "ServerOptions::default_deadline_ms must be >= 1");
+  }
   if (options.port < 0 || options.port > 65535) {
     return Status::InvalidArgument("ServerOptions::port " +
                                    std::to_string(options.port) +

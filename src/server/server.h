@@ -81,8 +81,8 @@ struct ServerOptions {
   // stop reading request bytes, and resume at half of it.
   size_t max_queue = 128;
 
-  // Deadline applied to requests that don't carry one; client-supplied
-  // deadlines are clamped to 60 s.
+  // Deadline applied to requests that don't carry one (>= 1; Start
+  // refuses 0); client-supplied deadlines are clamped to 60 s.
   uint32_t default_deadline_ms = 5000;
 
   // Connections with no traffic and no pending work for this long are
@@ -92,8 +92,8 @@ struct ServerOptions {
   // Fault injection: sleep this long inside each worker before
   // executing a request. A delay models a slow engine, so a non-zero
   // value also routes every query through the pool (none runs inline
-  // on an event loop). Lets tests and the overload bench pin the
-  // server's capacity deterministically. 0 in production.
+  // on an event loop). Lets tests pin the server's capacity and
+  // deadlines deterministically. 0 in production.
   uint32_t execute_delay_ms = 0;
 
   // Follower mode: reject kApply with a typed kFailedPrecondition
@@ -130,7 +130,8 @@ class Server {
   // Binds, listens, and spawns the event loops + workers. `engine` must
   // have data loaded and must outlive the server. The read path stays
   // const; kApply/kCheckpoint drive the engine's write path. A port
-  // outside [0, 65535] fails with kInvalidArgument. A non-null
+  // outside [0, 65535], threads or max_queue below 1, or a zero
+  // default_deadline_ms fails with kInvalidArgument. A non-null
   // `replication` makes this server a replication leader (it must
   // outlive the server; the server installs itself as the log's
   // notifier and detaches on shutdown).

@@ -79,18 +79,16 @@ FormulationResult FormulateQuery(const Schema& schema,
   // tagged — imperative, optional, or redundant — is entailed for any
   // qualifying tuple, so an unsatisfiable conjunction means the answer
   // is empty in every consistent database state.
-  if (options.enable_contradiction_detection) {
-    std::vector<Predicate> entailed;
-    for (const Tagged& t : tagged) entailed.push_back(table.pool().Get(t.col));
-    if (!ConjunctionSatisfiable(entailed)) {
-      result.empty_result = true;
-      result.query = original;
-      for (const Tagged& t : tagged) {
-        result.final_predicates.push_back(FinalPredicate{
-            table.pool().Get(t.col), t.tag, t.in_query, false});
-      }
-      return result;
+  std::vector<Predicate> entailed;
+  for (const Tagged& t : tagged) entailed.push_back(table.pool().Get(t.col));
+  if (!ConjunctionSatisfiable(entailed)) {
+    result.empty_result = true;
+    result.query = original;
+    for (const Tagged& t : tagged) {
+      result.final_predicates.push_back(FinalPredicate{
+          table.pool().Get(t.col), t.tag, t.in_query, false});
     }
+    return result;
   }
 
   // 3. Build the working query: imperative + optional predicates.

@@ -1,6 +1,8 @@
 // Tuning knobs of the semantic optimizer. Defaults reproduce the paper's
 // design (index-aware tag tables, FIFO queue, class elimination on);
-// non-default values exist for ablation benches and tests.
+// non-default values exist for ablation benches and tests. The
+// contradiction short-circuit (§4 hint: an unsatisfiable retained
+// predicate set is answered without touching the database) always runs.
 #ifndef SQOPT_SQO_OPTIONS_H_
 #define SQOPT_SQO_OPTIONS_H_
 
@@ -49,10 +51,6 @@ struct OptimizerOptions {
   size_t transformation_budget = 0;
 
   bool enable_class_elimination = true;
-
-  // Extension (§4 hint): detect unsatisfiable retained predicate sets
-  // and answer the query without touching the database.
-  bool enable_contradiction_detection = true;
 };
 
 }  // namespace sqopt

@@ -387,8 +387,4 @@ Status ObjectStore::RestoreIndexEntries(
   return Status::OK();
 }
 
-void ObjectStore::ResetMeters() {
-  for (auto& [key, index] : indexes_) index->probes = 0;
-}
-
 }  // namespace sqopt

@@ -124,9 +124,6 @@ class ObjectStore {
   // All live values of `ref`, in row order (histogram raw material).
   std::vector<Value> LiveValues(const AttrRef& ref) const;
 
-  // Resets the probe counters on all indexes.
-  void ResetMeters();
-
   // --- Persistence hooks (src/persist/snapshot.cc). The restore
   // methods replace whole substructures of a freshly constructed
   // store. ---

@@ -158,26 +158,6 @@ TEST_F(ClosureTest, ExperimentConstraintsCloseWithoutBlowup) {
   EXPECT_LT(closure.num_derived, 64u);  // and stays bounded
 }
 
-TEST_F(ClosureTest, QueryTimeChainingMatchesMaterializedRelevance) {
-  // The ablation path: chaining at query time from a seed predicate set
-  // fires exactly the constraints whose derived counterparts the
-  // closure already materialized.
-  std::vector<HornClause> base = Parse(R"(
-c1: vehicle.desc = "refrigerated truck" -> cargo.desc = "frozen food"
-c2: cargo.desc = "frozen food" -> supplier.region = "west"
-)");
-  std::vector<Predicate> seed = {
-      ParsePredicate(schema_, "vehicle.desc = \"refrigerated truck\"")
-          .value()};
-  std::vector<ConstraintId> fired = ChainAtQueryTime(base, seed);
-  ASSERT_EQ(fired.size(), 2u);
-  EXPECT_EQ(fired[0], 0);
-  EXPECT_EQ(fired[1], 1);
-
-  // Without the seed, nothing fires.
-  EXPECT_TRUE(ChainAtQueryTime(base, {}).empty());
-}
-
 TEST_F(ClosureTest, EmptyAntecedentClausesAlwaysChainForward) {
   std::vector<HornClause> base = Parse(R"(
 c1: -> vehicle.vclass >= 4

@@ -145,16 +145,6 @@ TEST_F(CostModelTest, EliminationProfitableForDanglingClass) {
   EXPECT_TRUE(EliminationIsProfitable(*model_, with, without));
 }
 
-TEST_F(CostModelTest, ResultCardinalityScalesWithSelectivity) {
-  Query base = Q("{cargo.code} {} {} {} {cargo}");
-  Query filtered =
-      Q("{cargo.code} {} {cargo.desc = \"frozen food\"} {} {cargo}");
-  EXPECT_GT(model_->ResultCardinality(base),
-            model_->ResultCardinality(filtered));
-  EXPECT_NEAR(model_->ResultCardinality(base), 1000.0, 1e-6);
-  EXPECT_NEAR(model_->ResultCardinality(filtered), 100.0, 1e-6);
-}
-
 TEST_F(CostModelTest, DefaultStatsNeverZero) {
   DatabaseStats empty;
   EXPECT_GT(empty.ClassCardinality(0), 0);

@@ -350,13 +350,37 @@ TEST(EngineAdminTest, SetOptimizerOptionsTakesEffect) {
   EXPECT_TRUE(budgeted.report.budget_exhausted);
 }
 
-TEST(EngineOptionsTest, CostModelCanBeDisabled) {
-  EngineOptions options;
-  options.use_cost_model = false;
-  Engine engine = OpenLoadedEngine(options);
-  EXPECT_EQ(engine.cost_model(), nullptr);
-  ASSERT_OK_AND_ASSIGN(QueryOutcome outcome, engine.Execute(kJoinQuery));
-  EXPECT_TRUE(outcome.executed);
+// The paper's walkthrough: before Load there are no statistics and so no
+// cost model, and the optimizer retains every optional predicate. After
+// Load the cost model drops unprofitable ones. The query projects from
+// both classes, so neither is eliminated.
+TEST(EngineAnalyzeTest, AnalyzeBeforeLoadRetainsEveryOptionalPredicate) {
+  const char* query =
+      "{driver.name, department.name} {} {department.securityClass >= 4} "
+      "{belongsTo} {driver, department}";
+  ASSERT_OK_AND_ASSIGN(
+      Engine engine, Engine::Open(SchemaSource::Experiment(),
+                                  ConstraintSource::Experiment()));
+  ASSERT_EQ(engine.cost_model(), nullptr);
+  ASSERT_OK_AND_ASSIGN(QueryOutcome walkthrough, engine.Analyze(query));
+  size_t walkthrough_retained = 0;
+  for (const FinalPredicate& fp : walkthrough.report.final_predicates) {
+    if (fp.tag != PredicateTag::kOptional) continue;
+    EXPECT_TRUE(fp.retained) << fp.predicate.ToString(engine.schema());
+    walkthrough_retained += fp.retained;
+  }
+  // department.securityClass >= 4 and the two driver predicates it
+  // introduces.
+  EXPECT_EQ(walkthrough_retained, 3u);
+
+  ASSERT_OK(engine.Load(DataSource::Generated(kSpec, kSeed)));
+  ASSERT_NE(engine.cost_model(), nullptr);
+  ASSERT_OK_AND_ASSIGN(QueryOutcome costed, engine.Analyze(query));
+  size_t costed_retained = 0;
+  for (const FinalPredicate& fp : costed.report.final_predicates) {
+    costed_retained += fp.tag == PredicateTag::kOptional && fp.retained;
+  }
+  EXPECT_LT(costed_retained, walkthrough_retained);
 }
 
 }  // namespace

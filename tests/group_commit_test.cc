@@ -298,34 +298,41 @@ TEST(ApplyGroupTest, IncreasingKeysPatchStatisticsWithoutRecollecting) {
             engine.store()->DistinctValues(vehicle_no));
 }
 
-// Where there is nothing to patch — no histogram yet, as for a class
-// that was empty at load — the commit path still collects in full.
+// Where there is nothing to patch — no histogram, as for an attribute
+// whose loaded rows all hold one value — the commit path collects that
+// attribute in full, even when the drift stays below kReplanThreshold.
 TEST(ApplyGroupTest, FirstValuesOfAnUncollectedAttributeRecollect) {
-  EngineOptions options;
-  options.serve.replan_threshold = 1e9;  // keep the resync path out
   auto opened = Engine::Open(SchemaSource::Experiment(),
-                             ConstraintSource::Experiment(), options);
+                             ConstraintSource::Experiment());
   ASSERT_OK(opened.status());
   Engine engine = std::move(opened).value();
-  ASSERT_OK(engine.Load(DataSource::FromStore(
-      std::make_unique<ObjectStore>(&engine.schema()))));
   const Schema& schema = engine.schema();
   const ClassId vehicle = schema.FindClass("vehicle");
-  const AttrRef vehicle_no =
-      schema.ResolveQualified("vehicle.vehicleNo").value();
-  MutationBatch batch;
-  for (int i = 0; i < 2; ++i) {
+  const AttrRef vclass = schema.ResolveQualified("vehicle.vclass").value();
+  // Ten segment-1 vehicles: vehicle.vclass is 3 on every row (and
+  // capacity 30), so neither attribute has a histogram after Load.
+  auto store = std::make_unique<ObjectStore>(&schema);
+  for (int i = 0; i < 10; ++i) {
     ASSERT_OK_AND_ASSIGN(Object obj,
                          MakeSegmentObject(schema, vehicle, 1, i));
-    batch.Insert(vehicle, std::move(obj));
+    ASSERT_OK(store->Insert(vehicle, std::move(obj)).status());
   }
-  ASSERT_OK(engine.Apply(batch).status());
-  EXPECT_GT(engine.stats().stats_recollections, 0u);
-  const AttrStatsData* stats =
-      engine.database_stats()->AttrStatsFor(vehicle_no);
+  ASSERT_OK(engine.Load(DataSource::FromStore(std::move(store))));
+  ASSERT_TRUE(engine.database_stats()->AttrStatsFor(vclass)->histogram.empty());
+
+  // One segment-0 vehicle (vclass 4): drift 1/10, below the threshold.
+  MutationBatch batch;
+  ASSERT_OK_AND_ASSIGN(Object obj, MakeSegmentObject(schema, vehicle, 0, 10));
+  batch.Insert(vehicle, std::move(obj));
+  ASSERT_OK_AND_ASSIGN(ApplyOutcome applied, engine.Apply(batch));
+  EXPECT_LT(applied.stats_drift, kReplanThreshold);
+  EXPECT_FALSE(applied.plan_cache_invalidated);
+  // vclass and capacity; vehicleNo widens its histogram instead.
+  EXPECT_EQ(engine.stats().stats_recollections, 2u);
+  const AttrStatsData* stats = engine.database_stats()->AttrStatsFor(vclass);
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->distinct_values, 2);
-  EXPECT_EQ(stats->histogram.total(), 2);
+  EXPECT_EQ(stats->histogram.total(), 11);
 }
 
 }  // namespace

@@ -34,7 +34,8 @@ TEST_F(GroupingTest, EveryConstraintAssignedToReferencedClass) {
       std::vector<ClassId> referenced = clauses_[i].ReferencedClasses();
       EXPECT_NE(std::find(referenced.begin(), referenced.end(), assigned),
                 referenced.end())
-          << GroupingPolicyName(policy) << " assigned constraint " << i
+          << "policy " << static_cast<int>(policy)
+          << " assigned constraint " << i
           << " to a class it does not reference";
     }
   }
@@ -80,8 +81,9 @@ TEST_F(GroupingTest, RetrievalIsComplete) {
         }
         if (relevant) {
           EXPECT_TRUE(retrieved.count(static_cast<ConstraintId>(i)) > 0)
-              << GroupingPolicyName(policy) << " missed constraint "
-              << clauses_[i].label() << " for mask " << mask;
+              << "policy " << static_cast<int>(policy)
+              << " missed constraint " << clauses_[i].label() << " for mask "
+              << mask;
         }
       }
     }

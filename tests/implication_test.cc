@@ -147,26 +147,6 @@ TEST_F(ImplicationTest, EmptyPremisesImplyNothing) {
   EXPECT_FALSE(ConjunctionImplies({}, W(CompareOp::kGe, 0)));
 }
 
-TEST_F(ImplicationTest, MutuallyExclusiveConstants) {
-  EXPECT_TRUE(MutuallyExclusive(W(CompareOp::kEq, 5), W(CompareOp::kEq, 6)));
-  EXPECT_TRUE(MutuallyExclusive(W(CompareOp::kLt, 5), W(CompareOp::kGt, 6)));
-  EXPECT_FALSE(
-      MutuallyExclusive(W(CompareOp::kLe, 5), W(CompareOp::kGe, 5)));
-  EXPECT_TRUE(MutuallyExclusive(W(CompareOp::kLt, 5), W(CompareOp::kGe, 5)));
-}
-
-TEST_F(ImplicationTest, MutuallyExclusiveAttrAttr) {
-  AttrRef lc = schema_.ResolveQualified("driver.licenseClass").value();
-  AttrRef vc = schema_.ResolveQualified("vehicle.vclass").value();
-  Predicate lt = Predicate::AttrAttr(lc, CompareOp::kLt, vc);
-  Predicate gt = Predicate::AttrAttr(lc, CompareOp::kGt, vc);
-  Predicate eq = Predicate::AttrAttr(lc, CompareOp::kEq, vc);
-  Predicate le = Predicate::AttrAttr(lc, CompareOp::kLe, vc);
-  EXPECT_TRUE(MutuallyExclusive(lt, gt));
-  EXPECT_TRUE(MutuallyExclusive(lt, eq));
-  EXPECT_FALSE(MutuallyExclusive(le, eq));
-}
-
 // Exhaustive soundness sweep: for every (opA, cA, opB, cB) combination
 // over a small integer domain, Implies(a, b) == true must mean every
 // domain point satisfying a satisfies b.

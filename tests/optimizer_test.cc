@@ -212,18 +212,6 @@ TEST_F(OptimizerTest, ContradictionShortCircuits) {
   EXPECT_TRUE(result.report.empty_result);
 }
 
-TEST_F(OptimizerTest, ContradictionDetectionCanBeDisabled) {
-  Query query = Q(R"(
-(SELECT {cargo.code} {}
-        {vehicle.desc = "refrigerated truck", cargo.desc = "fuel"}
-        {collects} {cargo, vehicle}))");
-  OptimizerOptions options;
-  options.enable_contradiction_detection = false;
-  SemanticOptimizer optimizer(&schema_, catalog_.get(), nullptr, options);
-  ASSERT_OK_AND_ASSIGN(OptimizeResult result, optimizer.Optimize(query));
-  EXPECT_FALSE(result.empty_result);
-}
-
 TEST_F(OptimizerTest, PriorityQueueWithBudgetPrefersIndexIntroduction) {
   // Two fireable constraints: c1 introduces cargo.desc (indexed) and a
   // fresh one introduces a NON-indexed predicate. With budget 1 the

@@ -45,25 +45,21 @@ std::vector<std::string> RowKeys(const ResultSet& rs) {
 // ---------------------------------------------------------------------
 
 TEST(ChooseScanParallelismTest, SmallScansStaySequential) {
-  CostModelParams params;
-  EXPECT_EQ(ChooseScanParallelism(100, 8, params, kDefaultMorselSize), 1);
-  EXPECT_EQ(ChooseScanParallelism(0, 8, params, kDefaultMorselSize), 1);
-  EXPECT_EQ(ChooseScanParallelism(1 << 20, 1, params, kDefaultMorselSize), 1);
-  EXPECT_EQ(ChooseScanParallelism(1 << 20, 0, params, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(100, 8, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(0, 8, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(1 << 20, 1, kDefaultMorselSize), 1);
+  EXPECT_EQ(ChooseScanParallelism(1 << 20, 0, kDefaultMorselSize), 1);
 }
 
 TEST(ChooseScanParallelismTest, LargeScansFanOutCappedByMorselCount) {
-  CostModelParams params;
-  EXPECT_EQ(ChooseScanParallelism(1 << 20, 8, params, kDefaultMorselSize), 8);
+  EXPECT_EQ(ChooseScanParallelism(1 << 20, 8, kDefaultMorselSize), 8);
   // 5000 candidates = 3 morsels of 2048 -> at most 3 useful workers.
-  EXPECT_EQ(ChooseScanParallelism(5000, 8, params, kDefaultMorselSize), 3);
+  EXPECT_EQ(ChooseScanParallelism(5000, 8, kDefaultMorselSize), 3);
 }
 
 TEST(ChooseScanParallelismTest, FanOutNeverCheaperOnTinyScans) {
-  CostModelParams params;
-  EXPECT_GE(ParallelScanCost(10, 4, params), ParallelScanCost(10, 1, params));
-  EXPECT_LT(ParallelScanCost(1 << 20, 8, params),
-            ParallelScanCost(1 << 20, 1, params));
+  EXPECT_GE(ParallelScanCost(10, 4), ParallelScanCost(10, 1));
+  EXPECT_LT(ParallelScanCost(1 << 20, 8), ParallelScanCost(1 << 20, 1));
 }
 
 // ---------------------------------------------------------------------
@@ -267,11 +263,12 @@ EngineOptions ParallelEngineOptions(int parallelism) {
   options.serve.parallelism = parallelism;
   options.serve.threads = 8;
   options.serve.morsel_size = 4;
-  // Fan-out made free so the 64-row test store fans out.
-  options.cost_params.parallel_fanout_overhead = 0.0;
   return options;
 }
 
+// About 64 rows per class is enough to fan out: a full extent scan of
+// two pages costs 2 sequential and 2/3 + 2 * 0.25 on three workers
+// (kParallelFanoutOverhead per extra worker).
 class ParallelEngineTest : public ::testing::Test {
  protected:
   static Engine OpenLoaded(const EngineOptions& options) {

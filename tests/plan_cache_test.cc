@@ -352,7 +352,7 @@ TEST(PlanCacheEngineTest, ReloadInvalidatesAndNeverServesDroppedStore) {
 }
 
 // --- Write-path epoching: Apply invalidates only when the commit's
-// statistics drift crosses ServeOptions::replan_threshold, and cached
+// statistics drift crosses kReplanThreshold, and cached
 // plans that survive must serve the NEW snapshot's rows. ---
 
 TEST(PlanCacheEngineTest, ApplyBelowThresholdKeepsCacheAndRebindsData) {
@@ -373,8 +373,7 @@ TEST(PlanCacheEngineTest, ApplyBelowThresholdKeepsCacheAndRebindsData) {
   batch.Update(supplier, 0, rating.attr_id, Value::Int(7));
   ASSERT_OK_AND_ASSIGN(ApplyOutcome applied, engine.Apply(batch));
   EXPECT_FALSE(applied.plan_cache_invalidated);
-  EXPECT_LT(applied.stats_drift,
-            engine.options().serve.replan_threshold);
+  EXPECT_LT(applied.stats_drift, kReplanThreshold);
 
   ASSERT_OK_AND_ASSIGN(QueryOutcome second, engine.Execute(kRatingQuery));
   EXPECT_TRUE(second.plan_cache_hit)
@@ -404,7 +403,7 @@ TEST(PlanCacheEngineTest, ApplyAboveThresholdInvalidates) {
   }
   ASSERT_OK_AND_ASSIGN(ApplyOutcome applied, engine.Apply(batch));
   EXPECT_TRUE(applied.plan_cache_invalidated);
-  EXPECT_GE(applied.stats_drift, engine.options().serve.replan_threshold);
+  EXPECT_GE(applied.stats_drift, kReplanThreshold);
   EXPECT_EQ(engine.plan_cache_stats().invalidations,
             invalidations_before + 1);
 
@@ -414,41 +413,6 @@ TEST(PlanCacheEngineTest, ApplyAboveThresholdInvalidates) {
   EXPECT_EQ(engine.plan_cache_stats().hits, hits_before);
   // Segment-0 suppliers have rating >= 8: all 20 inserts are visible.
   EXPECT_EQ(second.rows.rows.size(), first.rows.rows.size() + 20);
-}
-
-TEST(PlanCacheEngineTest, ReplanThresholdKnobIsRespected) {
-  // Threshold 0: every commit (any drift >= 0) re-plans.
-  EngineOptions eager;
-  eager.serve.replan_threshold = 0.0;
-  Engine engine = OpenLoadedEngine(eager);
-  const Schema& schema = engine.schema();
-  ClassId supplier = schema.FindClass("supplier");
-  AttrRef rating = schema.ResolveQualified("supplier.rating").value();
-
-  ASSERT_OK(engine.Execute(kRatingQuery).status());
-  MutationBatch one;
-  one.Update(supplier, 0, rating.attr_id, Value::Int(9));
-  ASSERT_OK_AND_ASSIGN(ApplyOutcome applied, engine.Apply(one));
-  EXPECT_TRUE(applied.plan_cache_invalidated);
-  ASSERT_OK_AND_ASSIGN(QueryOutcome out, engine.Execute(kRatingQuery));
-  EXPECT_FALSE(out.plan_cache_hit);
-
-  // An effectively-infinite threshold keeps the cache across a commit
-  // that rewrites a fifth of the class.
-  EngineOptions lazy;
-  lazy.serve.replan_threshold = 1e9;
-  Engine relaxed = OpenLoadedEngine(lazy);
-  ASSERT_OK(relaxed.Execute(kRatingQuery).status());
-  MutationBatch many;
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_OK_AND_ASSIGN(Object obj,
-                         MakeSegmentObject(schema, supplier, 0, 200 + i));
-    many.Insert(supplier, std::move(obj));
-  }
-  ASSERT_OK_AND_ASSIGN(ApplyOutcome big, relaxed.Apply(many));
-  EXPECT_FALSE(big.plan_cache_invalidated);
-  ASSERT_OK_AND_ASSIGN(QueryOutcome warm, relaxed.Execute(kRatingQuery));
-  EXPECT_TRUE(warm.plan_cache_hit);
 }
 
 TEST(PlanCacheEngineTest, CatalogAndOptimizerChangesInvalidate) {

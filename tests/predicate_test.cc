@@ -72,13 +72,11 @@ TEST_F(PredicateTest, ReferencedClasses) {
   ASSERT_OK_AND_ASSIGN(Predicate single,
                        ParsePredicate(schema_, "cargo.weight <= 40"));
   EXPECT_EQ(single.ReferencedClasses().size(), 1u);
-  EXPECT_TRUE(single.IsSingleClass());
 
   ASSERT_OK_AND_ASSIGN(
       Predicate join,
       ParsePredicate(schema_, "driver.licenseClass >= vehicle.vclass"));
   EXPECT_EQ(join.ReferencedClasses().size(), 2u);
-  EXPECT_FALSE(join.IsSingleClass());
 }
 
 TEST_F(PredicateTest, EqualityDistinguishesOpAndValue) {

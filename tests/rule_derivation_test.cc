@@ -68,21 +68,15 @@ TEST_F(RuleDerivationTest, GlobalRangeRulesHaveEmptyAntecedents) {
 }
 
 TEST_F(RuleDerivationTest, SupportThresholdFiltersSmallGroups) {
-  RuleDerivationOptions strict;
-  strict.min_support = 1000000;  // nothing qualifies
+  // Every class of this store holds fewer than kMinRuleSupport rows, and
+  // range rules are also gated on extent size, so nothing qualifies.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ObjectStore> small,
+                       GenerateDatabase(schema_, DbSpec{"RD-small", 6, 3}, 99));
+  for (const ObjectClass& oc : schema_.classes()) {
+    ASSERT_LT(small->extent(oc.id).live_count(), kMinRuleSupport) << oc.name;
+  }
   ASSERT_OK_AND_ASSIGN(std::vector<HornClause> rules,
-                       DeriveStateRules(*store_, strict));
-  // Range rules are also gated on extent size >= min_support.
-  EXPECT_TRUE(rules.empty());
-}
-
-TEST_F(RuleDerivationTest, CategoriesCanBeDisabled) {
-  RuleDerivationOptions none;
-  none.derive_value_rules = false;
-  none.derive_range_rules = false;
-  none.derive_conditional_ranges = false;
-  ASSERT_OK_AND_ASSIGN(std::vector<HornClause> rules,
-                       DeriveStateRules(*store_, none));
+                       DeriveStateRules(*small));
   EXPECT_TRUE(rules.empty());
 }
 

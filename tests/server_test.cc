@@ -999,6 +999,14 @@ TEST(ServerTest, StartValidatesArguments) {
   bad.threads = 0;
   EXPECT_FALSE(Server::Start(&engine, bad).ok());
 
+  // A zero default deadline would time out every request that carries
+  // no deadline of its own.
+  ServerOptions no_deadline;
+  no_deadline.default_deadline_ms = 0;
+  auto refused = Server::Start(&engine, no_deadline);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
   // A port outside [0, 65535] is refused instead of wrapping through
   // uint16_t (70000 would otherwise bind 4464).
   for (int port : {-1, 65536, 70000}) {

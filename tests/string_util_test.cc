@@ -33,26 +33,15 @@ TEST(StringUtilTest, SplitNoTrim) {
   EXPECT_EQ(parts[0], " a ");
 }
 
-TEST(StringUtilTest, SplitTopLevelRespectsBrackets) {
-  std::vector<std::string> parts =
-      SplitTopLevel("f(a, b), c, g(d, e)", ',', '(', ')');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "f(a, b)");
-  EXPECT_EQ(parts[1], "c");
-  EXPECT_EQ(parts[2], "g(d, e)");
-}
-
 TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
   EXPECT_EQ(Join({"only"}, ","), "only");
 }
 
-TEST(StringUtilTest, StartsEndsWith) {
+TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("select x", "select"));
   EXPECT_FALSE(StartsWith("sel", "select"));
-  EXPECT_TRUE(EndsWith("a.cc", ".cc"));
-  EXPECT_FALSE(EndsWith("a.h", ".cc"));
 }
 
 TEST(StringUtilTest, ToLower) {

@@ -27,7 +27,7 @@
 //   --threads=N         worker threads (default 4)
 //   --queue=N           admission queue bound, where reads also pause
 //                       (default 128)
-//   --deadline-ms=N     default per-request deadline (default 5000)
+//   --deadline-ms=N     default per-request deadline, >= 1 (default 5000)
 //   --idle-timeout-ms=N idle connection reaping (default 60000)
 //   --seed=N            generation seed for --gen (default 42)
 //   --follow=HOST:PORT  follower mode: replicate from this leader
